@@ -83,9 +83,7 @@ class Compiler:
         bug_seed: int = 20240427,
         cache: FrontendCache | None = None,
         session: CompileSession | None = None,
-        fuse_passes: bool = False,
-        flat_ir: bool = False,
-        flat_native: bool = False,
+        reference: bool = False,
     ) -> None:
         assert personality in ("gcc-sim", "clang-sim")
         self.personality = personality
@@ -98,28 +96,19 @@ class Compiler:
         #: Optional cross-step middle-end session; ``compile(session=...)``
         #: overrides (``session=None`` there forces a session-less compile).
         self.session = session
-        #: Run the fused single-walk -O1 round instead of the sequential
-        #: five-pass loop (bit-identical observable behaviour).
-        self.fuse_passes = fuse_passes
-        #: Run the local optimizer rounds over the flat slotted
-        #: :class:`~repro.compiler.flatir.IRBuffer` instead of the object IR
-        #: (bit-identical observable behaviour; takes precedence over
-        #: ``fuse_passes`` for pass selection).
-        self.flat_ir = flat_ir or flat_native
-        #: Keep the whole middle end buffer-native: irgen emits
-        #: :class:`~repro.compiler.flatir.IRBuffer` rows directly, inlining/
-        #: strlen/vectorize run their flat ports, the backend walks the live
-        #: buffer, and journal replay serves buffer snapshots.  Implies
-        #: ``flat_ir``; bit-identical observable behaviour.
-        self.flat_native = flat_native
+        #: Run the object-IR reference pipeline (object irgen, the
+        #: sequential five-pass local round, the object backend) instead of
+        #: the default flat-native middle end, which keeps every function in
+        #: a :class:`~repro.compiler.flatir.IRBuffer` from irgen through the
+        #: backend.  Both are bit-identical in every observable; paranoid
+        #: mode and the differential tests compare the two.
+        self.reference = reference
         #: Object<->buffer bridge crossings charged to this compiler
-        #: (``flat_encodes``/``flat_decodes`` in ``stats_snapshot``).  Like
-        #: ``fused_pass_runs``, deliberately outside the compared
-        #: feature/stats space.
+        #: (``flat_encodes``/``flat_decodes`` in ``stats_snapshot``),
+        #: deliberately outside the compared feature/stats space.  Both
+        #: stay zero on either pipeline; a crossing means something decayed
+        #: a buffer-native function back to object IR.
         self.bridge = BridgeCounters()
-        #: Fused fixpoint loops executed (deliberately outside the compared
-        #: feature/stats space — see ``OptContext.fused_runs``).
-        self.fused_pass_runs = 0
         #: Wall-clock seconds per pipeline stage (lex/parse/sema via the
         #: cache, plus irgen/opt/backend), accumulated across compiles.
         self.stage_timings: Counter = Counter()
@@ -198,20 +187,16 @@ class Compiler:
             cost += 0.01 + 0.20 * u
         result.cost = cost
         if paranoid and (cache is not None or session is not None):
-            # The reference runs on the object IR even when this compiler is
-            # flat, so every paranoid check doubles as a flat-vs-object
-            # differential on top of the cached-vs-fresh one.
-            flat_prev = self.flat_ir
-            flat_native_prev = self.flat_native
-            self.flat_ir = False
-            self.flat_native = False
+            # The from-scratch reference always runs the object pipeline, so
+            # every paranoid check is also a flat-vs-object differential.
+            reference_prev = self.reference
+            self.reference = True
             try:
                 reference = self.compile(
                     source_text, opt_level, flags, cache=None, session=None
                 )
             finally:
-                self.flat_ir = flat_prev
-                self.flat_native = flat_native_prev
+                self.reference = reference_prev
             if session is not None:
                 session.paranoid_checks += 1
             assert_results_equal(result, reference)
@@ -248,13 +233,7 @@ class Compiler:
                 and not materialized
             ):
                 parent_text = edits_from[0]
-                options = middle_memo_key(
-                    self.name,
-                    self.bug_seed,
-                    opt_level,
-                    tuple(flags),
-                    mode="flat-native" if self.flat_native else "",
-                )
+                options = middle_memo_key(self, opt_level, tuple(flags))
                 if not session.has_result(options, parent_text):
                     # Observationally pure for the caller: the parent was
                     # already compiled when it entered the pool, so this

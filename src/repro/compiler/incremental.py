@@ -46,18 +46,12 @@ from repro.compiler.ir import IRFunction, IRModule
 from repro.compiler.irgen import FlatIRGen, IRGen, LoweringError
 from repro.compiler.passes import (
     OptContext,
+    candidate_map,
     cleanup_opt,
-    flat_inline_into_caller,
-    flat_inlinable,
-    flat_loop_vectorize,
-    flat_strlen_opt_fn,
-    inline_candidates,
-    inline_into_caller,
+    is_inlinable,
     local_opt,
-    loop_vectorize,
-    strlen_opt_fn,
+    stage_passes,
 )
-from repro.compiler.passes.inline import _inlinable
 from repro.telemetry.spans import span
 
 
@@ -65,18 +59,44 @@ class _MiddleAbort(Exception):
     """Internal: the incremental middle end hit an ineligible state."""
 
 
-def middle_memo_key(
-    name: str, bug_seed: int, opt_level: int, flags: tuple, mode: str = ""
-) -> str:
+def middle_memo_key(compiler, opt_level: int, flags: tuple) -> str:
     """Memo key for one (personality, bug seed, options) middle-end run.
 
-    ``mode`` keys the function-carrier representation: flat-native runs
-    store :class:`~repro.compiler.flatir.FlatFunction` records in the memo,
-    so they must never share a memo slot with object-IR runs even if a
-    cache were handed between differently-configured compilers.
+    The key also names the pipeline: flat-native runs store
+    :class:`~repro.compiler.flatir.FlatFunction` records in the memo, so
+    they must never share a memo slot with reference (object-IR) runs even
+    if a cache were handed between differently-configured compilers.
     """
-    suffix = f":{mode}" if mode else ""
-    return f"middle:{name}:{bug_seed}:{opt_level}:{','.join(flags)}{suffix}"
+    suffix = "" if compiler.reference else ":flat-native"
+    return (
+        f"middle:{compiler.name}:{compiler.bug_seed}:{opt_level}:"
+        f"{','.join(flags)}{suffix}"
+    )
+
+
+def new_irgen(compiler, entry, cov):
+    """IR generation for ``compiler``'s pipeline.
+
+    The default is buffer-direct: functions are emitted straight into
+    :class:`~repro.compiler.flatir.IRBuffer` rows, and replayed records
+    re-inject their :class:`~repro.compiler.flatir.FlatFunction` carriers
+    verbatim (zero bridge crossings).  The reference builds object IR.
+    """
+    if compiler.reference:
+        return IRGen(entry.sema, cov)
+    return FlatIRGen(entry.sema, cov, counters=compiler.bridge)
+
+
+def new_opt_context(compiler, cov, opt_level: int, flags: tuple, checkpoint):
+    """The optimizer/backend context of one middle-end run."""
+    return OptContext(
+        cov=cov,
+        opt_level=opt_level,
+        flags=compiler._personality_flags(flags),
+        checkpoint=checkpoint,
+        flat=not compiler.reference,
+        bridge=compiler.bridge,
+    )
 
 
 @dataclass(frozen=True)
@@ -229,17 +249,7 @@ class _MiddleRun:
     # ---------------------------------------------------------------- irgen
 
     def lower(self) -> IRModule:
-        if getattr(self.compiler, "flat_native", False):
-            # Buffer-direct emission: dirty declarations lower straight into
-            # IRBuffers and replayed DeclRecords re-inject the parent's
-            # FlatFunction carriers verbatim — no encode, no decode.
-            irgen = FlatIRGen(
-                self.entry.sema,
-                self.cov,
-                counters=getattr(self.compiler, "bridge", None),
-            )
-        else:
-            irgen = IRGen(self.entry.sema, self.cov)
+        irgen = new_irgen(self.compiler, self.entry, self.cov)
         irgen._collect_enums(self.unit)
         if self.capture:
             self.memo.enum_values = dict(irgen._enum_values)
@@ -330,16 +340,11 @@ class _MiddleRun:
             if self.capture:
                 self.memo.phase_events[key] = tuple(self.journal[start:])
 
-        # Flat-native runs splice/scan IRBuffers directly; the object
-        # stage entry points remain the paranoid reference path.
-        inline_fn = flat_inline_into_caller if ctx.flat_native else inline_into_caller
-        strlen_fn = flat_strlen_opt_fn if ctx.flat_native else strlen_opt_fn
-        vectorize_fn = flat_loop_vectorize if ctx.flat_native else loop_vectorize
-
+        inline_fn, strlen_fn, vectorize_fn = stage_passes(ctx)
         for fn in list(module.functions.values()):
             drive("local", fn, lambda f=fn: local_opt(f, ctx))
         if ctx.opt_level >= 2:
-            candidates = self._candidates(module, dirty)
+            candidates = self._candidates(module, dirty, ctx)
             if candidates:
                 for caller in module.functions.values():
                     drive(
@@ -397,17 +402,9 @@ class _MiddleRun:
             if i not in self.reuse
         }
 
-    def _candidates(self, module: IRModule, dirty: set) -> dict:
-        flat_native = getattr(self.compiler, "flat_native", False)
+    def _candidates(self, module: IRModule, dirty: set, ctx) -> dict:
         if self.parent_memo is None:
-            if flat_native:
-                candidates = {
-                    name: fn.buffer()
-                    for name, fn in module.functions.items()
-                    if flat_inlinable(fn.buffer())
-                }
-            else:
-                candidates = inline_candidates(module)
+            candidates = candidate_map(module, ctx)
             if self.capture:
                 # Candidate bodies get inlined into callers by value;
                 # snapshot them at this (post-local-opt) point so children
@@ -420,16 +417,15 @@ class _MiddleRun:
             return candidates
         for name in dirty:
             fn = module.functions[name]
-            is_candidate = (
-                flat_inlinable(fn.buffer()) if flat_native else _inlinable(fn)
-            )
-            if name in self.parent_memo.candidate_names or is_candidate:
+            if name in self.parent_memo.candidate_names or is_inlinable(
+                fn, ctx
+            ):
                 # A dirty function that is (or was) an inline candidate can
                 # change the bodies inlined into *clean* callers.
                 raise _MiddleAbort("dirty function affects inline candidacy")
         self.memo.candidate_names = self.parent_memo.candidate_names
         self.memo.candidate_snapshots = self.parent_memo.candidate_snapshots
-        if flat_native:
+        if ctx.flat:
             # Serve the snapshot buffers directly to the flat inliner:
             # cache-served callee bodies never cross the IR bridge.
             return {
@@ -473,13 +469,7 @@ def lower_and_optimize(
     recompiled.  ``stages`` collects which pipeline stages logically ran
     (for the stage-scaled cost model).
     """
-    key = middle_memo_key(
-        compiler.name,
-        compiler.bug_seed,
-        opt_level,
-        tuple(flags),
-        mode="flat-native" if getattr(compiler, "flat_native", False) else "",
-    )
+    key = middle_memo_key(compiler, opt_level, tuple(flags))
     memoized = entry.memo.get(key) if journal is not None else None
     if memoized is not None and memoized.result is not None:
         _replay_result(memoized.result, cov, features, result, stages)
@@ -559,23 +549,14 @@ def _run_middle(
     compiler.bugs.check("ir-gen", features)
 
     with span(compiler.tracer, "opt"):
-        ctx = OptContext(
-            cov=cov,
-            opt_level=opt_level,
-            flags=compiler._personality_flags(flags),
-            checkpoint=run.checkpoint,
-            fuse=getattr(compiler, "fuse_passes", False),
-            flat=getattr(compiler, "flat_ir", False),
-            flat_native=getattr(compiler, "flat_native", False),
-            bridge=getattr(compiler, "bridge", None),
+        ctx = new_opt_context(
+            compiler, cov, opt_level, flags, run.checkpoint
         )
         if journal is not None:
             ctx.stats.journal = run.journal
         run.optimize(module, ctx)
     features.update(ctx.stats.counters)
     compiler.bugs.check("optimization", features)
-    if ctx.fused_runs:
-        compiler.fused_pass_runs += ctx.fused_runs
 
     with span(compiler.tracer, "backend"):
         be = run.backend(module, ctx)

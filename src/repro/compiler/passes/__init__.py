@@ -14,13 +14,13 @@ from repro.compiler.passes.dce import dce
 from repro.compiler.passes.cse import cse
 from repro.compiler.passes.forward_store import forward_store
 from repro.compiler.passes.inline import (
+    _inlinable,
     inline_candidates,
     inline_into_caller,
     inline_small_functions,
 )
 from repro.compiler.passes.strlen_opt import strlen_opt, strlen_opt_fn
 from repro.compiler.passes.loop_vectorize import loop_vectorize
-from repro.compiler.passes.fused import fused_local_opt
 from repro.compiler.passes.flat import flat_cleanup_opt, flat_local_opt
 from repro.compiler.passes.flat_inline import (
     flat_inlinable,
@@ -43,7 +43,6 @@ __all__ = [
     "strlen_opt",
     "strlen_opt_fn",
     "loop_vectorize",
-    "fused_local_opt",
     "flat_local_opt",
     "flat_cleanup_opt",
     "flat_inlinable",
@@ -52,6 +51,9 @@ __all__ = [
     "flat_loop_vectorize",
     "local_opt",
     "cleanup_opt",
+    "stage_passes",
+    "is_inlinable",
+    "candidate_map",
     "run_pipeline",
 ]
 
@@ -59,17 +61,14 @@ __all__ = [
 def local_opt(fn, ctx: OptContext) -> None:
     """The per-function -O1 fixpoint round (first pipeline stage).
 
-    With ``ctx.fuse`` set, the round runs as the single-walk fusion of
-    :mod:`repro.compiler.passes.fused` — bit-identical in resulting IR,
-    coverage hits, and stats bumps, but three traversals instead of five.
-    With ``ctx.flat`` set, the same fused algorithm runs over the flat
-    :class:`~repro.compiler.flatir.IRBuffer` (no per-node objects at all).
+    The reference round runs const_fold, simplify_cfg, forward_store, cse
+    and dce as five sequential passes.  With ``ctx.flat`` set, the round
+    runs over the :class:`~repro.compiler.flatir.IRBuffer` as the fused
+    three-walk algorithm of :mod:`repro.compiler.passes.flat`, bit-identical
+    in resulting IR, coverage hits and stats bumps.
     """
     if ctx.flat:
         flat_local_opt(fn, ctx)
-        return
-    if ctx.fuse:
-        fused_local_opt(fn, ctx)
         return
     changed = True
     rounds = 0
@@ -94,45 +93,56 @@ def cleanup_opt(fn, ctx: OptContext) -> None:
     dce(fn, ctx)
 
 
+def stage_passes(ctx: OptContext):
+    """The per-function (inline, strlen, vectorize) entry points for ``ctx``.
+
+    Flat runs splice and scan the buffers directly; the object entry points
+    are the reference pipeline's.
+    """
+    if ctx.flat:
+        return flat_inline_into_caller, flat_strlen_opt_fn, flat_loop_vectorize
+    return inline_into_caller, strlen_opt_fn, loop_vectorize
+
+
+def is_inlinable(fn, ctx: OptContext) -> bool:
+    """Inline candidacy of one (post-local-opt) function."""
+    return flat_inlinable(fn.buffer()) if ctx.flat else _inlinable(fn)
+
+
+def candidate_map(module, ctx: OptContext) -> dict:
+    """The module's inline candidates: name -> body in ``ctx``'s IR form."""
+    if ctx.flat:
+        return {
+            name: fn.buffer()
+            for name, fn in module.functions.items()
+            if flat_inlinable(fn.buffer())
+        }
+    return inline_candidates(module)
+
+
 def run_pipeline(module, ctx: OptContext) -> None:
     """Run the optimization pipeline at the context's -O level.
 
     Kept decomposed into per-function stage entry points (:func:`local_opt`,
-    :func:`inline_into_caller`, :func:`strlen_opt_fn`, :func:`cleanup_opt`,
-    :func:`loop_vectorize`) so the incremental middle end
-    (:mod:`repro.compiler.incremental`) can replay unchanged functions and
-    re-run only the dirty ones while preserving the exact per-function event
-    order of this loop.
+    :func:`stage_passes`, :func:`cleanup_opt`) so the incremental middle end
+    (:mod:`repro.compiler.incremental`) and the compile session can replay
+    unchanged functions and re-run only the dirty ones while preserving the
+    exact per-function event order of this loop.
     """
     if ctx.opt_level <= 0:
         return
-    flat_native = ctx.flat_native
+    inline_fn, strlen_fn, vectorize_fn = stage_passes(ctx)
     for fn in list(module.functions.values()):
         local_opt(fn, ctx)
     if ctx.opt_level >= 2:
-        if flat_native:
-            candidates = {}
-            for name, fn in module.functions.items():
-                buf = fn.buffer()
-                if flat_inlinable(buf):
-                    candidates[name] = buf
-            if candidates:
-                for caller in module.functions.values():
-                    flat_inline_into_caller(caller, candidates, ctx)
-            for fn in module.functions.values():
-                flat_strlen_opt_fn(fn, module, ctx)
-        else:
-            candidates = inline_candidates(module)
-            if candidates:
-                for caller in module.functions.values():
-                    inline_into_caller(caller, candidates, ctx)
-            for fn in module.functions.values():
-                strlen_opt_fn(fn, module, ctx)
+        candidates = candidate_map(module, ctx)
+        if candidates:
+            for caller in module.functions.values():
+                inline_fn(caller, candidates, ctx)
+        for fn in module.functions.values():
+            strlen_fn(fn, module, ctx)
         for fn in list(module.functions.values()):
             cleanup_opt(fn, ctx)
     if ctx.opt_level >= 3 or ctx.flag("-ftree-vectorize"):
         for fn in list(module.functions.values()):
-            if flat_native:
-                flat_loop_vectorize(fn, ctx)
-            else:
-                loop_vectorize(fn, ctx)
+            vectorize_fn(fn, ctx)

@@ -36,29 +36,15 @@ class OptContext:
     #: Hook invoked at named points with the evolving feature dict; the bug
     #: registry uses it to fire seeded crashes mid-pass.
     checkpoint: Callable[[str, dict], None] | None = None
-    #: Run :func:`~repro.compiler.passes.fused.fused_local_opt` (the
-    #: single-walk const_fold+forward_store+cse fusion) in place of the
-    #: sequential :func:`~repro.compiler.passes.local_opt` round loop.
-    fuse: bool = False
-    #: How many fused fixpoint loops ran under this context.  Deliberately
-    #: *not* an :class:`OptStats` counter: stats feed the compared feature
-    #: dict, and fused vs. sequential runs must stay bit-identical there.
-    fused_runs: int = 0
-    #: Run the local rounds over the flat :class:`~repro.compiler.flatir`
-    #: buffer (:mod:`repro.compiler.passes.flat`) instead of the object IR.
-    #: Takes precedence over :attr:`fuse` for pass selection; results are
-    #: bit-identical either way.
+    #: Functions are buffer-native :class:`~repro.compiler.flatir.FlatFunction`
+    #: carriers (the default pipeline): every stage runs its flat port over
+    #: the :class:`~repro.compiler.flatir.IRBuffer`.  ``False`` is the
+    #: object-IR reference pipeline.  Results are bit-identical either way.
     flat: bool = False
-    #: Keep the *whole* middle end on the buffer: irgen emits buffers,
-    #: inlining/strlen/vectorize run their flat ports, and the journal
-    #: replays buffer snapshots.  Implies :attr:`flat`; results are
-    #: bit-identical either way.
-    flat_native: bool = False
     #: Per-compiler :class:`~repro.compiler.flatir.BridgeCounters`, threaded
     #: through so passes can charge any object<->buffer bridge crossing they
-    #: cause.  Like :attr:`fused_runs`, deliberately not an ``OptStats``
-    #: counter: bridge accounting must not leak into the compared feature
-    #: dict or the replay journal.
+    #: cause.  Deliberately not an ``OptStats`` counter: bridge accounting
+    #: must not leak into the compared feature dict or the replay journal.
     bridge: object | None = None
 
     def flag(self, name: str) -> bool:

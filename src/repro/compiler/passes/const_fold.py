@@ -94,22 +94,10 @@ def _identity_simplify(instr: BinOp):
     return None
 
 
-def const_fold(
-    fn: IRFunction,
-    ctx: OptContext,
-    mapping: dict | None = None,
-    finalize: bool = True,
-) -> bool:
-    """Fold constants into ``mapping``; rewrite uses unless deferred.
-
-    The fused pipeline (:mod:`repro.compiler.passes.fused`) passes a shared
-    round mapping and ``finalize=False`` so the single combined use-rewrite
-    happens once per round instead of once per pass; standalone callers get
-    the historical fold-then-replace behaviour.
-    """
+def const_fold(fn: IRFunction, ctx: OptContext) -> bool:
+    """Fold constant instructions, then rewrite their uses."""
     changed = False
-    if mapping is None:
-        mapping = {}
+    mapping: dict = {}
     for block in fn.blocks:
         kept = []
         for instr in block.instrs:
@@ -181,6 +169,5 @@ def const_fold(
                 continue
             kept.append(instr)
         block.instrs = kept
-    if finalize:
-        replace_uses(fn, mapping)
+    replace_uses(fn, mapping)
     return changed

@@ -1,28 +1,51 @@
 """The local optimization rounds executed over the flat IR buffer.
 
 :func:`flat_local_opt` and :func:`flat_cleanup_opt` are drop-in replacements
-for :func:`repro.compiler.passes.local_opt` / ``cleanup_opt``: the function
-is encoded into an :class:`~repro.compiler.flatir.IRBuffer` once, every
-fixpoint round runs as int-dispatch loops over the parallel arrays (no
-instruction or operand objects are allocated while optimizing), and the
-result is decoded back once at the end.
+for :func:`repro.compiler.passes.local_opt` / ``cleanup_opt``: every
+fixpoint round runs as int-dispatch loops over the parallel arrays of an
+:class:`~repro.compiler.flatir.IRBuffer`, and no instruction or operand
+objects are allocated while optimizing.  A buffer-native
+:class:`~repro.compiler.flatir.FlatFunction` is rewritten in place; a plain
+object function is encoded once and decoded once (a counted bridge
+crossing), which is how the differential tests drive these rounds.
 
-Exactness is inherited rather than re-argued: the flat round implements the
-*fused* algorithm of :mod:`repro.compiler.passes.fused` — whose equivalence
-to the sequential five-pass round is already property-tested — with the
-operand chain map keyed by encoded-operand ints instead of operand objects.
-The parity-critical details:
+The -O1 round is *fused*: the sequential reference runs const_fold,
+simplify_cfg, forward_store, cse and dce as five traversals, four of which
+end in a whole-function use-rewrite; the flat round keeps their decision
+sequence — every coverage hit and stats bump fires for the same
+instruction — in three walks (fold, forward+cse combined, dce) and one
+use-rewrite.  Why this is exact:
+
+* Temps are single-assignment and defs precede uses in block order, so a
+  mapping entry created at walk position *p* can only affect operands whose
+  defining instruction lies at or after *p*; resolving operands per
+  instruction during the walk lands on what fold ∘ forward ∘ cse produces.
+* The passes' mappings compose by chaining (const_fold maps ``t3 → 7``, cse
+  later maps ``t9 → t3``); :func:`_chain_get` chases chains transitively,
+  so one sweep does what separate per-pass sweeps did.
+* ``simplify_cfg`` reads only labels and terminator targets, never value
+  operands, so deferring const_fold's use-rewrite past it changes nothing.
+* Forwarding reads slot state and CSE reads the pure-instruction key, and
+  both see identically resolved operands, so interleaving them in one walk
+  keeps both decision streams.
+
+The remaining parity-critical details:
 
 * Immediate-pool deduplication makes enc equality coincide with operand
-  object equality for ints.  Floats pool by ``repr`` (so ``-0.0`` decodes
-  losslessly), so CSE keys use the pooled *objects* for immediates — giving
-  exactly the object pass's ``==``/sort-by-``repr`` semantics, including the
-  ``-0.0 == 0.0`` corner.
+  object equality for ints.  Floats pool by bit pattern (so ``-0.0``
+  decodes losslessly), so CSE keys use the pooled *objects* for immediates
+  — giving exactly the object pass's ``==``/sort-by-``repr`` semantics,
+  including the ``-0.0 == 0.0`` corner.
 * Coverage hits decode type tags and op-name ids back to the real
   ``IRType``/string values before firing, so edges are bit-identical.
 * ``flat_cleanup_opt`` keeps the standalone ``const_fold`` semantics (plain
   single-level mapping + one finalizing sweep), while ``flat_local_opt``
-  uses the fused chain-resolving mapping.
+  uses the chain-resolving mapping.
+
+``tests/test_session.py`` and ``tests/test_flatir.py`` diff IR, coverage and
+stats against the sequential object round over seeds, mutants and random
+programs; paranoid mode cross-checks every campaign compile against the
+object pipeline.
 """
 
 from __future__ import annotations
@@ -47,7 +70,11 @@ _LHS_ZERO_OPS = ("+", "|", "^")
 
 
 def _chain_get(mapping: dict, enc: int) -> int:
-    """Transitive mapping lookup, mirroring ``fused._ChainMap.get``."""
+    """Transitive mapping lookup: ``a → b, b → c`` resolves ``a`` to ``c``.
+
+    Chains are finite because every key is the (single-assignment) dest of
+    a removed instruction; the cycle guard is purely defensive.
+    """
     nxt = mapping.get(enc)
     if nxt is None:
         return enc
@@ -368,7 +395,12 @@ def _cse_key(buf, i: int, reprs: dict):
 
 
 def _forward_cse(buf, ctx, mapping: dict, resolve) -> bool:
-    """forward_store and cse in one flat traversal (mirrors ``fused``)."""
+    """forward_store and cse in one flat traversal.
+
+    Decision-for-decision identical to running ``forward_store`` then
+    ``cse``: the slot bookkeeping mirrors the former, the available-
+    expression table the latter.
+    """
     changed = False
     cov = ctx.cov
     stats = ctx.stats
@@ -530,16 +562,8 @@ def _enter_buffer(fn, ctx):
 
 
 def flat_local_opt(fn, ctx) -> None:
-    """The per-function -O1 fixpoint round over the flat buffer.
-
-    Runs the fused-round algorithm regardless of ``ctx.fuse`` (the fused and
-    sequential rounds are bit-identical in IR, coverage, and stats);
-    ``fused_runs`` is only bumped when the context actually asked for
-    fusion, keeping that non-stat diagnostic comparable across knobs.
-    """
+    """The per-function -O1 fixpoint round over the flat buffer (fused)."""
     buf, writeback = _enter_buffer(fn, ctx)
-    if ctx.fuse:
-        ctx.fused_runs += 1
     changed = True
     rounds = 0
     while changed and rounds < 4:

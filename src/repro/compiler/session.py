@@ -56,27 +56,23 @@ from repro.cast.cache import decl_digests, source_digest
 from repro.compiler.backend import BackendResult, _lower_function, lower_to_asm
 from repro.compiler.flatir import FunctionSnapshot
 from repro.compiler.ir import IRFunction, IRModule
-from repro.compiler.irgen import FlatIRGen, IRGen, LoweringError
+from repro.compiler.irgen import LoweringError
 from repro.compiler.incremental import (
     _MiddleAbort,
     _decl_kind,
     _stats_delta,
     middle_memo_key,
+    new_irgen,
+    new_opt_context,
 )
 from repro.compiler.passes import (
     OptContext,
+    candidate_map,
     cleanup_opt,
-    flat_inline_into_caller,
-    flat_inlinable,
-    flat_loop_vectorize,
-    flat_strlen_opt_fn,
-    inline_candidates,
-    inline_into_caller,
+    is_inlinable,
     local_opt,
-    loop_vectorize,
-    strlen_opt_fn,
+    stage_passes,
 )
-from repro.compiler.passes.inline import _inlinable
 from repro.telemetry.spans import span
 
 #: Default bound on interned per-function records.  A campaign cell's live
@@ -362,26 +358,14 @@ class _SessionRun:
     # -- irgen -------------------------------------------------------------
 
     def lower(self) -> IRModule:
-        flat_native = getattr(self.compiler, "flat_native", False)
-        if flat_native:
-            # Buffer-direct emission; replayed records re-inject their
-            # FlatFunction carriers verbatim (zero bridge crossings).
-            irgen = FlatIRGen(
-                self.entry.sema,
-                self.cov,
-                counters=getattr(self.compiler, "bridge", None),
-            )
-        else:
-            irgen = IRGen(self.entry.sema, self.cov)
+        irgen = new_irgen(self.compiler, self.entry, self.cov)
         irgen._collect_enums(self.unit)
         enum_digest = _digest(tuple(irgen._enum_values.items()))
         full_digests, header_digests = decl_digests(
             self.entry, self.plan, memo_stats=self.session.digest_stats
         )
         options = middle_memo_key(
-            self.compiler.name, self.compiler.bug_seed, self.opt_level,
-            tuple(self.flags),
-            mode="flat-native" if flat_native else "",
+            self.compiler, self.opt_level, tuple(self.flags)
         )
         env_digest = _digest(header_digests)
         globals_state = ""
@@ -457,16 +441,11 @@ class _SessionRun:
             if pend is not None:
                 pend.phase_events[phase] = tuple(self.journal[start:])
 
-        # Flat-native runs splice/scan IRBuffers directly; the object
-        # stage entry points remain the paranoid reference path.
-        inline_fn = flat_inline_into_caller if ctx.flat_native else inline_into_caller
-        strlen_fn = flat_strlen_opt_fn if ctx.flat_native else strlen_opt_fn
-        vectorize_fn = flat_loop_vectorize if ctx.flat_native else loop_vectorize
-
+        inline_fn, strlen_fn, vectorize_fn = stage_passes(ctx)
         for fn in list(module.functions.values()):
             drive("local", fn, lambda f=fn: local_opt(f, ctx))
         if ctx.opt_level >= 2:
-            candidates = self._candidates(module)
+            candidates = self._candidates(module, ctx)
             if candidates:
                 for caller in module.functions.values():
                     drive(
@@ -485,7 +464,7 @@ class _SessionRun:
     def _cand_digest(self, names: frozenset) -> str:
         return _digest(tuple(sorted((n, self.fn_keys[n]) for n in names)))
 
-    def _candidates(self, module: IRModule) -> dict:
+    def _candidates(self, module: IRModule, ctx: OptContext) -> dict:
         """The inline candidate map, consistency-checked against records.
 
         Inlined bodies cross function boundaries, so every reused record must
@@ -494,16 +473,8 @@ class _SessionRun:
         function of the candidate's irgen key).  Any disagreement aborts to
         a fully live run, which re-records everything coherently.
         """
-        flat_native = getattr(self.compiler, "flat_native", False)
         if not self.clean_fns:
-            if flat_native:
-                candidates = {
-                    name: fn.buffer()
-                    for name, fn in module.functions.items()
-                    if flat_inlinable(fn.buffer())
-                }
-            else:
-                candidates = inline_candidates(module)
+            candidates = candidate_map(module, ctx)
             self.candidate_names = frozenset(candidates)
             self.candidates_digest = self._cand_digest(self.candidate_names)
             for name in candidates:
@@ -523,11 +494,7 @@ class _SessionRun:
                 raise _MiddleAbort("session candidate sets disagree")
         dirty = [n for n in module.functions if n not in self.clean_fns]
         for name in dirty:
-            fn = module.functions[name]
-            is_candidate = (
-                flat_inlinable(fn.buffer()) if flat_native else _inlinable(fn)
-            )
-            if name in names or is_candidate:
+            if name in names or is_inlinable(module.functions[name], ctx):
                 raise _MiddleAbort("dirty function affects inline candidacy")
         for name in names:
             rec = self.clean_fns.get(name)
@@ -539,7 +506,7 @@ class _SessionRun:
                 raise _MiddleAbort("candidate bodies changed")
         self.candidate_names = names
         self.candidates_digest = digest
-        if flat_native:
+        if ctx.flat:
             # Session-served callee bodies feed the flat inliner as raw
             # buffers: no materialization, no bridge crossing.
             return {
@@ -630,13 +597,7 @@ def lower_and_optimize_session(
     members, and on mutants of mutants.  A reuse inconsistency aborts to a
     fully live run that re-records every declaration.
     """
-    options = middle_memo_key(
-        compiler.name,
-        compiler.bug_seed,
-        opt_level,
-        tuple(flags),
-        mode="flat-native" if getattr(compiler, "flat_native", False) else "",
-    )
+    options = middle_memo_key(compiler, opt_level, tuple(flags))
     result_key = (options, entry.source_hash)
     with span(compiler.tracer, "session"):
         memo = session.result_for(result_key)
@@ -705,15 +666,8 @@ def _run_session(
     compiler.bugs.check("ir-gen", features)
 
     with span(compiler.tracer, "opt"):
-        ctx = OptContext(
-            cov=cov,
-            opt_level=opt_level,
-            flags=compiler._personality_flags(flags),
-            checkpoint=run.checkpoint,
-            fuse=compiler.fuse_passes,
-            flat=getattr(compiler, "flat_ir", False),
-            flat_native=getattr(compiler, "flat_native", False),
-            bridge=getattr(compiler, "bridge", None),
+        ctx = new_opt_context(
+            compiler, cov, opt_level, flags, run.checkpoint
         )
         ctx.stats.journal = journal
         run.optimize(module, ctx)
@@ -730,7 +684,6 @@ def _run_session(
     result.ok = True
     result.asm = be.asm
     result.module = module
-    compiler.fused_pass_runs += ctx.fused_runs
     with span(compiler.tracer, "session"):
         run.commit(module)
         session.store_result(

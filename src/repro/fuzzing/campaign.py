@@ -107,9 +107,6 @@ def make_fuzzer(
     incremental: bool = True,
     paranoid: bool = False,
     session: bool = False,
-    fuse_passes: bool = False,
-    flat_ir: bool = False,
-    flat_native: bool = False,
     batch_compile: bool = False,
     scheduler: "MutatorScheduler | None" = None,
     mutator_stats: bool | None = None,
@@ -130,9 +127,7 @@ def make_fuzzer(
             compiler, rng, seeds, registry.supervised(), name=name,
             quarantine=quarantine, cache_maxsize=cache_maxsize,
             incremental=incremental, paranoid=paranoid,
-            session=session_arg, fuse_passes=fuse_passes,
-            flat_ir=flat_ir, flat_native=flat_native,
-            batch_compile=batch_compile,
+            session=session_arg, batch_compile=batch_compile,
             scheduler=scheduler, mutator_stats=mutator_stats,
         )
     elif name == "uCFuzz.u":
@@ -140,9 +135,7 @@ def make_fuzzer(
             compiler, rng, seeds, registry.unsupervised(), name=name,
             quarantine=quarantine, cache_maxsize=cache_maxsize,
             incremental=incremental, paranoid=paranoid,
-            session=session_arg, fuse_passes=fuse_passes,
-            flat_ir=flat_ir, flat_native=flat_native,
-            batch_compile=batch_compile,
+            session=session_arg, batch_compile=batch_compile,
             scheduler=scheduler, mutator_stats=mutator_stats,
         )
     elif name == "AFL++":
@@ -240,6 +233,8 @@ def run_campaign(
 class Campaign:
     """The full RQ1 comparison: all six fuzzers over the given compilers."""
 
+    #: Each compiler's personality, version, bug seed and ``reference``
+    #: switch (object-IR reference pipeline) carry into its cells.
     compilers: list[Compiler]
     seeds: list[str]
     registry: MutatorRegistry
@@ -254,13 +249,6 @@ class Campaign:
     paranoid: bool = False
     #: Cross-step middle-end memoization: one CompileSession per cell.
     session: bool = False
-    #: Route local optimization through the fused single-walk pass.
-    fuse_passes: bool = False
-    #: Run the optimizer's local rounds over the flat slotted IR buffer.
-    flat_ir: bool = False
-    #: Keep the whole middle end buffer-native — buffer-direct irgen, flat
-    #: inlining, buffer-served journal replay (implies ``flat_ir``).
-    flat_native: bool = False
     #: Compile each μCFuzz step's attempt set as one session batch.
     batch_compile: bool = False
     #: Evolutionary mutator scheduling: give each μCFuzz cell a
@@ -304,9 +292,7 @@ class Campaign:
                 incremental=self.incremental,
                 paranoid=self.paranoid,
                 session=self.session,
-                fuse_passes=self.fuse_passes,
-                flat_ir=self.flat_ir,
-                flat_native=self.flat_native,
+                reference=compiler.reference,
                 batch_compile=self.batch_compile,
                 schedule=self.schedule,
                 mutator_stats=self.mutator_stats,

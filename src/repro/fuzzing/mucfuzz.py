@@ -49,9 +49,6 @@ class MuCFuzz(CoverageGuidedFuzzer):
         paranoid: bool = False,
         quarantine: MutatorQuarantine | None = None,
         session: "CompileSession | bool | None" = None,
-        fuse_passes: bool = False,
-        flat_ir: bool = False,
-        flat_native: bool = False,
         batch_compile: bool = False,
         scheduler: MutatorScheduler | None = None,
         mutator_stats: bool | None = None,
@@ -71,14 +68,6 @@ class MuCFuzz(CoverageGuidedFuzzer):
         elif session is not None:
             compiler.session = session
         self.session = compiler.session
-        if fuse_passes:
-            compiler.fuse_passes = True
-        if flat_ir:
-            compiler.flat_ir = True
-        if flat_native:
-            # Buffer-native middle end; implies the flat pass set.
-            compiler.flat_native = True
-            compiler.flat_ir = True
         #: Compile each step's mutation attempts as one batch against the
         #: session (parent materialized once); requires a session.
         self.batch_compile = batch_compile and self.session is not None
@@ -133,14 +122,10 @@ class MuCFuzz(CoverageGuidedFuzzer):
     def stats_snapshot(self) -> dict:
         if self.session is not None:
             self.stats.update(self.session.stats())
-        self.stats["fused_pass_runs"] = self.compiler.fused_pass_runs
-        bridge = getattr(self.compiler, "bridge", None)
-        if bridge is not None and getattr(self.compiler, "flat_ir", False):
-            # Object<->buffer bridge crossings: a flat-native campaign at
-            # steady state holds both at zero.  Only surfaced for the flat
-            # arms so non-flat cells keep their pinned stats schema.
-            self.stats["flat_encodes"] = bridge.encodes
-            self.stats["flat_decodes"] = bridge.decodes
+        # Object<->buffer bridge crossings: both pipelines hold them at
+        # zero, so a nonzero count flags a function that decayed to object IR.
+        self.stats["flat_encodes"] = self.compiler.bridge.encodes
+        self.stats["flat_decodes"] = self.compiler.bridge.decodes
         snap = super().stats_snapshot()
         if self.cache is not None:
             snap.update(self.cache.stats())

@@ -110,12 +110,9 @@ class CellSpec:
     #: middle-end memoization).  Sessions are per-cell by construction —
     #: a worker builds its own — so serial==parallel holds.
     session: bool = False
-    #: Route local optimization through the fused single-walk pass.
-    fuse_passes: bool = False
-    #: Run the optimizer's local rounds over the flat slotted IR buffer.
-    flat_ir: bool = False
-    #: Keep the whole middle end buffer-native (implies ``flat_ir``).
-    flat_native: bool = False
+    #: Compile through the object-IR reference pipeline
+    #: (``Compiler(reference=True)``) instead of the default flat-native one.
+    reference: bool = False
     #: Compile each μCFuzz step's attempt set as one session batch.
     batch_compile: bool = False
     #: Evolutionary mutator scheduling: the worker builds a
@@ -160,9 +157,7 @@ def cell_key(spec: CellSpec) -> str:
         spec.incremental,
         spec.paranoid,
         spec.session,
-        spec.fuse_passes,
-        spec.flat_ir,
-        spec.flat_native,
+        spec.reference,
         spec.batch_compile,
         spec.schedule,
         spec.mutator_stats,
@@ -238,7 +233,12 @@ def run_cell(spec: CellSpec) -> "CampaignResult":
     if spec.fault is not None:
         spec.fault.fire(spec.attempt)
     registry = spec.registry if spec.registry is not None else global_registry
-    compiler = Compiler(spec.personality, spec.version, bug_seed=spec.bug_seed)
+    compiler = Compiler(
+        spec.personality,
+        spec.version,
+        bug_seed=spec.bug_seed,
+        reference=spec.reference,
+    )
     session = cell_telemetry_session(spec)
     scheduler = None
     if spec.schedule:
@@ -258,9 +258,6 @@ def run_cell(spec: CellSpec) -> "CampaignResult":
         incremental=spec.incremental,
         paranoid=spec.paranoid,
         session=spec.session,
-        fuse_passes=spec.fuse_passes,
-        flat_ir=spec.flat_ir,
-        flat_native=spec.flat_native,
         batch_compile=spec.batch_compile,
         scheduler=scheduler,
         mutator_stats=spec.mutator_stats,

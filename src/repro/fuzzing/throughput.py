@@ -1,31 +1,29 @@
-"""Fuzzing-throughput measurement: uncached vs. cached vs. incremental vs. session vs. flat-ir vs. flat-native.
+"""Fuzzing-throughput measurement: reference vs. uncached vs. cached vs. incremental vs. session.
 
 The perf contract of the compile pipeline is measured here: the same μCFuzz
 run (same compiler, seeds, RNG seed — hence an identical step sequence) is
-executed six ways in one process — front end uncached, front-end cache
-only, fully incremental (dirty-region front end plus function-granular
-middle-end replay), session+fused (cross-step middle-end memoization
-through a persistent :class:`~repro.compiler.session.CompileSession`, the
-fused single-walk local pass, and batched per-step compilation),
-flat-ir (everything the session arm does, with the optimizer's local
-rounds running over the flat slotted
-:class:`~repro.compiler.flatir.IRBuffer`), and flat-native (the whole
-middle end buffer-native: buffer-direct irgen, flat inlining/strlen/
-vectorize, and buffer-served journal replay — the object IR is never
-constructed on the hot path, gated by ``flat_decodes == 0``) — and the
-steps/sec ratios, cache hit-rates, and per-stage timing breakdown are
-written to ``BENCH_throughput.json`` so successive PRs accumulate a perf
-trajectory.  All runs must land on identical final coverage and pool sizes:
-the speedup changes no observable result.
+executed five ways in one process.  The ``reference`` arm compiles through
+the object-IR reference pipeline (``Compiler(reference=True)``) with no
+caches; every other arm runs the default flat-native middle end
+(buffer-direct irgen, the flat passes and backend, buffer-served journal
+replay): front end uncached, front-end cache only, fully incremental
+(dirty-region front end plus function-granular middle-end replay), and
+session (cross-step middle-end memoization through a persistent
+:class:`~repro.compiler.session.CompileSession` with batched per-step
+compilation).  The steps/sec ratios, cache hit-rates, and per-stage timing
+breakdown are written to ``BENCH_throughput.json`` so successive PRs
+accumulate a perf trajectory.  All runs must land on identical final
+coverage and pool sizes: the speedup changes no observable result.
 
 Entry points:
 
 * ``python benchmarks/bench_fuzzer_throughput.py`` — the full 600-step run;
 * ``bench-smoke`` (``pyproject.toml`` script) / :func:`smoke_main` — a tiny
-  step budget that asserts the caches are actually hitting (tier-2 CI);
+  step budget that asserts the caches are actually hitting and no
+  non-reference arm crosses the IR bridge (tier-2 CI);
 * ``paranoid-smoke`` / :func:`paranoid_main` — a paranoid-mode run where
-  every incremental compile is differentially checked against a
-  from-scratch compile; any divergence raises.
+  every cached/incremental/session compile is differentially checked
+  against a from-scratch reference-pipeline compile; any divergence raises.
 """
 
 from __future__ import annotations
@@ -67,17 +65,15 @@ def _build_fuzzer(
     paranoid: bool = False,
     cache_maxsize: int | None = None,
     session: bool = False,
-    fuse_passes: bool = False,
-    flat_ir: bool = False,
-    flat_native: bool = False,
     batch_compile: bool = False,
+    reference: bool = False,
 ):
     import repro.mutators  # noqa: F401  (populate the registry)
     from repro.compiler.driver import Compiler, GCC_SIM
     from repro.fuzzing.mucfuzz import MuCFuzz
     from repro.muast.registry import global_registry
 
-    compiler = Compiler(*GCC_SIM)
+    compiler = Compiler(*GCC_SIM, reference=reference)
     mutators = (
         global_registry.unsupervised()
         if fuzzer_name == "uCFuzz.u"
@@ -94,9 +90,6 @@ def _build_fuzzer(
         incremental=incremental,
         paranoid=paranoid,
         session=True if session else None,
-        fuse_passes=fuse_passes,
-        flat_ir=flat_ir,
-        flat_native=flat_native,
         batch_compile=batch_compile,
     )
 
@@ -137,51 +130,50 @@ def _time_run(fuzzer, steps: int) -> dict:
     }
 
 
+#: The measured arms in gate order:
+#: (label, reference, use_cache, incremental, session).
+ARMS = (
+    ("reference", True, False, False, False),
+    ("uncached", False, False, False, False),
+    ("cached", False, True, False, False),
+    ("incremental", False, True, True, False),
+    ("session", False, True, True, True),
+)
+
+
 def measure_throughput(
     steps: int = DEFAULT_STEPS,
     fuzzer_name: str = "uCFuzz.s",
     n_seeds: int = DEFAULT_SEEDS,
     seed: int = 2024,
 ) -> dict:
-    """Run the uncached through flat-native arms (six of them).
+    """Run the reference through session arms (five of them).
 
-    All runs use the same RNG seed; neither caching, incremental
-    compilation, the compile session, nor the flat IR (buffer passes or the
-    fully buffer-native middle end) consumes fuzzer randomness (the batched
-    step path draws per attempt lazily, in the sequential order), so they
-    execute the identical step sequence and the comparison is
-    apples-to-apples (also sanity-checked via final coverage and pool size,
-    which must match exactly across all six arms).
+    All runs use the same RNG seed; neither the pipeline, caching,
+    incremental compilation, nor the compile session consumes fuzzer
+    randomness (the batched step path draws per attempt lazily, in the
+    sequential order), so they execute the identical step sequence and the
+    comparison is apples-to-apples (also sanity-checked via final coverage
+    and pool size, which must match exactly across all arms).
     """
     from repro.fuzzing.seedgen import generate_seeds
 
     seeds = generate_seeds(n_seeds)
     report: dict = {"fuzzer": fuzzer_name, "seed": seed, "n_seeds": n_seeds}
-    variants = (
-        # (label, use_cache, incremental, session, flat_ir, flat_native)
-        ("uncached", False, False, False, False, False),
-        ("cached", True, False, False, False, False),
-        ("incremental", True, True, False, False, False),
-        ("session", True, True, True, False, False),
-        ("flat_ir", True, True, True, True, False),
-        ("flat_native", True, True, True, True, True),
-    )
-    for label, use_cache, incremental, session, flat_ir, flat_native in variants:
+    for label, reference, use_cache, incremental, session in ARMS:
         fuzzer = _build_fuzzer(
             fuzzer_name, seeds, seed, use_cache, incremental=incremental,
-            session=session, fuse_passes=session, flat_ir=flat_ir,
-            flat_native=flat_native, batch_compile=session,
+            session=session, batch_compile=session, reference=reference,
         )
         report[label] = _time_run(fuzzer, steps)
-    for label in ("cached", "incremental", "session", "flat_ir", "flat_native"):
+    for label, *_ in ARMS[1:]:
         assert (
             report[label]["final_coverage"]
-            == report["uncached"]["final_coverage"]
+            == report["reference"]["final_coverage"]
         ), f"{label} run changed fuzzing coverage"
         assert (
-            report[label]["pool_size"] == report["uncached"]["pool_size"]
+            report[label]["pool_size"] == report["reference"]["pool_size"]
         ), f"{label} run changed the mutant pool"
-    uncached_sps = report["uncached"]["steps_per_sec"]
 
     def _ratio(a: "float | None", b: "float | None") -> "float | None":
         # None propagates: a timing too small to measure produces no ratio.
@@ -189,34 +181,22 @@ def measure_throughput(
             return None
         return round(a / b, 3)
 
-    report["speedup"] = _ratio(report["cached"]["steps_per_sec"], uncached_sps)
+    def _sps(label: str) -> "float | None":
+        return report[label]["steps_per_sec"]
+
+    report["speedup_uncached_vs_reference"] = _ratio(
+        _sps("uncached"), _sps("reference")
+    )
+    report["speedup"] = _ratio(_sps("cached"), _sps("uncached"))
     report["speedup_incremental"] = _ratio(
-        report["incremental"]["steps_per_sec"], uncached_sps
+        _sps("incremental"), _sps("uncached")
     )
     report["speedup_incremental_vs_cached"] = _ratio(
-        report["incremental"]["steps_per_sec"],
-        report["cached"]["steps_per_sec"],
+        _sps("incremental"), _sps("cached")
     )
-    report["speedup_session"] = _ratio(
-        report["session"]["steps_per_sec"], uncached_sps
-    )
+    report["speedup_session"] = _ratio(_sps("session"), _sps("uncached"))
     report["speedup_session_vs_incremental"] = _ratio(
-        report["session"]["steps_per_sec"],
-        report["incremental"]["steps_per_sec"],
-    )
-    report["speedup_flat_ir"] = _ratio(
-        report["flat_ir"]["steps_per_sec"], uncached_sps
-    )
-    report["speedup_flat_ir_vs_session"] = _ratio(
-        report["flat_ir"]["steps_per_sec"],
-        report["session"]["steps_per_sec"],
-    )
-    report["speedup_flat_native"] = _ratio(
-        report["flat_native"]["steps_per_sec"], uncached_sps
-    )
-    report["speedup_flat_native_vs_flat_ir"] = _ratio(
-        report["flat_native"]["steps_per_sec"],
-        report["flat_ir"]["steps_per_sec"],
+        _sps("session"), _sps("incremental")
     )
     report["cache_hit_rate"] = report["cached"]["stats"].get("cache_hit_rate", 0.0)
     inc_stats = report["incremental"]["stats"]
@@ -241,17 +221,15 @@ def write_report(report: dict, path: str | Path = DEFAULT_REPORT) -> Path:
 def run(steps: int, output: str | Path, fuzzer_name: str = "uCFuzz.s") -> dict:
     report = measure_throughput(steps=steps, fuzzer_name=fuzzer_name)
     path = write_report(report, output)
+    arms = " -> ".join(
+        f"{report[label]['steps_per_sec']} ({label})" for label, *_ in ARMS
+    )
     print(
-        f"{report['fuzzer']}: {report['uncached']['steps_per_sec']} -> "
-        f"{report['cached']['steps_per_sec']} (cached) -> "
-        f"{report['incremental']['steps_per_sec']} (incremental) -> "
-        f"{report['session']['steps_per_sec']} (session+fused) -> "
-        f"{report['flat_ir']['steps_per_sec']} (flat-ir) -> "
-        f"{report['flat_native']['steps_per_sec']} (flat-native) steps/sec "
-        f"(flat-native speedup {report['speedup_flat_native']}x over "
-        f"uncached, {report['speedup_flat_native_vs_flat_ir']}x over "
-        f"flat-ir, flat decodes "
-        f"{report['flat_native']['stats'].get('flat_decodes', 0)}, "
+        f"{report['fuzzer']}: {arms} steps/sec "
+        f"(uncached {report['speedup_uncached_vs_reference']}x over "
+        f"reference, session {report['speedup_session']}x over uncached, "
+        f"session flat decodes "
+        f"{report['session']['stats'].get('flat_decodes', 0)}, "
         f"cache hit-rate {report['cache_hit_rate']:.2%}, "
         f"session hit-rate {report['session_hit_rate']:.2%}) -> {path}"
     )
@@ -283,29 +261,19 @@ def smoke_main(argv: list[str] | None = None) -> int:
     sess_stats = report["session"]["stats"]
     if sess_stats.get("middle_session_hits", 0) <= 0:
         raise SystemExit("bench-smoke: the compile session never hit")
-    # The session arm must change no observable: same coverage and pool as
-    # the incremental arm (both already == uncached via measure_throughput).
-    if (
-        report["session"]["final_coverage"]
-        != report["incremental"]["final_coverage"]
-        or report["session"]["pool_size"] != report["incremental"]["pool_size"]
-    ):
-        raise SystemExit("bench-smoke: session arm diverged from incremental")
-    if report["flat_ir"]["stats"].get("middle_session_hits", 0) <= 0:
-        raise SystemExit("bench-smoke: the flat-ir arm's session never hit")
-    flat_native_stats = report["flat_native"]["stats"]
-    if flat_native_stats.get("middle_session_hits", 0) <= 0:
-        raise SystemExit(
-            "bench-smoke: the flat-native arm's session never hit"
-        )
-    # The bridge-elimination contract: a flat-native run never decodes a
-    # buffer back to object IR on the hot path (encodes would mean irgen
-    # fell back to object emission somewhere).
-    if flat_native_stats.get("flat_decodes", 0) != 0:
-        raise SystemExit(
-            "bench-smoke: the flat-native arm crossed the IR bridge "
-            f"({flat_native_stats.get('flat_decodes')} decodes)"
-        )
+    # The bridge-elimination contract: no arm on the default pipeline ever
+    # decodes a buffer back to object IR (encodes would mean irgen fell
+    # back to object emission somewhere).
+    for label, reference, *_ in ARMS:
+        stats = report[label]["stats"]
+        if not reference and (
+            stats.get("flat_decodes", 0) or stats.get("flat_encodes", 0)
+        ):
+            raise SystemExit(
+                f"bench-smoke: the {label} arm crossed the IR bridge "
+                f"({stats.get('flat_encodes')} encodes, "
+                f"{stats.get('flat_decodes')} decodes)"
+            )
     # Arm ordering: each optimization layer must not make the pipeline
     # slower.  A tiny step budget is noisy, so the gate is a generous slack
     # factor, not strict monotonicity — it catches a de-optimized layer
@@ -313,10 +281,7 @@ def smoke_main(argv: list[str] | None = None) -> int:
     # large enough to amortize session/cache warmup (below ~40 steps the
     # memoizing arms legitimately trail while their stores are cold).
     slack = 0.7
-    order = (
-        "uncached", "cached", "incremental", "session", "flat_ir",
-        "flat_native",
-    )
+    order = [label for label, *_ in ARMS]
     rates = [report[label]["steps_per_sec"] for label in order]
     if args.steps >= 40 and all(rate is not None for rate in rates):
         for i in range(1, len(order)):
@@ -329,10 +294,12 @@ def smoke_main(argv: list[str] | None = None) -> int:
 
 
 def paranoid_main(argv: list[str] | None = None) -> int:
-    """Differential smoke: every incremental compile is cross-checked.
+    """Differential smoke: every cached/incremental compile is cross-checked.
 
-    Runs μCFuzz with ``paranoid=True`` — each cached/incremental compile is
-    recompiled from scratch and compared field-for-field; any divergence
+    Runs μCFuzz on the default pipeline with ``paranoid=True`` — each
+    cached/incremental/session compile is recompiled from scratch through
+    the object-IR reference pipeline and compared field-for-field, so every
+    check is also a flat-native-vs-reference differential; any divergence
     raises :class:`~repro.cast.incremental.IncrementalDivergence` and fails
     the run.  Gating is on zero divergences, not on throughput.
     """
@@ -341,24 +308,8 @@ def paranoid_main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=2024)
     parser.add_argument(
         "--session", action="store_true",
-        help="run with a CompileSession (cross-step middle-end memoization)",
-    )
-    parser.add_argument(
-        "--fused", action="store_true",
-        help="route local optimization through the fused single-walk pass",
-    )
-    parser.add_argument(
-        "--flat-ir", action="store_true",
-        help="run the optimizer's local rounds over the flat slotted IR "
-        "(every paranoid check then doubles as a flat-vs-object "
-        "differential)",
-    )
-    parser.add_argument(
-        "--flat-native", action="store_true",
-        help="keep the whole middle end buffer-native (buffer-direct "
-        "irgen, flat inlining, buffer-served journal replay); every "
-        "paranoid check then differentials the flat-native pipeline "
-        "against a cold object-IR compile",
+        help="run with a CompileSession (cross-step middle-end memoization "
+        "and batched per-step compilation)",
     )
     args = parser.parse_args(argv)
     from repro.fuzzing.seedgen import generate_seeds
@@ -366,8 +317,7 @@ def paranoid_main(argv: list[str] | None = None) -> int:
     seeds = generate_seeds(DEFAULT_SEEDS)
     fuzzer = _build_fuzzer(
         "uCFuzz.s", seeds, args.seed, True, incremental=True, paranoid=True,
-        session=args.session, fuse_passes=args.fused, flat_ir=args.flat_ir,
-        flat_native=args.flat_native, batch_compile=args.session,
+        session=args.session, batch_compile=args.session,
     )
     for _ in range(args.steps):
         fuzzer.step()  # IncrementalDivergence propagates and fails the job
@@ -375,17 +325,14 @@ def paranoid_main(argv: list[str] | None = None) -> int:
     inc_hits = stats.get("cache_incremental_hits", 0)
     middle_hits = stats.get("middle_incremental_hits", 0)
     session_hits = stats.get("middle_session_hits", 0)
-    mode = "session+fused" if args.session else "incremental"
-    if args.flat_native:
-        mode = "flat-native+" + mode
-    elif args.flat_ir:
-        mode = "flat-ir+" + mode
+    mode = "session" if args.session else "incremental"
     print(
         f"paranoid-smoke[{mode}]: {args.steps} steps, 0 divergences, "
         f"{stats.get('cache_paranoid_checks', 0)} front-end checks, "
         f"{inc_hits} incremental front ends, "
         f"{middle_hits} middle-end replays, "
-        f"{session_hits} session replays"
+        f"{session_hits} session replays, "
+        f"{stats['flat_encodes']} encodes / {stats['flat_decodes']} decodes"
     )
     if inc_hits <= 0:
         raise SystemExit(

@@ -6,6 +6,8 @@ Descriptions are written in the style the paper's invention stage produces
 
 from __future__ import annotations
 
+from bisect import bisect_right
+
 from repro.cast import ast_nodes as ast
 from repro.cast import types as ct
 from repro.muast import ASTVisitor, Mutator, register_mutator
@@ -144,18 +146,26 @@ class CopyExpr(Mutator, ASTVisitor):
         tgt, src = self.rand_element(instances)
         return self.replace_text(tgt.range, self.get_source_text(src))
 
-    def _instances(self) -> list[tuple[ast.Expr, ast.Expr]]:
-        """All (target, source) pairs, memoized on the shared context.
-
-        The pair set is a pure function of the unit; the pair loop memoizes
-        type-compatibility verdicts per ``(target type, source type)`` object
-        pair, which collapses the O(targets × sources) ``assignable`` cost to
-        one check per distinct type pair.
-        """
+    def _instances(self) -> "CopyExprPairs":
+        """All (target, source) pairs, memoized on the shared context."""
         ctx = self.get_ast_context()
         cached = ctx.memo.get("CopyExpr.instances")
-        if cached is not None:
-            return cached
+        if cached is None:
+            cached = CopyExprPairs(self._candidate_rows())
+            ctx.memo["CopyExpr.instances"] = cached
+        return cached
+
+    def _candidate_rows(self) -> list[tuple[ast.Expr, list, tuple]]:
+        """Per target, in order: ``(target, candidates, skipped positions)``.
+
+        ``candidates`` is the target type's shared list of compatible
+        ``(span, source)`` entries; the skipped positions are the entries
+        whose span equals the target's.  The pair set is a pure function of
+        the unit; type-compatibility verdicts are memoized per distinct
+        ``(target type, source type)`` pair, which collapses the
+        O(targets × sources) ``assignable`` cost to one check per type pair.
+        """
+        ctx = self.get_ast_context()
         targets = [e for e in replaceable_rvalue_exprs(self) if e.type is not None]
         sources = [
             (e, e.type.decayed())
@@ -195,13 +205,21 @@ class CopyExpr(Mutator, ASTVisitor):
             )
             for e, dec in sources
         ]
-        # Per distinct target type: the compatible sources, in source order
-        # (and the integer-valued subset, for array-subscript targets).
-        # Compare decayed types: copying an array-typed global over a
-        # string-literal argument is the paper's sprintf/strlen case.
-        ok_cache: dict[int, tuple[list, list]] = {}
 
-        def _ok_sources(tgt_key: int, tgt_decayed) -> tuple[list, list]:
+        def _with_spans(entries: list) -> tuple[list, dict]:
+            positions: dict = {}
+            for pos, (span, _) in enumerate(entries):
+                positions.setdefault(span, []).append(pos)
+            return entries, positions
+
+        # Per distinct target type: the compatible sources, in source order
+        # (and the integer-valued subset, for array-subscript targets), each
+        # with its span -> positions index.  Compare decayed types: copying
+        # an array-typed global over a string-literal argument is the
+        # paper's sprintf/strlen case.
+        ok_cache: dict[int, tuple] = {}
+
+        def _ok_sources(tgt_key: int, tgt_decayed) -> tuple:
             pair = ok_cache.get(tgt_key)
             if pair is None:
                 verdicts = [ct.assignable(tgt_decayed, rep) for rep in reps]
@@ -215,25 +233,21 @@ class CopyExpr(Mutator, ASTVisitor):
                     for src, span, src_integer, src_key in sources
                     if verdicts[src_key] and src_integer
                 ]
-                pair = (all_ok, int_ok)
+                pair = (_with_spans(all_ok), _with_spans(int_ok))
                 ok_cache[tgt_key] = pair
             return pair
 
-        instances: list[tuple[ast.Expr, ast.Expr]] = []
+        rows = []
         for tgt in targets:
             if id(tgt) in array_init_ids:
                 continue
             tgt_decayed = tgt.type.decayed()
-            tgt_key = _canon(tgt_decayed)
-            all_ok, int_ok = _ok_sources(tgt_key, tgt_decayed)
+            all_ok, int_ok = _ok_sources(_canon(tgt_decayed), tgt_decayed)
             # Array subscripts must stay integers.
-            candidates = int_ok if id(tgt) in index_ids else all_ok
+            candidates, positions = int_ok if id(tgt) in index_ids else all_ok
             tgt_span = (tgt.range.begin.offset, tgt.range.end.offset)
-            for span, src in candidates:
-                if span != tgt_span:
-                    instances.append((tgt, src))
-        ctx.memo["CopyExpr.instances"] = instances
-        return instances
+            rows.append((tgt, candidates, tuple(positions.get(tgt_span, ()))))
+        return rows
 
     def _source_is_portable(self, expr: ast.Expr) -> bool:
         """A source expression that stays valid at any program point."""
@@ -245,6 +259,51 @@ class CopyExpr(Mutator, ASTVisitor):
                 if not (isinstance(decl, ast.VarDecl) and decl.is_global):
                     return False
         return True
+
+
+class CopyExprPairs:
+    """CopyExpr's (target, source) pairs as an indexed view.
+
+    A pair is every candidate of a target except the positions skipped
+    because the source spans exactly the target.  Materializing the pairs
+    costs O(targets × sources) tuples — about 120k per generated seed — and
+    the front-end cache keeps each parent's memo alive, so the view stores
+    per target only its shared candidate list and skipped positions, and
+    finds pair ``i`` by bisecting the per-target prefix offsets.  It has the
+    eager list's ``len()`` and yields the identical pair at every index, so
+    ``rand_element`` draws exactly as it would from the list.
+    """
+
+    __slots__ = ("_rows", "_offsets", "_len")
+
+    def __init__(self, rows) -> None:
+        self._rows: list = []
+        self._offsets: list[int] = []
+        total = 0
+        for tgt, candidates, skips in rows:
+            n = len(candidates) - len(skips)
+            if n > 0:
+                self._rows.append((tgt, candidates, skips))
+                self._offsets.append(total)
+                total += n
+        self._len = total
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, index: int) -> tuple[ast.Expr, ast.Expr]:
+        if index < 0:
+            index += self._len
+        if not 0 <= index < self._len:
+            raise IndexError(index)
+        row = bisect_right(self._offsets, index) - 1
+        tgt, candidates, skips = self._rows[row]
+        pos = index - self._offsets[row]
+        for skipped in skips:  # ascending: each one at or before pos shifts it
+            if skipped > pos:
+                break
+            pos += 1
+        return tgt, candidates[pos][1]
 
 
 @register_mutator(

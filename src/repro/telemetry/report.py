@@ -185,11 +185,10 @@ def render_triggers(
 
 #: Compile-pipeline counters surfaced in the text report (when present in
 #: the merged stats): middle-end reuse machinery plus the object<->buffer
-#: bridge crossings — a flat-native campaign holds ``flat_decodes`` at zero.
+#: bridge crossings, which every campaign holds at zero.
 PIPELINE_COUNTERS = (
     "middle_incremental_hits",
     "middle_session_hits",
-    "fused_pass_runs",
     "flat_encodes",
     "flat_decodes",
 )

@@ -3,8 +3,10 @@
 Covers the bridge-elimination contract (a flat-native compile never
 constructs object IR on the hot path), bit-pattern float immediate pooling,
 IRBuffer edge cases (empty blocks, max-arity xdata, name-table interning
-across inline splices), and full-pipeline equivalence: flat-native compiles
-and campaigns are bit-identical to the object-IR reference.
+across inline splices), full-pipeline equivalence (flat-native compiles
+and campaigns are bit-identical to the ``Compiler(reference=True)``
+object-IR pipeline), and that every campaign entry point runs flat-native
+by default.
 """
 
 import copy
@@ -18,7 +20,8 @@ from repro.cast.cache import FrontendCache
 from repro.cast.parser import parse
 from repro.cast.sema import Sema
 from repro.compiler.coverage import CoverageMap
-from repro.compiler.driver import Compiler, GCC_SIM
+import repro.compiler.driver as driver
+from repro.compiler.driver import CLANG_SIM, Compiler, GCC_SIM
 from repro.compiler.flatir import (
     BridgeCounters,
     FlatFunction,
@@ -38,6 +41,8 @@ from repro.compiler.passes import (
     local_opt,
 )
 from repro.compiler.session import CompileSession
+from repro.fuzzing.campaign import Campaign, make_fuzzer
+from repro.fuzzing.macro import MacroFuzzer
 from repro.fuzzing.mucfuzz import MuCFuzz
 from repro.fuzzing.parallel import CellSpec, cell_key
 from repro.fuzzing.progen import GenPolicy, ProgramGenerator
@@ -183,9 +188,7 @@ class TestBufferEdgeCases:
         flat_fn = FlatIRGen(sema, CoverageMap()).lower(unit).functions["main"]
         obj_ctx = OptContext(cov=CoverageMap(), opt_level=2)
         local_opt(obj_fn, obj_ctx)
-        flat_ctx = OptContext(
-            cov=CoverageMap(), opt_level=2, flat=True, flat_native=True
-        )
+        flat_ctx = OptContext(cov=CoverageMap(), opt_level=2, flat=True)
         local_opt(flat_fn, flat_ctx)
         buf = flat_fn.buffer()
         live = sum(len(idxs) for _, idxs in buf.blocks)
@@ -256,9 +259,7 @@ class TestBufferEdgeCases:
         obj_module = IRGen(sema, CoverageMap()).lower(unit)
         flat_module = FlatIRGen(sema, CoverageMap()).lower(unit)
         obj_ctx = OptContext(cov=CoverageMap(), opt_level=2)
-        flat_ctx = OptContext(
-            cov=CoverageMap(), opt_level=2, flat=True, flat_native=True
-        )
+        flat_ctx = OptContext(cov=CoverageMap(), opt_level=2, flat=True)
         for fn in obj_module.functions.values():
             local_opt(fn, obj_ctx)
         for fn in flat_module.functions.values():
@@ -284,9 +285,7 @@ class TestBufferEdgeCases:
         obj_module = IRGen(sema, CoverageMap()).lower(unit)
         flat_module = FlatIRGen(sema, CoverageMap()).lower(unit)
         obj_ctx = OptContext(cov=CoverageMap(), opt_level=2)
-        flat_ctx = OptContext(
-            cov=CoverageMap(), opt_level=2, flat=True, flat_native=True
-        )
+        flat_ctx = OptContext(cov=CoverageMap(), opt_level=2, flat=True)
         for fn in obj_module.functions.values():
             local_opt(fn, obj_ctx)
         for fn in flat_module.functions.values():
@@ -334,19 +333,26 @@ done:
 
 
 class TestFlatNativeCompile:
-    def test_knob_implies_flat_ir(self):
-        compiler = Compiler(*GCC_SIM, flat_native=True)
-        assert compiler.flat_native and compiler.flat_ir
+    def test_default_pipeline_is_buffer_native(self):
+        default = Compiler(*GCC_SIM).compile(_PROGRAM, 2, ())
+        reference = Compiler(*GCC_SIM, reference=True).compile(_PROGRAM, 2, ())
+        assert default.ok and reference.ok
+        assert {type(fn) for fn in default.module.functions.values()} == {
+            FlatFunction
+        }
+        assert FlatFunction not in {
+            type(fn) for fn in reference.module.functions.values()
+        }
 
     @pytest.mark.parametrize("arm", ["plain", "cache", "session"])
     def test_matches_object_compile(self, arm):
-        ref = Compiler(*GCC_SIM).compile(_PROGRAM, 2, ())
+        ref = Compiler(*GCC_SIM, reference=True).compile(_PROGRAM, 2, ())
         kwargs = {}
         if arm in ("cache", "session"):
             kwargs["cache"] = FrontendCache()
         if arm == "session":
             kwargs["session"] = CompileSession()
-        compiler = Compiler(*GCC_SIM, flat_native=True, **kwargs)
+        compiler = Compiler(*GCC_SIM, **kwargs)
         for _ in range(2):  # second compile exercises journal replay
             result = compiler.compile(_PROGRAM, 2, ())
             assert result.ok and result.asm == ref.asm
@@ -356,22 +362,19 @@ class TestFlatNativeCompile:
 
     def test_paranoid_differential(self):
         compiler = Compiler(
-            *GCC_SIM,
-            flat_native=True,
-            cache=FrontendCache(),
-            session=CompileSession(),
+            *GCC_SIM, cache=FrontendCache(), session=CompileSession()
         )
         result = compiler.compile(_PROGRAM, 2, (), paranoid=True)
         assert result.ok
+        # The paranoid reference ran the object pipeline and restored the
+        # compiler's own switch afterwards.
+        assert compiler.reference is False
 
     def test_corpus_matches_object_compile(self, small_seeds):
         flat = Compiler(
-            *GCC_SIM,
-            flat_native=True,
-            cache=FrontendCache(),
-            session=CompileSession(),
+            *GCC_SIM, cache=FrontendCache(), session=CompileSession()
         )
-        ref = Compiler(*GCC_SIM)
+        ref = Compiler(*GCC_SIM, reference=True)
         for text in small_seeds[:15]:
             a = flat.compile(text, 2, ())
             b = ref.compile(text, 2, ())
@@ -382,8 +385,8 @@ class TestFlatNativeCompile:
 
 
 class TestFlatNativeCampaign:
-    def _run(self, flat_native, steps=25):
-        compiler = Compiler(*GCC_SIM, flat_native=flat_native)
+    def _run(self, reference, steps=25):
+        compiler = Compiler(*GCC_SIM, reference=reference)
         fuzzer = MuCFuzz(
             compiler,
             random.Random(11),
@@ -391,15 +394,14 @@ class TestFlatNativeCampaign:
             global_registry.supervised(),
             session=True,
             incremental=True,
-            flat_native=flat_native,
         )
         for _ in range(steps):
             fuzzer.step()
         return fuzzer
 
     def test_campaign_parity_and_zero_decodes(self):
-        obj = self._run(False)
-        flat = self._run(True)
+        obj = self._run(True)
+        flat = self._run(False)
         assert frozenset(flat.coverage.edges) == frozenset(obj.coverage.edges)
         assert [p.text for p in flat.pool.entries] == [
             p.text for p in obj.pool.entries
@@ -408,7 +410,7 @@ class TestFlatNativeCampaign:
         assert snap["flat_decodes"] == 0
         assert snap["flat_encodes"] == 0
 
-    def test_cell_key_distinguishes_flat_native(self):
+    def test_cell_key_distinguishes_reference(self):
         base = dict(
             fuzzer_name="uCFuzz.s",
             personality="gcc-sim",
@@ -419,8 +421,8 @@ class TestFlatNativeCampaign:
             cell_seed=3,
         )
         plain = CellSpec(**base)
-        flat = CellSpec(**base, flat_native=True)
-        assert cell_key(plain) != cell_key(flat)
+        reference = CellSpec(**base, reference=True)
+        assert cell_key(plain) != cell_key(reference)
 
 
 class TestFunctionSnapshotFlat:
@@ -443,3 +445,93 @@ class TestFunctionSnapshotFlat:
         assert counters.decodes == 1
         fn.buffer()  # and coming back re-encodes
         assert counters.encodes == 1
+
+
+# ---------------------------------------------------------------------------
+# The default pipeline, as campaigns construct it.
+
+
+def _record_compiles(monkeypatch) -> list:
+    """Every ``(compiler, result)`` compiled while the patch is active."""
+    seen = []
+    compile_ = Compiler.compile
+
+    def compile(self, *args, **kwargs):
+        result = compile_(self, *args, **kwargs)
+        seen.append((self, result))
+        return result
+
+    monkeypatch.setattr(Compiler, "compile", compile)
+    return seen
+
+
+#: Default-constructed campaign entry points, each a fuzzer over ``seeds``.
+_ENTRY_POINTS = {
+    "make_fuzzer": lambda seeds: make_fuzzer(
+        "uCFuzz.s", Compiler(*GCC_SIM), seeds, global_registry,
+        random.Random(3),
+    ),
+    "MacroFuzzer": lambda seeds: MacroFuzzer(
+        Compiler(*CLANG_SIM), random.Random(3), seeds, list(global_registry),
+    ),
+    "Csmith": lambda seeds: make_fuzzer(
+        "Csmith", Compiler(*GCC_SIM), seeds, global_registry, random.Random(3),
+    ),
+}
+
+
+class TestDefaultPipeline:
+    @pytest.mark.parametrize("entry", [*_ENTRY_POINTS, "Campaign.run"])
+    def test_campaign_entry_points_compile_buffer_native(
+        self, entry, monkeypatch, small_seeds
+    ):
+        seen = _record_compiles(monkeypatch)
+        seeds = small_seeds[:8]
+        if entry == "Campaign.run":
+            campaign = Campaign(
+                [Compiler(*GCC_SIM)], seeds, global_registry, steps=10
+            )
+            stats = campaign.run(("uCFuzz.s",))[0].stats
+        else:
+            fuzzer = _ENTRY_POINTS[entry](seeds)
+            for _ in range(10):
+                fuzzer.step()
+            stats = fuzzer.stats_snapshot()
+        functions = [
+            fn
+            for _, result in seen
+            if result.module is not None
+            for fn in result.module.functions.values()
+        ]
+        assert functions, "no compile reached the middle end"
+        assert {type(fn) for fn in functions} == {FlatFunction}
+        for compiler in {id(c): c for c, _ in seen}.values():
+            assert compiler.reference is False
+            assert (compiler.bridge.encodes, compiler.bridge.decodes) == (0, 0)
+        if entry in ("make_fuzzer", "Campaign.run"):  # μCFuzz reports them
+            assert stats["flat_encodes"] == stats["flat_decodes"] == 0
+
+
+class TestMacroDifferential:
+    @pytest.mark.parametrize(
+        "personality", [GCC_SIM, CLANG_SIM], ids=["gcc-sim", "clang-sim"]
+    )
+    def test_paranoid_macro_fuzzing(self, personality, monkeypatch, small_seeds):
+        """Sampled -O levels and flag sets: flat-native == reference."""
+        checked = []
+        assert_equal = driver.assert_results_equal
+
+        def counting(result, reference):
+            checked.append((result.features["opt_level"], result.features["flags"]))
+            assert_equal(result, reference)
+
+        monkeypatch.setattr(driver, "assert_results_equal", counting)
+        fuzzer = MacroFuzzer(
+            Compiler(*personality), random.Random(20240427), small_seeds,
+            list(global_registry), paranoid=True,
+        )
+        for _ in range(30):
+            fuzzer.step()  # an IncrementalDivergence would propagate
+        assert len(checked) == 30
+        assert len({opt for opt, _ in checked}) >= 3
+        assert any(flags for _, flags in checked)

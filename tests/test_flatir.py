@@ -25,7 +25,6 @@ from repro.compiler.irgen import IRGen
 from repro.compiler.passes import OptContext, local_opt, cleanup_opt
 from repro.compiler.session import CompileSession
 from repro.fuzzing.mucfuzz import MuCFuzz
-from repro.fuzzing.parallel import CellSpec, cell_key
 from repro.fuzzing.progen import GenPolicy, ProgramGenerator
 from repro.muast.registry import global_registry
 from repro.muast.mutator import apply_mutator
@@ -166,25 +165,13 @@ class TestFlatOptEquivalence:
                 assert frozenset(flat_ctx.cov.edges) == frozenset(obj_ctx.cov.edges)
                 assert dict(flat_ctx.stats.counters) == dict(obj_ctx.stats.counters)
 
-    def test_fused_runs_counted_only_with_fuse(self):
-        module = _lower("int main(void) { return 2 + 3; }")
-        flat_only = OptContext(cov=CoverageMap(), opt_level=2, flat=True)
-        local_opt(copy.deepcopy(module.functions["main"]), flat_only)
-        assert flat_only.fused_runs == 0
-        flat_fused = OptContext(cov=CoverageMap(), opt_level=2, flat=True, fuse=True)
-        local_opt(copy.deepcopy(module.functions["main"]), flat_fused)
-        assert flat_fused.fused_runs == 1
-
 
 class TestFlatCompileEquivalence:
-    """Whole flat-ir compiles == whole object-IR compiles, field for field."""
+    """Whole default compiles == whole object-IR compiles, field for field."""
 
     def _compilers(self):
-        flat = Compiler(
-            *GCC_SIM, cache=FrontendCache(), session=CompileSession(),
-            fuse_passes=True, flat_ir=True,
-        )
-        return flat, Compiler(*GCC_SIM)
+        flat = Compiler(*GCC_SIM, cache=FrontendCache(), session=CompileSession())
+        return flat, Compiler(*GCC_SIM, reference=True)
 
     def test_seed_corpus(self, small_seeds):
         flat, plain = self._compilers()
@@ -328,38 +315,18 @@ class TestSpanBinding:
 
 
 class TestFlatKnobPlumbing:
-    def test_mucfuzz_knob_sets_compiler(self, registry, small_seeds):
-        comp = Compiler(*GCC_SIM)
-        fuzzer = MuCFuzz(
-            comp, random.Random(1), small_seeds[:4], registry.supervised(),
-            flat_ir=True,
-        )
-        assert comp.flat_ir is True
-        fuzzer.step()
-
-    def test_cell_key_includes_flat_ir(self, small_seeds):
-        base = dict(
-            fuzzer_name="uCFuzz.s", personality="gcc-sim", version="14",
-            bug_seed=20240427, seeds=tuple(small_seeds[:2]), steps=3,
-            cell_seed=7,
-        )
-        assert cell_key(CellSpec(**base, flat_ir=True)) != cell_key(
-            CellSpec(**base)
-        )
-
     def test_flat_campaign_matches_object_campaign(self, registry, small_seeds):
         from repro.fuzzing.campaign import run_campaign
 
-        def run(flat):
-            comp = Compiler(*GCC_SIM)
+        def run(reference):
+            comp = Compiler(*GCC_SIM, reference=reference)
             fuzzer = MuCFuzz(
                 comp, random.Random(5), list(small_seeds[:6]),
-                registry.supervised(), session=True, fuse_passes=True,
-                flat_ir=flat, batch_compile=True,
+                registry.supervised(), session=True, batch_compile=True,
             )
             return run_campaign(fuzzer, steps=12)
 
-        a, b = run(True), run(False)
+        a, b = run(False), run(True)
         assert a.coverage_trend == b.coverage_trend
         assert a.crashes.to_json() == b.crashes.to_json()
         assert a.compiled == b.compiled

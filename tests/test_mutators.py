@@ -1,16 +1,22 @@
 """The mutator library: per-mutator compilability plus flagship behaviours."""
 
+import gc
+import operator
 import random
 
 import pytest
 
 import repro.mutators  # noqa: F401
+from repro.cast.cache import analyze_front_end
 from repro.cast.parser import ParseError, parse
 from repro.cast.sema import Sema
+from repro.fuzzing.seedgen import generate_seeds
 from repro.metamut.testgen import tests_for as programs_for
 from repro.muast import apply_mutator
+from repro.muast.mutator import context_for_entry
 from repro.muast.registry import global_registry
 from repro.mutators.catalog import catalog_summary, verify_catalog
+from repro.mutators.expression import CopyExprPairs
 
 ALL_NAMES = global_registry.names()
 
@@ -215,3 +221,65 @@ class TestFlagshipBehaviours:
         first = apply_mutator(info.create(random.Random(9)), program)
         second = apply_mutator(info.create(random.Random(9)), program)
         assert first.mutant_text == second.mutant_text
+
+
+class TestCopyExprPairs:
+    """The indexed pair view == the eager pair list it replaced."""
+
+    @staticmethod
+    def _bound_copy_expr(text):
+        entry = analyze_front_end(text)
+        if not entry.compilable:
+            return None
+        mutator = global_registry.get("CopyExpr").create(random.Random(0))
+        mutator.bind(context_for_entry(entry))
+        return mutator
+
+    @staticmethod
+    def _eager_pairs(rows):
+        """The historical construction: every candidate but equal spans."""
+        pairs = []
+        for tgt, candidates, _ in rows:
+            tgt_span = (tgt.range.begin.offset, tgt.range.end.offset)
+            for span, src in candidates:
+                if span != tgt_span:
+                    pairs.append((tgt, src))
+        return pairs
+
+    def test_view_matches_eager_pairs_elementwise(self):
+        # Every index of every tenth generated seed program: 2.6M pairs.
+        # (All 300 programs hold 35.9M pairs, too many for tier-1.)
+        checked = 0
+        for text in generate_seeds(300)[::10]:
+            mutator = self._bound_copy_expr(text)
+            if mutator is None:
+                continue
+            rows = mutator._candidate_rows()
+            view = CopyExprPairs(rows)
+            # Millions of short-lived tuples: keep the collector out of it.
+            gc.disable()
+            try:
+                eager = self._eager_pairs(rows)
+                assert len(view) == len(eager)
+                got = list(map(view.__getitem__, range(len(view))))
+                assert all(map(operator.is_, (a for a, _ in got), (a for a, _ in eager)))
+                assert all(map(operator.is_, (b for _, b in got), (b for _, b in eager)))
+            finally:
+                gc.enable()
+            checked += len(eager)
+        assert checked > 2_000_000
+
+    def test_view_indexing_edges(self, small_seeds):
+        mutator = self._bound_copy_expr(small_seeds[0])
+        rows = mutator._candidate_rows()
+        assert any(skips for _, _, skips in rows)  # equal-span skips occur
+        view = CopyExprPairs(rows)
+        eager = self._eager_pairs(rows)
+        assert view[-1] == eager[-1] and view[-len(view)] == eager[0]
+        with pytest.raises(IndexError):
+            view[len(view)]
+        assert not CopyExprPairs([])
+        # The memo holds the view, so rand_element draws from it.
+        mutator.mutate()
+        memo = mutator.get_ast_context().memo["CopyExpr.instances"]
+        assert type(memo) is CopyExprPairs and len(memo) == len(eager)

@@ -9,7 +9,7 @@ from repro.cast.parser import parse
 from repro.cast.sema import Sema
 from repro.compiler.coverage import CoverageMap
 from repro.compiler.interp import execute
-from repro.compiler.irgen import IRGen
+from repro.compiler.irgen import FlatIRGen, IRGen
 from repro.compiler.ir import BinOp, Call, ImmInt, Jmp, Load, Store
 from repro.compiler.passes import (
     OptContext, const_fold, cse, dce, forward_store,
@@ -18,11 +18,12 @@ from repro.compiler.passes import (
 from repro.fuzzing.progen import GenPolicy, ProgramGenerator
 
 
-def lower(text):
+def lower(text, flat=False):
     unit = parse(text)
     sema = Sema()
     assert not [d for d in sema.analyze(unit) if d.severity == "error"]
-    return IRGen(sema, CoverageMap()).lower(unit)
+    irgen = FlatIRGen if flat else IRGen
+    return irgen(sema, CoverageMap()).lower(unit)
 
 
 def ctx(opt=2):
@@ -189,16 +190,24 @@ class TestStrlenOpt:
 @given(st.integers(0, 100_000), st.sampled_from([1, 2, 3]))
 def test_optimizer_preserves_semantics(seed, opt_level):
     """Differential testing: -O0 and -On behave identically on UB-free
-    generated programs (the guarantee real compiler fuzzers check)."""
+    generated programs (the guarantee real compiler fuzzers check).
+
+    Every drawn program runs through both pipelines: the object-IR
+    reference, and the default flat-native one, whose buffer-native module
+    executes in the interpreter's flat mode.
+    """
     program = ProgramGenerator(
         random.Random(seed), GenPolicy(max_stmts=6)
     ).generate()
-    baseline = lower(program)
-    optimized = lower(program)
-    run_pipeline(optimized, ctx(opt_level))
-    r0 = execute(baseline, fuel=300_000)
-    r1 = execute(optimized, fuel=300_000)
-    assert r0.observable == r1.observable
+    r0 = execute(lower(program), fuel=300_000)
+    for flat in (False, True):
+        optimized = lower(program, flat=flat)
+        run_pipeline(
+            optimized,
+            OptContext(cov=CoverageMap(), opt_level=opt_level, flat=flat),
+        )
+        r1 = execute(optimized, fuel=300_000, flat=flat)
+        assert r0.observable == r1.observable, ("flat" if flat else "reference")
 
 
 def test_pipeline_is_idempotent_on_semantics():

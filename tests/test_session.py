@@ -2,15 +2,16 @@
 
 Two contracts are under test here:
 
-* the fused single-walk ``const_fold+forward_store+cse`` round
-  (:func:`repro.compiler.passes.fused.fused_local_opt`) is bit-identical —
-  IR dump, coverage edges, and stats counters — to the sequential pass
-  order it replaces, over seed programs, mutator-produced mutants, and
+* the fused three-walk -O1 round (run over the flat buffer by
+  :func:`repro.compiler.passes.flat.flat_local_opt`) is bit-identical — IR
+  dump, coverage edges, and stats counters — to the sequential five-pass
+  reference round, over seed programs, mutator-produced mutants, and
   randomly generated programs;
 * a :class:`repro.compiler.session.CompileSession` replays interned
   per-function middle-end artifacts without changing any observable of
-  ``Compiler.compile`` (checked against from-scratch compiles), and a
-  campaign routed twice through one warm session is bit-identical.
+  ``Compiler.compile`` (checked against from-scratch reference-pipeline
+  compiles), and a campaign routed twice through one warm session is
+  bit-identical.
 """
 
 import copy
@@ -23,6 +24,7 @@ from repro.cast.parser import parse
 from repro.cast.sema import Sema
 from repro.compiler import GCC_SIM, Compiler
 from repro.compiler.coverage import CoverageMap
+from repro.compiler.flatir import BridgeCounters
 from repro.compiler.incremental import assert_results_equal
 from repro.compiler.irgen import IRGen, LoweringError
 from repro.compiler.passes import OptContext, local_opt
@@ -69,7 +71,7 @@ def _opt_observables(fn, opt_level=2):
 
 
 class TestFusedEquivalence:
-    """fused_local_opt == the sequential const_fold/.../dce fixpoint."""
+    """The fused flat round == the sequential const_fold/.../dce fixpoint."""
 
     def _check_program(self, text):
         module = _lower(text)
@@ -79,13 +81,12 @@ class TestFusedEquivalence:
         for name in module.functions:
             seq_fn = copy.deepcopy(module.functions[name])
             fus_fn = copy.deepcopy(module.functions[name])
-            seq_dump, seq_edges, seq_stats, seq_ctx = _opt_observables(seq_fn)
-            fus_ctx = OptContext(cov=CoverageMap(), opt_level=2, fuse=True)
+            seq_dump, seq_edges, seq_stats, _ = _opt_observables(seq_fn)
+            fus_ctx = OptContext(cov=CoverageMap(), opt_level=2, flat=True)
             local_opt(fus_fn, fus_ctx)
             assert fus_fn.dump() == seq_dump, f"IR diverged for {name} in:\n{text}"
             assert frozenset(fus_ctx.cov.edges) == seq_edges
             assert dict(fus_ctx.stats.counters) == seq_stats
-            assert fus_ctx.fused_runs == 1 and seq_ctx.fused_runs == 0
             checked += 1
         return checked
 
@@ -104,14 +105,16 @@ class TestFusedEquivalence:
         ).generate()
         self._check_program(text)
 
-    def test_fused_runs_outside_compared_stats(self):
-        # fused_runs lives on the context, never in the stats counters the
-        # paranoid feature comparison sees.
+    def test_bridge_counts_outside_compared_stats(self):
+        # Running the flat round over an object function crosses the bridge
+        # once each way; the crossings land on the context's counters, never
+        # in the stats counters the paranoid feature comparison sees.
         module = _lower("int main(void) { return 2 + 3; }")
-        ctx = OptContext(cov=CoverageMap(), opt_level=2, fuse=True)
+        bridge = BridgeCounters()
+        ctx = OptContext(cov=CoverageMap(), opt_level=2, flat=True, bridge=bridge)
         local_opt(module.functions["main"], ctx)
-        assert ctx.fused_runs == 1
-        assert "fused_runs" not in ctx.stats.counters
+        assert (bridge.encodes, bridge.decodes) == (1, 1)
+        assert not {"encodes", "decodes"} & set(ctx.stats.counters)
 
 
 def _mutate_body(text):
@@ -122,8 +125,8 @@ def _mutate_body(text):
 class TestCompileSession:
     def test_session_compile_matches_cold(self, small_seeds):
         session = CompileSession()
-        warm = Compiler(*GCC_SIM, session=session, fuse_passes=True)
-        cold = Compiler(*GCC_SIM)
+        warm = Compiler(*GCC_SIM, session=session)
+        cold = Compiler(*GCC_SIM, reference=True)
         for text in small_seeds[:10]:
             assert_results_equal(warm.compile(text), cold.compile(text))
         assert session.misses > 0
@@ -131,7 +134,7 @@ class TestCompileSession:
     def test_session_result_memo_on_recompile(self, small_seeds):
         session = CompileSession()
         warm = Compiler(*GCC_SIM, session=session)
-        cold = Compiler(*GCC_SIM)
+        cold = Compiler(*GCC_SIM, reference=True)
         text = small_seeds[0]
         first = warm.compile(text)
         before = session.result_hits
@@ -142,8 +145,8 @@ class TestCompileSession:
 
     def test_session_hits_on_shared_clean_functions(self, small_seeds):
         session = CompileSession()
-        warm = Compiler(*GCC_SIM, session=session, fuse_passes=True)
-        cold = Compiler(*GCC_SIM)
+        warm = Compiler(*GCC_SIM, session=session)
+        cold = Compiler(*GCC_SIM, reference=True)
         text = small_seeds[1]
         warm.compile(text)
         mutant = _mutate_body(text)
@@ -155,7 +158,7 @@ class TestCompileSession:
 
     def test_paranoid_session_compile(self, small_seeds):
         session = CompileSession()
-        warm = Compiler(*GCC_SIM, session=session, fuse_passes=True)
+        warm = Compiler(*GCC_SIM, session=session)
         text = small_seeds[2]
         warm.compile(text)
         before = session.paranoid_checks
@@ -194,7 +197,7 @@ class TestCompileBatch:
         requests = [(m, (parent, ((0, 0, ""),))) for m in mutants]
         session = CompileSession()
         batched = Compiler(*GCC_SIM, session=session).compile_batch(requests)
-        cold = Compiler(*GCC_SIM)
+        cold = Compiler(*GCC_SIM, reference=True)
         assert len(batched) == len(mutants)
         for result, mutant in zip(batched, mutants):
             assert_results_equal(result, cold.compile(mutant))
@@ -236,7 +239,6 @@ class TestSessionFuzzing:
             seeds,
             registry.supervised(),
             session=session,
-            fuse_passes=True,
             batch_compile=True,
         )
 
@@ -246,7 +248,7 @@ class TestSessionFuzzing:
         # Pipeline-plumbing counters legitimately differ between arms and
         # between warm/cold session runs (batching materializes parents →
         # different cache-hit counts; the session supersedes the journal
-        # middle end → zero middle_incremental hits; session/fused counters
+        # middle end → zero middle_incremental hits; session counters
         # accumulate across runs sharing one session).  Everything
         # *behavioral* — coverage trend, crashes, pool, attempts, RNG-driven
         # counters — must be bit-identical.
@@ -254,7 +256,7 @@ class TestSessionFuzzing:
             k: v
             for k, v in payload["stats"].items()
             if not k.startswith(("middle_session_", "middle_incremental_", "cache_"))
-            and k not in ("fused_pass_runs", "decl_digest_memo_hits")
+            and k != "decl_digest_memo_hits"
         }
         return payload
 
@@ -289,7 +291,6 @@ class TestSessionFuzzing:
             small_seeds[:8],
             registry.supervised(),
             session=True,
-            fuse_passes=True,
             batch_compile=True,
             paranoid=True,
         )
@@ -306,11 +307,10 @@ class TestSessionFuzzing:
             registry=registry,
             steps=10,
             session=True,
-            fuse_passes=True,
             batch_compile=True,
         )
         spec = campaign.cell_specs(("uCFuzz.s",))[0]
-        assert spec.session and spec.fuse_passes and spec.batch_compile
+        assert spec.session and spec.batch_compile and not spec.reference
 
     def test_session_serial_equals_parallel(self, registry, small_seeds):
         from repro.fuzzing.campaign import Campaign
@@ -321,7 +321,6 @@ class TestSessionFuzzing:
             registry=None or global_registry,
             steps=12,
             session=True,
-            fuse_passes=True,
             batch_compile=True,
         )
         serial = campaign.run(("uCFuzz.s", "uCFuzz.u"), parallelism=1)
