@@ -255,6 +255,32 @@ class FrontendCache:
         """The cached entry for ``text`` without hit/miss accounting."""
         return self._entries.get(source_digest(text))
 
+    def front_end_from(
+        self,
+        text: str,
+        edits_from: "tuple[str, tuple] | None" = None,
+        *,
+        paranoid: bool = False,
+        tracer: "Tracer | None" = None,
+    ) -> "tuple[FrontendEntry, IncrementalPlan | None]":
+        """Front-end ``text``, incrementally when its parent is cached.
+
+        ``edits_from=(parent_text, edit_script)`` names the program ``text``
+        was rewritten from.  When that parent is still cached this is
+        :meth:`front_end_incremental` from the parent's entry, otherwise
+        :meth:`front_end`; the plan is ``None`` on the latter path.  Every
+        caller that holds an edit script goes through here, so the choice
+        is made in one place.
+        """
+        if edits_from is not None:
+            parent_text, edits = edits_from
+            parent = self.peek(parent_text) if edits else None
+            if parent is not None:
+                return self.front_end_incremental(
+                    text, parent, edits, paranoid=paranoid, tracer=tracer
+                )
+        return self.front_end(text, tracer=tracer), None
+
     def front_end_incremental(
         self,
         text: str,

@@ -70,21 +70,26 @@ class SourceFile:
 
     text: str
     name: str = "<input>"
-    _line_starts: list[int] = field(default_factory=list, repr=False)
-
-    def __post_init__(self) -> None:
-        self._line_starts = [0]
-        for i, ch in enumerate(self.text):
-            if ch == "\n":
-                self._line_starts.append(i + 1)
+    #: Offsets at which lines start, built by the first ``line_column``
+    #: call: only diagnostics need them, and every front end makes a file.
+    _line_starts: list[int] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def slice(self, rng: SourceRange) -> str:
         return self.text[rng.begin.offset : rng.end.offset]
 
     def line_column(self, loc: SourceLocation) -> tuple[int, int]:
         """Return 1-based (line, column) for a location."""
-        line = bisect.bisect_right(self._line_starts, loc.offset) - 1
-        return line + 1, loc.offset - self._line_starts[line] + 1
+        starts = self._line_starts
+        if starts is None:
+            starts = [0]
+            starts.extend(
+                i + 1 for i, ch in enumerate(self.text) if ch == "\n"
+            )
+            self._line_starts = starts
+        line = bisect.bisect_right(starts, loc.offset) - 1
+        return line + 1, loc.offset - starts[line] + 1
 
     def describe(self, loc: SourceLocation) -> str:
         line, col = self.line_column(loc)

@@ -276,21 +276,13 @@ class Compiler:
         # is deterministic, so cache hits replay identical bookkeeping into
         # this call's CoverageMap/CompileResult; bug checks stay per-call
         # because they depend on opt_level/flags.
-        plan = None
         if cache is None:
             entry = analyze_front_end(source_text, tracer=self.tracer)
-        elif edits_from is not None:
-            parent_text, edits = edits_from
-            parent_entry = cache.peek(parent_text) if edits else None
-            if parent_entry is not None:
-                entry, plan = cache.front_end_incremental(
-                    source_text, parent_entry, edits,
-                    paranoid=paranoid, tracer=self.tracer,
-                )
-            else:
-                entry = cache.front_end(source_text, tracer=self.tracer)
+            plan = None
         else:
-            entry = cache.front_end(source_text, tracer=self.tracer)
+            entry, plan = cache.front_end_from(
+                source_text, edits_from, paranoid=paranoid, tracer=self.tracer
+            )
         summary = _frontend_summary(entry, plan, session)
         cov.merge(summary.edges)
         features.update(summary.features)

@@ -13,10 +13,8 @@ from __future__ import annotations
 import random
 
 from repro.cast import ast_nodes as ast
-from repro.cast.parser import ParseError, parse
+from repro.cast.cache import FrontendCache
 from repro.cast.rewriter import Rewriter
-from repro.cast.sema import Sema
-from repro.cast.source import SourceFile
 from repro.compiler.driver import Compiler
 from repro.fuzzing.base import CoverageGuidedFuzzer, StepResult
 
@@ -29,14 +27,6 @@ GRAYC_MUTATORS = (
 )
 
 
-def _compiles(text: str) -> bool:
-    try:
-        unit = parse(text)
-    except (ParseError, RecursionError):
-        return False
-    return not any(d.severity == "error" for d in Sema().analyze(unit))
-
-
 class GrayCSim(CoverageGuidedFuzzer):
     name = "GrayC"
     step_cost = 0.088  # ≈983k programs / 24 h (Table 5)
@@ -45,6 +35,10 @@ class GrayCSim(CoverageGuidedFuzzer):
         self, compiler: Compiler, rng: random.Random, seeds: list[str]
     ) -> None:
         super().__init__(compiler, rng, seeds)
+        #: Each text is front-ended once: the parent through the cache, the
+        #: mutant by the dirty-region front end from the parent's entry
+        #: (its validation), and the compile is then a cache hit.
+        self.cache = FrontendCache()
 
     def step(self) -> StepResult:
         parent = self.pool.random_choice(self.rng)
@@ -52,7 +46,7 @@ class GrayCSim(CoverageGuidedFuzzer):
         mutant = self._apply(parent.text, mutator)
         if mutant is None or mutant == parent.text:
             mutant = parent.text
-        result = self.compiler.compile(mutant)
+        result = self.compiler.compile(mutant, cache=self.cache)
         kept = self.keep_if_new_coverage(mutant, result, parent, mutator)
         self.coverage.merge(result.coverage)
         return StepResult(mutant, result, kept=kept, mutator=mutator)
@@ -60,20 +54,21 @@ class GrayCSim(CoverageGuidedFuzzer):
     # ------------------------------------------------------------------
 
     def _apply(self, text: str, mutator: str) -> str | None:
-        try:
-            unit = parse(text)
-        except (ParseError, RecursionError):
+        entry = self.cache.front_end(text)
+        if entry.unit is None:
             return None
-        Sema().analyze(unit)
-        source = SourceFile(text)
+        source = entry.source
         rewriter = Rewriter(source)
         handler = getattr(self, f"_mut_{mutator}")
-        if not handler(unit, source, rewriter):
+        if not handler(entry.unit, source, rewriter):
             return None
         mutant = rewriter.rewritten_text()
         # GrayC validates before emitting; fall back to the parent when the
         # mutant is broken (this is what keeps its compilable ratio ~99%).
-        if not _compiles(mutant):
+        checked, _ = self.cache.front_end_from(
+            mutant, (text, rewriter.edit_script())
+        )
+        if not checked.compilable:
             return None
         return mutant
 

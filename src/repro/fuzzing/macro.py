@@ -52,8 +52,9 @@ class MacroFuzzer(CoverageGuidedFuzzer):
         self.mutators = list(mutators)
         if shared_coverage is not None:
             self.coverage = shared_coverage  # enhancement 3
-        # Havoc re-front-ends the intermediate mutant of every round; the
-        # shared cache makes rounds after the first nearly free.
+        # Havoc front-ends the intermediate mutant of every round; with the
+        # cache, a round after the first takes the dirty-region front end
+        # from the previous round's text and edit script.
         if cache is not None:
             self.cache = cache
         elif use_cache:
@@ -83,28 +84,34 @@ class MacroFuzzer(CoverageGuidedFuzzer):
         events_before = (
             len(self.quarantine.events) if self.quarantine is not None else 0
         )
-        # Havoc chains mutations, so the incremental parent of the final
-        # compile is the *last* intermediate text (already front-ended into
-        # the cache by apply_mutator), not the pool parent.
-        base_text: str | None = None
-        last_edits: tuple = ()
+        # Havoc chains mutations: the incremental parent of each round after
+        # the first, and of the final compile, is the *last* intermediate
+        # text (already front-ended into the cache), not the pool parent.
+        edits_from: tuple[str, tuple] | None = None
+        hits_before = (
+            self.cache.incremental_hits if self.cache is not None else 0
+        )
         for _ in range(rounds):
             info = self.mutators[self.rng.randrange(len(self.mutators))]
             if self.quarantine is not None and not self.quarantine.allows(
                 info.name
             ):
                 continue
-            mutated = self._mutate(mutant, info)
+            mutated = self._mutate(mutant, info, edits_from)
             if mutated is not None and len(mutated[0]) <= MAX_MUTANT_BYTES:
-                base_text = mutant
-                mutant, last_edits = mutated
+                if self.incremental:
+                    edits_from = (mutant, mutated[1])
+                mutant = mutated[0]
                 applied.append(info.name)
+        if self.cache is not None:
+            # Dirty-region front ends of Havoc rounds (the final compile's
+            # is not among them); the paranoid macro smoke gates on it.
+            self.stats["havoc_incremental_hits"] = (
+                self.stats.get("havoc_incremental_hits", 0)
+                + self.cache.incremental_hits
+                - hits_before
+            )
         opt_level, flags = self.sample_options()
-        edits_from = (
-            (base_text, last_edits)
-            if self.incremental and base_text is not None
-            else None
-        )
         result = self.compiler.compile(
             mutant,
             opt_level=opt_level,
@@ -131,12 +138,20 @@ class MacroFuzzer(CoverageGuidedFuzzer):
             }
         return step
 
-    def _mutate(self, text: str, info: MutatorInfo) -> tuple[str, tuple] | None:
+    def _mutate(
+        self,
+        text: str,
+        info: MutatorInfo,
+        edits_from: tuple[str, tuple] | None = None,
+    ) -> tuple[str, tuple] | None:
         """The mutated text plus its edit script, or None on failure/no-op."""
         mutator = info.create(random.Random(self.rng.randrange(1 << 62)))
         try:
             with self.telemetry.span("mutate", mutator=info.name):
-                outcome = apply_mutator(mutator, text, cache=self.cache)
+                outcome = apply_mutator(
+                    mutator, text, cache=self.cache, edits_from=edits_from,
+                    paranoid=self.paranoid,
+                )
         except (MutatorCrash, MutatorHang, RecursionError) as exc:
             if self.quarantine is not None and self.quarantine.record_failure(
                 info.name, type(exc).__name__

@@ -301,18 +301,30 @@ def paranoid_main(argv: list[str] | None = None) -> int:
     the object-IR reference pipeline and compared field-for-field, so every
     check is also a flat-native-vs-reference differential; any divergence
     raises :class:`~repro.cast.incremental.IncrementalDivergence` and fails
-    the run.  Gating is on zero divergences, not on throughput.
+    the run.  Gating is on zero divergences, not on throughput.  ``--macro``
+    runs the macro fuzzer instead (:func:`_paranoid_macro`).
     """
     parser = argparse.ArgumentParser(description="paranoid-smoke")
     parser.add_argument("--steps", type=int, default=200)
     parser.add_argument("--seed", type=int, default=2024)
-    parser.add_argument(
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument(
         "--session", action="store_true",
         help="run with a CompileSession (cross-step middle-end memoization "
         "and batched per-step compilation)",
     )
+    mode.add_argument(
+        "--macro", action="store_true",
+        help="run the macro fuzzer instead, alternating gcc-sim and "
+        "clang-sim steps: Havoc rounds, sampled -O levels and flags",
+    )
     args = parser.parse_args(argv)
     from repro.fuzzing.seedgen import generate_seeds
+
+    if args.macro:
+        return _paranoid_macro(
+            generate_seeds(DEFAULT_SEEDS), args.steps, args.seed
+        )
 
     seeds = generate_seeds(DEFAULT_SEEDS)
     fuzzer = _build_fuzzer(
@@ -346,6 +358,41 @@ def paranoid_main(argv: list[str] | None = None) -> int:
     elif middle_hits <= 0:
         raise SystemExit(
             "paranoid-smoke: the incremental middle end was never exercised"
+        )
+    return 0
+
+
+def _paranoid_macro(seeds: list[str], steps: int, seed: int) -> int:
+    """``paranoid_main --macro``: Havoc rounds' front ends checked too.
+
+    Every dirty-region front end (Havoc rounds after the first and the
+    final compile) is cross-checked against a full front end, and every
+    compile against a from-scratch reference-pipeline compile.
+    """
+    import repro.mutators  # noqa: F401  (populate the registry)
+    from repro.compiler.driver import CLANG_SIM, GCC_SIM, Compiler
+    from repro.fuzzing.macro import MacroFuzzer
+    from repro.muast.registry import global_registry
+
+    fuzzers = [
+        MacroFuzzer(
+            Compiler(*personality), random.Random(seed), seeds,
+            list(global_registry), paranoid=True,
+        )
+        for personality in (GCC_SIM, CLANG_SIM)
+    ]
+    for i in range(steps):
+        fuzzers[i % 2].step()  # IncrementalDivergence fails the job
+    checks = sum(f.cache.paranoid_checks for f in fuzzers)
+    havoc_hits = sum(f.stats.get("havoc_incremental_hits", 0) for f in fuzzers)
+    print(
+        f"paranoid-smoke[macro]: {steps} steps, 0 divergences, "
+        f"{checks} front-end checks, "
+        f"{havoc_hits} Havoc-round incremental front ends"
+    )
+    if havoc_hits <= 0:
+        raise SystemExit(
+            "paranoid-smoke: no Havoc round took the incremental front end"
         )
     return 0
 

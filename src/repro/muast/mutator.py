@@ -341,6 +341,8 @@ def apply_mutator(
     require_parse: bool = True,
     ctx: ASTContext | None = None,
     cache: FrontendCache | None = None,
+    edits_from: tuple[str, tuple] | None = None,
+    paranoid: bool = False,
 ) -> MutationOutcome:
     """Bind ``mutator`` to ``program_text``, run it, and collect the mutant.
 
@@ -352,12 +354,18 @@ def apply_mutator(
 
     With ``cache``, the front end of ``program_text`` is looked up in (or
     inserted into) the shared :class:`FrontendCache` and all attempts on the
-    same text share one parsed unit.  With ``ctx``, the caller supplies a
-    ready-made context and the front end is skipped entirely; the caller
-    vouches that ``ctx.source.text == program_text`` and that it compiles.
+    same text share one parsed unit.  ``edits_from`` and ``paranoid`` mean
+    what they mean for ``Compiler.compile``: ``(parent_text, edit_script)``
+    lets a cache miss take the dirty-region front end from the cached
+    parent, and ``paranoid=True`` cross-checks that against a full front
+    end.  With ``ctx``, the caller supplies a ready-made context and the
+    front end is skipped entirely; the caller vouches that
+    ``ctx.source.text == program_text`` and that it compiles.
     """
     if ctx is None and cache is not None:
-        entry = cache.front_end(program_text)
+        entry, _ = cache.front_end_from(
+            program_text, edits_from, paranoid=paranoid
+        )
         if entry.unit is None:
             if require_parse:
                 return MutationOutcome(False, None, error="input does not parse")

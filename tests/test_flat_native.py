@@ -533,5 +533,8 @@ class TestMacroDifferential:
         for _ in range(30):
             fuzzer.step()  # an IncrementalDivergence would propagate
         assert len(checked) == 30
+        # Havoc intermediates were front-end cross-checked as well: more
+        # paranoid front-end checks than the 30 final compiles.
+        assert fuzzer.cache.stats()["cache_paranoid_checks"] > 30
         assert len({opt for opt, _ in checked}) >= 3
         assert any(flags for _, flags in checked)

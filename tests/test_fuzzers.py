@@ -1,9 +1,12 @@
 """Fuzzer tests: Algorithm 1, baselines, macro fuzzer, campaign runner."""
 
+import hashlib
+import json
 import random
 
 import pytest
 
+from repro.compiler import GCC_SIM, Compiler
 from repro.compiler.coverage import CoverageMap
 from repro.fuzzing.baselines import AFLPlusPlus, CsmithSim, GrayCSim, YarpGenSim
 from repro.fuzzing.campaign import make_fuzzer, run_campaign
@@ -78,6 +81,29 @@ class TestBaselines:
         results = [fuzzer.step() for _ in range(20)]
         ok = sum(1 for s in results if s.result.ok or s.result.crashed)
         assert ok >= len(results) - 1  # validity pre-check keeps ratio ~99%
+
+    def test_grayc_outcome_is_pinned(self, small_seeds):
+        """GrayC front-ends each text once through its cache (the mutant by
+        the dirty-region front end from its parent); that must not change
+        what it produces.  The digest was recorded before it had a cache,
+        when it parsed parent and mutant and compiled with no cache."""
+        fuzzer = GrayCSim(
+            Compiler(*GCC_SIM), random.Random(2024), small_seeds
+        )
+        rows = []
+        for _ in range(40):
+            step = fuzzer.step()
+            result = step.result
+            failure = result.crash or result.hang
+            rows.append([
+                step.program, step.kept, step.mutator, result.ok,
+                failure.bug_id if failure else None,
+                sorted(repr(edge) for edge in result.coverage.edges),
+            ])
+        rows.append([len(fuzzer.coverage), len(fuzzer.pool)])
+        assert (len(fuzzer.coverage), len(fuzzer.pool)) == (983, 60)
+        digest = hashlib.sha1(json.dumps(rows).encode()).hexdigest()
+        assert digest == "a582d8f55f58768659c11a09df04ce291a4cf35d"
 
     def test_grayc_has_exactly_five_mutators(self):
         from repro.fuzzing.baselines.grayc import GRAYC_MUTATORS

@@ -8,11 +8,15 @@ observably identical to a from-scratch one.
 
 import random
 
+import pytest
+
 from repro.cast.cache import FrontendCache, analyze_front_end
 from repro.cast.incremental import assert_entries_equal
 from repro.cast.rewriter import Rewriter
 from repro.cast.source import SourceFile, SourceLocation, SourceRange
+from repro.compiler import CLANG_SIM, GCC_SIM, Compiler
 from repro.fuzzing.campaign import run_campaign
+from repro.fuzzing.macro import MacroFuzzer
 from repro.fuzzing.mucfuzz import MuCFuzz
 from repro.muast.mutator import apply_mutator
 
@@ -147,8 +151,6 @@ class TestIncrementalCompileParity:
     compile, and paranoid mode enforces that on every step."""
 
     def test_middle_end_replay_matches_full(self, registry, small_seeds):
-        from repro.compiler import GCC_SIM, Compiler
-
         gcc = Compiler(*GCC_SIM)
         cache = FrontendCache()
         rng = random.Random(31)
@@ -210,6 +212,31 @@ class TestIncrementalCompileParity:
             assert a.result.asm == b.result.asm
         assert inc.coverage.edges == plain.coverage.edges
         assert inc.stats_snapshot()["cache_incremental_hits"] > 0
+
+    @pytest.mark.parametrize(
+        "personality", [GCC_SIM, CLANG_SIM], ids=["gcc-sim", "clang-sim"]
+    )
+    def test_macro_havoc_reuse_changes_no_outcome(
+        self, personality, registry, small_seeds
+    ):
+        """Havoc rounds and the final compile front-ended incrementally or
+        from scratch: the same program, coverage and keep decision."""
+        inc, plain = (
+            MacroFuzzer(
+                Compiler(*personality), random.Random(20240427), small_seeds,
+                list(registry), incremental=incremental,
+            )
+            for incremental in (True, False)
+        )
+        for _ in range(40):
+            a, b = inc.step(), plain.step()
+            assert a.program == b.program
+            assert a.result.coverage.edges == b.result.coverage.edges
+            assert a.kept == b.kept
+        assert plain.cache.incremental_hits == 0
+        # More dirty-region front ends than final compiles: Havoc rounds
+        # after the first took the incremental path too.
+        assert inc.cache.incremental_hits > 40
 
     def test_campaign_invariant_under_incremental(self, gcc, registry, small_seeds):
         def result_of(incremental):

@@ -116,17 +116,31 @@ class TestErrors:
         assert toks[-1].kind is TokenKind.EOF
 
 
+def assert_within_text(toks, text):
+    """Every token ends inside the text and EOF sits at its end."""
+    assert all(tok.end.offset <= len(text) for tok in toks)
+    assert toks[-1].kind is TokenKind.EOF
+    assert toks[-1].begin.offset == toks[-1].end.offset == len(text)
+
+
 class TestRanges:
     def test_token_ranges_cover_text(self):
         text = "int foo = 42;"
         for tok in tokenize(text)[:-1]:
             assert text[tok.begin.offset : tok.end.offset] == tok.text
 
+    @pytest.mark.parametrize("text", ["x=0", "0", "1e", "1e+", "12e-"])
+    def test_number_at_end_of_text_stays_inside_it(self, text):
+        toks = tokenize(text)
+        assert_within_text(toks, text)
+        for tok in toks[:-1]:
+            assert text[tok.begin.offset : tok.end.offset] == tok.text
+
 
 @given(
     st.lists(
         st.sampled_from(
-            ["int", "x", "42", "0x1F", "1.5", "+", "-", "*", "(", ")",
+            ["int", "x", "42", "0", "0x1F", "1.5", "+", "-", "*", "(", ")",
              "{", "}", ";", "==", "<<=", '"s"', "'c'", "while", "->"]
         ),
         min_size=0,
@@ -138,6 +152,7 @@ def test_roundtrip_token_texts(parts):
     text = " ".join(parts)
     toks = tokenize(text)
     assert [t.text for t in toks[:-1]] == parts
+    assert_within_text(toks, text)
 
 
 @given(st.text(alphabet=st.characters(min_codepoint=32, max_codepoint=126), max_size=120))
