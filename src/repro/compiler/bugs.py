@@ -58,7 +58,7 @@ class BugSpec:
         if self.kind == "hang":
             raise CompilerHang(self.bug_id, self.module, self.description)
         # CRC32, not hash(): synthetic PCs must be identical across
-        # processes (pool workers) and runs, or crash signatures would not
+        # processes (fabric workers) and runs, or crash signatures would not
         # deduplicate consistently.
         frames = [
             StackFrame(self.frames[0], 0x10 * (zlib.crc32(self.bug_id.encode()) % 4096)),

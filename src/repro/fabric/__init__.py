@@ -2,8 +2,9 @@
 
 Long-running LLM-mutator campaigns (Mut4All- and FunFuzz-scale fleets,
 hours to days) make worker loss, hangs, and poison inputs the steady
-state, not the exception.  This package turns the static
-``run_cells_resilient`` fan-out into a supervised fabric:
+state, not the exception.  The fabric is the repository's one
+multi-process cell runner: ``Campaign.run(parallelism > 1)`` and
+``Campaign.run_fabric`` both drain their cells through it.  The package:
 
 * :mod:`repro.fabric.lease` — the lease-based :class:`WorkQueue` (grant /
   renew / reclaim / poison state machine, fake-clock testable);
@@ -17,8 +18,9 @@ state, not the exception.  This package turns the static
   schema-v1 ``fabric`` telemetry, and :func:`run_cells_fabric`;
 * :mod:`repro.fabric.smoke` — the chaos harness CI runs: under seeded
   worker deaths and a heartbeat stall, every cell must land, poison must
-  quarantine exactly the injected killer cell, and completed results must
-  be bit-identical to the serial run.
+  quarantine exactly the injected killer cell, completed results must be
+  bit-identical to the serial run, and a resumed grid must be served from
+  the journal and checkpoints.
 
 Worker-level fault *plans* (:class:`~repro.resilience.faultinject.ChaosPlan`)
 live in :mod:`repro.resilience.faultinject` beside the cell-level faults

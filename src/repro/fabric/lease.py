@@ -28,7 +28,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from repro.fuzzing.parallel import CellSpec, cell_key
+from repro.fuzzing.parallel import CellSpec
 
 
 @dataclass
@@ -44,10 +44,6 @@ class Lease:
     #: How many times this cell has been dispatched before this lease
     #: (0-based; becomes the spec's ``attempt`` for fault keying).
     dispatch: int = 0
-
-    @property
-    def key(self) -> str:
-        return cell_key(self.spec)
 
 
 @dataclass

@@ -16,7 +16,9 @@ it).  Asserts the invariants the fabric exists for:
    seed scheme makes results worker-independent);
 4. the grid telemetry (``cell`` lifecycle + ``fabric`` lease/reclaim/
    poison events) validates against schema v1, and a resumed supervisor
-   serves everything — including the poison verdict — from the journal.
+   serves everything — including the poison verdict — from the journal;
+5. a transient worker crash (a cell whose first attempt hard-exits) is
+   absorbed by re-dispatch, and the re-run equals the serial run.
 
 Entry point: ``python -m repro.fabric.smoke``.
 """
@@ -69,14 +71,13 @@ def main() -> int:
         )
 
         # The ground truth: the same six specs, serially, no faults.
-        serial = run_cells(
-            Campaign(
-                compilers=[Compiler(*GCC_SIM)],
-                seeds=generate_seeds(8),
-                registry=global_registry,
-                steps=12,
-            ).cell_specs(FUZZER_NAMES)
+        plain = Campaign(
+            compilers=[Compiler(*GCC_SIM)],
+            seeds=generate_seeds(8),
+            registry=global_registry,
+            steps=12,
         )
+        serial = run_cells(plain.cell_specs(FUZZER_NAMES))
 
         outcomes = campaign.run_fabric(
             FUZZER_NAMES,
@@ -162,6 +163,25 @@ def main() -> int:
             for e in events
         ), "a resumed grid must not re-dispatch anything"
         print("resume: full grid served from journal + checkpoints")
+
+    # 6. Retry: the first attempt of one cell kills its worker; the lease
+    #    is reclaimed and the re-dispatched cell equals the serial run.
+    retried = plain.run_fabric(
+        ("uCFuzz.s", "Csmith"),
+        fleet_size=2,
+        heartbeat_interval=0.05,
+        heartbeat_timeout=1.0,
+        faults={"uCFuzz.s": CellFault(kind="exit", attempts=(0,))},
+    )
+    assert [(o.ok, o.attempts) for o in retried] == [(True, 2), (True, 1)], (
+        retried
+    )
+    expected = dict(zip(FUZZER_NAMES, serial))
+    for got in retried:
+        assert got.result.to_json() == (
+            expected[got.spec.fuzzer_name].to_json()
+        ), f"re-dispatched result diverged for {got.spec.fuzzer_name}"
+    print("retry: a crashed first attempt re-ran identical to serial")
 
     print("fabric chaos smoke OK")
     return 0

@@ -1,9 +1,9 @@
 """The fabric supervisor: leases cells to a worker fleet and survives it.
 
-Where :func:`repro.fuzzing.parallel.run_cells_resilient` starts one
-process per cell and can only notice trouble via a per-cell wall-clock
-timeout, the supervisor runs a *fleet* of long-lived workers against a
-lease-based :class:`~repro.fabric.lease.WorkQueue`:
+The supervisor is the one multi-process cell runner: ``Campaign.run``
+(``parallelism > 1``) and ``Campaign.run_fabric`` both drain their specs
+through it.  It runs a *fleet* of long-lived workers against a lease-based
+:class:`~repro.fabric.lease.WorkQueue`:
 
 * a worker that stops heartbeating (process death, SIGSTOP, a wedged
   interpreter) is detected within ``heartbeat_timeout`` seconds, killed if
@@ -19,8 +19,13 @@ lease-based :class:`~repro.fabric.lease.WorkQueue`:
   killed mid-grid restarts with finished cells, kill attributions, and
   poison verdicts intact;
 * the same transitions stream as schema-v1 ``fabric`` telemetry events
-  next to the resilient runner's ``cell`` lifecycle events in
-  ``grid.jsonl``.
+  next to the ``cell`` lifecycle events in ``grid.jsonl``.
+
+Between passes the supervisor blocks in
+:func:`multiprocessing.connection.wait` on its workers' pipes and process
+sentinels, so a message or a death wakes it at once; the
+``heartbeat_interval`` timeout wakes it to check lease deadlines and cell
+budgets, and it stops waiting as soon as the queue has drained.
 
 Determinism: a cell's result is a pure function of its
 :class:`~repro.fuzzing.parallel.CellSpec` (the CRC32 per-cell seed
@@ -32,24 +37,63 @@ specs.
 
 from __future__ import annotations
 
+import dataclasses
 import pickle
 import time
 from dataclasses import dataclass
+from multiprocessing.connection import wait
 
 from repro.fabric.journal import FabricJournal
 from repro.fabric.lease import Lease, WorkQueue
 from repro.fabric.worker import worker_main
-from repro.fuzzing.parallel import (
-    _POLL_SECONDS,
-    CellOutcome,
-    CellSpec,
-    _outcome_from_checkpoint,
-    _run_cell_inprocess,
-    cell_key,
-    ensure_dead,
-)
+from repro.fuzzing.parallel import CellOutcome, CellSpec, cell_keys, run_cell
 from repro.resilience.checkpoint import CheckpointStore
 from repro.resilience.faultinject import ChaosPlan
+
+#: Grace period (real seconds) given to SIGTERM before escalating.
+_TERM_GRACE = 5.0
+
+
+def ensure_dead(proc, grace: float = _TERM_GRACE) -> None:
+    """Terminate ``proc``, escalating to SIGKILL if SIGTERM is ignored.
+
+    A worker stuck in a non-cooperative state (e.g. a hang inside a C
+    extension, or an injected ``CellFault(kind="hang")`` that shadows the
+    default SIGTERM handling) would survive ``terminate()`` forever;
+    without the ``kill()`` escalation it leaks a live process past the
+    grid.
+    """
+    if not proc.is_alive():
+        proc.join(0)
+        return
+    proc.terminate()
+    proc.join(grace)
+    if proc.is_alive():
+        proc.kill()
+        proc.join(grace)
+
+
+def _run_cell_inprocess(spec: CellSpec, cell_retries: int) -> CellOutcome:
+    """No process isolation, but the same retry contract as a worker."""
+    attempt = 0
+    while True:
+        effective = (
+            dataclasses.replace(spec, attempt=attempt) if attempt else spec
+        )
+        try:
+            result = run_cell(effective)
+        except Exception as exc:  # a cell bug or an injected "raise" fault
+            if attempt < cell_retries:
+                attempt += 1
+                continue
+            return CellOutcome(
+                spec=spec,
+                ok=False,
+                error=str(exc),
+                error_type=type(exc).__name__,
+                attempts=attempt + 1,
+            )
+        return CellOutcome(spec=spec, ok=True, result=result, attempts=attempt + 1)
 
 
 @dataclass
@@ -80,6 +124,8 @@ class Supervisor:
         chaos: ChaosPlan | None = None,
     ) -> None:
         self.specs = list(specs)
+        #: Each cell's checkpoint/journal/telemetry key, computed once.
+        self.keys = cell_keys(self.specs)
         self.fleet_size = max(1, fleet_size)
         self.heartbeat_interval = heartbeat_interval
         self.heartbeat_timeout = heartbeat_timeout
@@ -110,12 +156,11 @@ class Supervisor:
         if self.gridlog is not None:
             self.gridlog.emit("fabric", name, **fields)
 
-    def _emit_cell(self, spec: CellSpec, status: str, **fields) -> None:
-        # Mirrors run_cells_resilient's grid stream so downstream tooling
-        # (triage report, lifecycle tests) reads both runners uniformly.
+    def _emit_cell(self, index: int, status: str, **fields) -> None:
         if self.gridlog is not None:
+            spec = self.specs[index]
             self.gridlog.emit(
-                "cell", cell_key(spec), status=status,
+                "cell", self.keys[index], status=status,
                 fuzzer=spec.fuzzer_name,
                 compiler=f"{spec.personality}-{spec.version}", **fields,
             )
@@ -125,18 +170,19 @@ class Supervisor:
     def _finish(self, outcome: CellOutcome, index: int) -> None:
         self.outcomes[index] = outcome
         if self.store is not None:
-            self.store.save(cell_key(outcome.spec), outcome.to_json())
+            self.store.save(self.keys[index], outcome.to_json())
         self._emit_cell(
-            outcome.spec,
+            index,
             "ok" if outcome.ok else "failed",
             attempts=outcome.attempts,
             error_type=outcome.error_type,
         )
 
     def _poison(self, lease: Lease, killers: list[str]) -> None:
+        key = self.keys[lease.index]
         self.queue.mark_poison(lease.index)
-        self.journal.record_poison(lease.key)
-        self._emit("poison", cell=lease.key, kills=len(killers),
+        self.journal.record_poison(key)
+        self._emit("poison", cell=key, kills=len(killers),
                    workers=sorted(killers))
         self._finish(
             CellOutcome(
@@ -155,10 +201,11 @@ class Supervisor:
     def _worker_killed_holding(self, lease: Lease, token: str, how: str) -> None:
         """A dead/stalled worker held this lease: attribute, then requeue
         or quarantine."""
-        killers = self.journal.record_kill(lease.key, token)
+        key = self.keys[lease.index]
+        killers = self.journal.record_kill(key, token)
         self.queue.record_kill(lease, token)
         self.journal.record("reclaim")
-        self._emit("lease", status="reclaim", cell=lease.key, worker=token,
+        self._emit("lease", status="reclaim", cell=key, worker=token,
                    reason=how, dispatch=lease.dispatch, kills=len(killers))
         if self.queue.is_poison(lease.index):
             self._poison(lease, killers)
@@ -244,7 +291,7 @@ class Supervisor:
             lease, retried = self.queue.fail(message[2])
             if lease is not None:
                 self.journal.record("fail")
-                self._emit("lease", status="fail", cell=lease.key,
+                self._emit("lease", status="fail", cell=self.keys[lease.index],
                            worker=token, error_type=message[4],
                            retried=retried)
                 if not retried:
@@ -331,7 +378,7 @@ class Supervisor:
             worker.lease_id = lease.lease_id
             self.journal.record("grant")
             self._emit(
-                "lease", status="grant", cell=lease.key,
+                "lease", status="grant", cell=self.keys[lease.index],
                 worker=self.journal.worker_token(worker.worker_id),
                 dispatch=lease.dispatch,
             )
@@ -387,7 +434,8 @@ class Supervisor:
                         self._drain_inprocess()
                         continue
                     self._assign_work()
-                    time.sleep(_POLL_SECONDS)
+                    if not self.queue.drained:
+                        self._wait()
             self._emit("grid", status="end",
                        completed=sum(o.ok for o in self.outcomes.values()),
                        failed=sum(not o.ok for o in self.outcomes.values()))
@@ -395,14 +443,30 @@ class Supervisor:
         finally:
             self._shutdown()
 
+    def _wait(self) -> None:
+        """Block until a worker speaks or dies, or one heartbeat interval
+        passes (lease deadlines and cell budgets need the clock)."""
+        workers = self.workers.values()
+        wait(
+            [w.conn for w in workers] + [w.proc.sentinel for w in workers],
+            timeout=self.heartbeat_interval,
+        )
+
     def _intake(self) -> None:
         """Load checkpoints/journal; queue only the genuinely unfinished."""
-        for index, spec in enumerate(self.specs):
-            key = cell_key(spec)
+        from repro.fuzzing.campaign import CampaignResult
+
+        for index, (spec, key) in enumerate(zip(self.specs, self.keys)):
             payload = self.store.load(key) if self.store is not None else None
             if payload is not None and payload.get("ok") and "result" in payload:
-                self.outcomes[index] = _outcome_from_checkpoint(spec, payload)
-                self._emit_cell(spec, "checkpoint-skip")
+                self.outcomes[index] = CellOutcome(
+                    spec=spec,
+                    ok=True,
+                    result=CampaignResult.from_json(payload["result"]),
+                    attempts=int(payload.get("attempts", 1)),
+                    from_checkpoint=True,
+                )
+                self._emit_cell(index, "checkpoint-skip")
                 continue
             if self.journal.is_poisoned(key):
                 # A poison verdict survives restarts: never re-dispatch.
@@ -415,7 +479,7 @@ class Supervisor:
                     attempts=int((payload or {}).get("attempts", 1)),
                     from_checkpoint=True,
                 )
-                self._emit_cell(spec, "poison-skip")
+                self._emit_cell(index, "poison-skip")
                 continue
             self.queue.add(index, spec)
             self.queue.seed_kills(index, self.journal.kills_for(key))

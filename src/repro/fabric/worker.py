@@ -2,8 +2,8 @@
 
 A worker is the unit the supervisor supervises.  It connects back over a
 duplex pipe, announces itself ready, and then loops: accept a lease, run
-the cell via the same :func:`repro.fuzzing.parallel.run_cell` the other
-runners use (so results depend only on the :class:`CellSpec`, never on
+the cell via the same :func:`repro.fuzzing.parallel.run_cell` the serial
+loop uses (so results depend only on the :class:`CellSpec`, never on
 which worker executed it), report the result, announce ready again.
 
 While a cell runs, a daemon *heartbeat thread* renews the lease every

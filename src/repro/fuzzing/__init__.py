@@ -11,7 +11,6 @@ from repro.fuzzing.parallel import (
     CellOutcome,
     CellSpec,
     run_cells,
-    run_cells_resilient,
 )
 
 __all__ = [
@@ -27,5 +26,4 @@ __all__ = [
     "CellOutcome",
     "CellSpec",
     "run_cells",
-    "run_cells_resilient",
 ]

@@ -8,6 +8,7 @@ trends that Figures 7 and 9 plot.
 
 from __future__ import annotations
 
+import os
 import random
 from dataclasses import dataclass, field, replace
 
@@ -28,7 +29,6 @@ from repro.fuzzing.parallel import (
     CellOutcome,
     CellSpec,
     run_cells,
-    run_cells_resilient,
     stable_cell_seed,
 )
 
@@ -259,10 +259,11 @@ class Campaign:
     #: uniform arm of the scheduling ablation); ``None`` follows
     #: ``schedule``.
     mutator_stats: bool | None = None
-    #: Stream per-cell telemetry (JSONL events) into this directory; the
-    #: resilient runner additionally writes a ``grid.jsonl`` of cell
-    #: lifecycle events.  None (the default) disables the sinks.  Telemetry
-    #: never changes campaign results.
+    #: Stream per-cell telemetry (JSONL events) into this directory; a run
+    #: through the fabric (``run(parallelism > 1)``, ``run_fabric``)
+    #: additionally writes a ``grid.jsonl`` of cell lifecycle and fabric
+    #: events.  None (the default) disables the sinks.  Telemetry never
+    #: changes campaign results.
     telemetry_dir: str | None = None
 
     def cell_specs(
@@ -321,40 +322,36 @@ class Campaign:
     ) -> list[CampaignResult]:
         """Run every fuzzer × compiler cell; fan out over processes if asked.
 
-        Each cell's RNG is seeded from a stable digest of the (fuzzer,
-        compiler) pair (``hash()`` would vary with PYTHONHASHSEED and per
-        pool worker), and every cell — serial or parallel — is executed from
-        an identical :class:`CellSpec`, so ``parallelism=N`` returns the
-        same results as ``parallelism=1``, in the same stable order.
+        ``parallelism <= 1`` runs the cells in this process, in order.
+        Otherwise the cells drain through the fabric supervisor on
+        ``min(parallelism, os.cpu_count())`` workers.  Each cell's RNG is
+        seeded from a stable digest of the (fuzzer, compiler) pair and
+        every cell is executed from an identical :class:`CellSpec`, so
+        ``parallelism=N`` returns the same results as ``parallelism=1``, in
+        the same stable order.  A cell that still fails after the fabric's
+        retry raises a :class:`RuntimeError` naming every failed cell.
         """
-        return run_cells(self.cell_specs(fuzzer_names), parallelism)
+        specs = self.cell_specs(fuzzer_names)
+        if parallelism <= 1:
+            return run_cells(specs)
+        from repro.fabric import run_cells_fabric
 
-    def run_resilient(
-        self,
-        fuzzer_names: tuple[str, ...] = FUZZER_NAMES,
-        parallelism: int = 1,
-        *,
-        cell_timeout: float | None = None,
-        cell_retries: int = 1,
-        checkpoint_dir: str | None = None,
-        faults: "dict[str | tuple[str, str], CellFault] | None" = None,
-    ) -> list[CellOutcome]:
-        """The fault-isolated grid: one :class:`CellOutcome` per cell.
-
-        A crashed, hung, or timed-out cell is retried up to ``cell_retries``
-        times from its identical spec and otherwise lands as a recorded
-        failure; the other cells complete normally.  With
-        ``checkpoint_dir``, finished cells persist as they complete and a
-        rerun skips them (campaign resume).
-        """
-        return run_cells_resilient(
-            self.cell_specs(fuzzer_names, faults),
-            parallelism,
-            cell_timeout=cell_timeout,
-            cell_retries=cell_retries,
-            checkpoint_dir=checkpoint_dir,
+        outcomes = run_cells_fabric(
+            specs,
+            min(parallelism, os.cpu_count() or 1),
             telemetry_dir=self.telemetry_dir,
         )
+        failed = [o for o in outcomes if o.failed]
+        if failed:
+            raise RuntimeError(
+                f"{len(failed)} of {len(outcomes)} campaign cells failed: "
+                + "; ".join(
+                    f"{o.spec.fuzzer_name} on {o.spec.personality}-"
+                    f"{o.spec.version} ({o.error_type}: {o.error})"
+                    for o in failed
+                )
+            )
+        return [o.result for o in outcomes]
 
     def run_fabric(
         self,
@@ -371,16 +368,17 @@ class Campaign:
         faults: "dict[str | tuple[str, str], CellFault] | None" = None,
         chaos=None,
     ) -> list[CellOutcome]:
-        """The supervised grid: a lease-based work queue over a worker fleet.
+        """The fault-tolerant grid: one :class:`CellOutcome` per cell.
 
-        Unlike :meth:`run_resilient` (one process per cell, failure noticed
-        only at the cell timeout), ``run_fabric`` runs ``fleet_size``
-        long-lived workers that heartbeat their leases: a dead or stalled
-        worker is detected within ``heartbeat_timeout`` seconds and its
-        cell is re-dispatched to a survivor, a cell that kills
-        ``poison_threshold`` distinct workers is quarantined as a recorded
-        poison failure, and every transition is journalled under
-        ``checkpoint_dir`` so a killed supervisor resumes mid-grid.
+        ``fleet_size`` long-lived workers heartbeat their leases: a dead or
+        stalled worker is detected within ``heartbeat_timeout`` seconds and
+        its cell is re-dispatched to a survivor, a cell that raises is
+        retried up to ``cell_retries`` times and otherwise recorded as a
+        failure, a cell that kills ``poison_threshold`` distinct workers
+        (a crash, or a hang past ``cell_timeout``) is quarantined as a
+        recorded poison failure, and every transition is journalled under
+        ``checkpoint_dir`` so a rerun resumes mid-grid, serving finished
+        cells from their checkpoints.
         Completed cells are bit-identical to the serial run regardless of
         fleet churn (``chaos``, a
         :class:`~repro.resilience.faultinject.ChaosPlan`, injects that

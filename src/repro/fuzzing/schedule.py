@@ -3,8 +3,8 @@
 The paper's μCFuzz picks mutators uniformly at random (Algorithm 1).
 FunFuzz-style evolutionary outer loops do better: mutators that keep
 producing coverage, crashes, or at least compilable mutants should be
-tried first, and chronic losers should be retired and flagged for
-replacement invention.  :class:`MutatorScheduler` implements that as a
+tried first, and chronic losers should be retired.
+:class:`MutatorScheduler` implements that as a
 deterministic multi-armed bandit over the per-mutator yield counters the
 fuzzer records (see :data:`MUTATOR_STAT_KEYS`):
 
@@ -18,11 +18,10 @@ fuzzer records (see :data:`MUTATOR_STAT_KEYS`):
   chance (the exploration floor plus an optimistic prior for barely-tried
   arms).
 * **Retirement** permanently removes an arm whose fitness stays below
-  ``retire_below`` after ``retire_after`` attempts, records it on the
-  attached :class:`~repro.resilience.circuit.MutatorQuarantine` (firing
-  its ``on_retire`` hook), and queues a replacement request carrying the
-  retired mutator's category/action/structure metadata for the MetaMut
-  invention loop.
+  ``retire_below`` after ``retire_after`` attempts and records it on the
+  attached :class:`~repro.resilience.circuit.MutatorQuarantine` (its
+  ``retirements`` stats and the campaign's ``quarantine … reason="retired"``
+  events).
 
 RNG-neutrality contract (the quarantine-consult rule): the scheduler owns
 a private :class:`random.Random` derived from the campaign cell seed and
@@ -101,9 +100,6 @@ class MutatorScheduler:
         self.retire_below = retire_below
         #: Names this scheduler retired (mirrors the quarantine's set).
         self.retired: set[str] = set()
-        #: Replacement-invention requests, one per retirement, carrying the
-        #: retired mutator's template metadata for the MetaMut loop.
-        self.replacements: list[dict] = []
         self._stats: dict | None = None
         self._quarantine: "MutatorQuarantine | None" = None
 
@@ -173,30 +169,15 @@ class MutatorScheduler:
 
     # -- population management ---------------------------------------------
 
-    def retire(self, info: "MutatorInfo | str", rec: dict | None = None) -> bool:
-        """Retire one arm and queue its replacement-invention request."""
+    def retire(self, info: "MutatorInfo | str") -> bool:
+        """Retire one arm (and record it on the quarantine); True iff new."""
         name = info if isinstance(info, str) else info.name
         if name in self.retired:
             return False
         self.retired.add(name)
         if self._quarantine is not None:
             self._quarantine.retire(name, reason="low-fitness")
-        self.replacements.append(
-            {
-                "name": name,
-                "category": getattr(info, "category", ""),
-                "action": getattr(info, "action", ""),
-                "structure": getattr(info, "structure", ""),
-                "attempts": (rec or {}).get("attempts", 0),
-                "fitness": round(self.fitness(rec) or 0.0, 6),
-            }
-        )
         return True
-
-    def drain_replacement_requests(self) -> list[dict]:
-        """Hand the queued invention requests to a MetaMut loop (once)."""
-        drained, self.replacements = self.replacements, []
-        return drained
 
     # -- ordering ----------------------------------------------------------
 
@@ -220,7 +201,7 @@ class MutatorScheduler:
                 continue
             rec = stats.get(name)
             if self.should_retire(rec):
-                self.retire(info, rec)
+                self.retire(info)
                 continue
             live.append((name, info))
         keyed = []

@@ -11,9 +11,8 @@ after the changed check).
 
 The quarantine also tracks the scheduler's population management
 (:mod:`repro.fuzzing.schedule`): :meth:`retire` permanently removes a
-chronic low-fitness mutator, fires the ``on_retire`` hook so a MetaMut
-invention loop can be flagged to invent a replacement, and surfaces the
-retired set in :meth:`stats`.  All state transitions are pure functions of
+chronic low-fitness mutator and surfaces the retired set in
+:meth:`stats`.  All state transitions are pure functions of
 the observed event sequence, so quarantine and retirement decisions are
 deterministic and identical across serial, parallel, and fabric campaign
 runs.
@@ -22,7 +21,6 @@ runs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 
 @dataclass(frozen=True)
@@ -47,9 +45,6 @@ class MutatorQuarantine:
     events: list[QuarantineEvent] = field(default_factory=list)
     #: One event per retirement, in retirement order.
     retirements: list[QuarantineEvent] = field(default_factory=list)
-    #: Called as ``on_retire(name, reason)`` right after a retirement is
-    #: recorded — the MetaMut replacement-invention flag.
-    on_retire: "Callable[[str, str], None] | None" = None
     _consecutive: dict[str, int] = field(default_factory=dict)
     _quarantined: set[str] = field(default_factory=set)
     _retired: dict[str, str] = field(default_factory=dict)
@@ -78,8 +73,7 @@ class MutatorQuarantine:
         """Permanently retire a mutator; True iff newly retired.
 
         Retirement is the scheduler's fitness verdict, not a crash verdict:
-        it is recorded separately from breaker events and flags the
-        ``on_retire`` hook so an invention loop can grow a replacement.
+        it is recorded separately from breaker events.
         """
         if name in self._retired:
             return False
@@ -87,8 +81,6 @@ class MutatorQuarantine:
         self.retirements.append(
             QuarantineEvent(name, self._consecutive.get(name, 0), reason)
         )
-        if self.on_retire is not None:
-            self.on_retire(name, reason)
         return True
 
     @property

@@ -7,9 +7,12 @@ the kernel OOM-killed it), and a hang.  Faults are keyed on the *attempt*
 number, so a test can make the first attempt fail and the retry succeed —
 which is exactly the scenario the per-cell retry exists for.
 
-``kind="exit"`` and ``kind="hang"`` must only be used with process
-isolation (``parallelism > 1`` or ``cell_timeout`` set): fired in-process
-they would take the caller down, which is the behaviour they simulate.
+``kind="exit"`` and ``kind="hang"`` must only be used with the fabric's
+worker processes (``Campaign.run_fabric``): fired in-process they would
+take the caller down, which is the behaviour they simulate.  The fabric
+counts each such death against the cell and quarantines it as poison after
+``poison_threshold`` distinct workers; a hang is a death once it overruns
+``cell_timeout``.
 
 :class:`WorkerFault` and :class:`ChaosPlan` extend the same idea from
 cells to *workers* for the fabric layer (:mod:`repro.fabric`): a plan

@@ -37,7 +37,7 @@ EVENT_KINDS = frozenset(
         "llm",       # LLM requests / invocations
         "retry",     # retry/backoff events (resilience layer)
         "quarantine",  # mutator circuit-breaker trips
-        "cell",      # campaign-grid cell lifecycle (resilient runner)
+        "cell",      # campaign-grid cell lifecycle (fabric supervisor)
         "fabric",    # lease/worker lifecycle (fabric supervisor)
     }
 )

@@ -32,7 +32,10 @@ from repro.telemetry.metrics import merge_stats
 
 
 def load_results(checkpoint_dir: str | Path) -> list[tuple[str, CampaignResult]]:
-    """(cell key, result) for every successful checkpointed cell, key-sorted."""
+    """(cell key, result) for every successful checkpointed cell, key-sorted.
+
+    Failed cells and the fabric's journal (no ``result``) are skipped.
+    """
     store = CheckpointStore(checkpoint_dir)
     results = []
     for key in store.keys():
@@ -247,7 +250,7 @@ def main(argv: "list[str] | None" = None) -> int:
     source = parser.add_mutually_exclusive_group(required=True)
     source.add_argument(
         "--checkpoint-dir",
-        help="a run_resilient checkpoint directory (one JSON per cell)",
+        help="a run_fabric checkpoint directory (one JSON per cell)",
     )
     source.add_argument(
         "--result", help="a single CampaignResult JSON file (to_json output)"

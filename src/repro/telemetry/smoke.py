@@ -1,15 +1,17 @@
 """Telemetry CI smoke: schema-valid events, result parity with sink off.
 
 Runs one short campaign grid four ways — telemetry off, telemetry on
-(serial), telemetry on (parallel), and resilient-with-checkpoints — then
-asserts the telemetry layer's two contracts:
+(serial), telemetry on (parallel, through the fabric), and the fabric with
+checkpoints — then asserts the telemetry layer's two contracts:
 
-1. every JSONL event file written is schema-valid and non-empty, and
+1. every JSONL event file written (the cells' and the fabric's
+   ``grid.jsonl``) is schema-valid and non-empty, and
 2. the fuzzing results are bit-identical (``CampaignResult.to_json``)
    whether the sink is attached or not, serial or parallel.
 
 Finishes by rendering the crash-triage report from the checkpointed grid
-(the acceptance path of ``python -m repro.telemetry.report``).
+(the acceptance path of ``python -m repro.telemetry.report``), whose
+directory also holds the fabric's journal.
 """
 
 from __future__ import annotations
@@ -85,22 +87,27 @@ def main(argv: "list[str] | None" = None) -> int:
         if events <= 0:
             raise SystemExit("telemetry-smoke: event files are all empty")
 
-        # Resilient grid with checkpoints + grid telemetry, then the triage
+        # Fabric grid with checkpoints + grid telemetry, then the triage
         # report over the checkpoint directory (the acceptance path).
         ckpt = root / "ckpt"
         grid_dir = root / "events-grid"
         campaign = make_campaign(str(grid_dir))
-        outcomes = campaign.run_resilient(
-            GRID_FUZZERS, checkpoint_dir=str(ckpt)
+        outcomes = campaign.run_fabric(
+            GRID_FUZZERS, fleet_size=2, checkpoint_dir=str(ckpt)
         )
         if not all(o.ok for o in outcomes):
-            raise SystemExit("telemetry-smoke: a resilient cell failed")
+            raise SystemExit("telemetry-smoke: a fabric cell failed")
         if _results_json([o.result for o in outcomes]) != baseline:
             raise SystemExit(
-                "telemetry-smoke: resilient results diverged from baseline"
+                "telemetry-smoke: fabric results diverged from baseline"
             )
-        grid_events = validate_jsonl(grid_dir / "grid.jsonl")
-        if grid_events < len(outcomes):
+        grid_path = grid_dir / "grid.jsonl"
+        grid_events = validate_jsonl(grid_path)
+        cell_rows = [
+            row for row in map(json.loads, grid_path.read_text().splitlines())
+            if row["kind"] == "cell"
+        ]
+        if len(cell_rows) != len(outcomes):
             raise SystemExit(
                 "telemetry-smoke: grid.jsonl is missing cell lifecycle events"
             )

@@ -10,7 +10,14 @@ import pytest
 
 from repro.fuzzing.campaign import Campaign, CampaignResult
 from repro.fuzzing.mucfuzz import MuCFuzz
-from repro.fuzzing.parallel import CellOutcome, cell_key, run_cell, run_cells
+from repro.fabric import JOURNAL_KEY
+from repro.fuzzing.parallel import (
+    CellOutcome,
+    CellSpec,
+    cell_key,
+    run_cell,
+    run_cells,
+)
 from repro.llm.client import APIError, LLMClient
 from repro.llm.faults import Fault, FaultKind
 from repro.llm.model import Implementation, Invention, SimulatedLLM
@@ -267,70 +274,29 @@ def _same_result(a: CampaignResult, b: CampaignResult) -> bool:
     )
 
 
+_FAST = dict(heartbeat_interval=0.05, heartbeat_timeout=1.5)
+
+
 def test_injected_crash_recovered_by_retry_matches_serial(
     gcc, small_seeds, registry
 ):
     campaign = _campaign(gcc, small_seeds, registry)
     names = ("uCFuzz.s", "Csmith", "YARPGen")
     clean = campaign.run(names, parallelism=1)
-    outcomes = campaign.run_resilient(
+    outcomes = campaign.run_fabric(
         names,
-        parallelism=2,
+        fleet_size=2,
         cell_retries=1,
         faults={"uCFuzz.s": CellFault(kind="exit", attempts=(0,))},
+        **_FAST,
     )
     assert all(o.ok for o in outcomes)
     by_name = {o.spec.fuzzer_name: o for o in outcomes}
-    assert by_name["uCFuzz.s"].attempts == 2  # crashed once, retried
+    assert by_name["uCFuzz.s"].attempts == 2  # its worker died, re-dispatched
     assert by_name["Csmith"].attempts == 1
     for expect, got in zip(clean, outcomes):
         assert got.result is not None
         assert _same_result(expect, got.result)
-
-
-def test_persistent_crash_is_recorded_not_fatal(gcc, small_seeds, registry):
-    campaign = _campaign(gcc, small_seeds, registry, steps=15)
-    outcomes = campaign.run_resilient(
-        parallelism=3,
-        cell_retries=1,
-        faults={"GrayC": CellFault(kind="exit", attempts=None)},
-    )
-    assert len(outcomes) == 6
-    failed = [o for o in outcomes if o.failed]
-    assert len(failed) == 1
-    assert failed[0].spec.fuzzer_name == "GrayC"
-    assert failed[0].error_type == "worker-crash"
-    assert failed[0].attempts == 2  # original + one retry, both crashed
-    assert failed[0].result is None
-    assert sum(o.ok for o in outcomes) == 5
-
-
-def test_injected_raise_recorded_in_serial_mode(gcc, small_seeds, registry):
-    campaign = _campaign(gcc, small_seeds, registry, steps=10)
-    outcomes = campaign.run_resilient(
-        ("uCFuzz.s", "Csmith"),
-        parallelism=1,
-        cell_retries=0,
-        faults={"uCFuzz.s": CellFault(kind="raise", attempts=None)},
-    )
-    assert outcomes[0].failed
-    assert outcomes[0].error_type == "InjectedCellFault"
-    assert "injected cell fault" in outcomes[0].error
-    assert outcomes[1].ok
-
-
-def test_hang_times_out(gcc, small_seeds, registry):
-    campaign = _campaign(gcc, small_seeds, registry, steps=5)
-    outcomes = campaign.run_resilient(
-        ("uCFuzz.s",),
-        parallelism=1,
-        cell_timeout=1.0,
-        cell_retries=0,
-        faults={"uCFuzz.s": CellFault(kind="hang", attempts=None)},
-    )
-    assert outcomes[0].failed
-    assert outcomes[0].error_type == "timeout"
-    assert "wall-clock budget" in outcomes[0].error
 
 
 def test_checkpoint_resume_reruns_only_unfinished(
@@ -342,19 +308,23 @@ def test_checkpoint_resume_reruns_only_unfinished(
     ckpt = tmp_path / "checkpoints"
     # First run: one cell permanently broken — as if the campaign was killed
     # while that cell kept failing.
-    first = campaign.run_resilient(
+    first = campaign.run_fabric(
         names,
-        parallelism=2,
+        fleet_size=2,
         cell_retries=0,
         checkpoint_dir=ckpt,
         faults={"AFL++": CellFault(kind="raise", attempts=None)},
+        **_FAST,
     )
     assert sum(o.ok for o in first) == 3
     store = CheckpointStore(ckpt)
-    assert len(store) == 4  # the failure is persisted too (ok: false)
+    # The failure is persisted too (ok: false), next to the fabric journal.
+    assert sorted(store.keys()) == sorted(
+        [JOURNAL_KEY] + [cell_key(o.spec) for o in first]
+    )
     # Resume without the fault: only the failed cell reruns.
-    resumed = campaign.run_resilient(
-        names, parallelism=2, checkpoint_dir=ckpt
+    resumed = campaign.run_fabric(
+        names, fleet_size=2, checkpoint_dir=ckpt, **_FAST
     )
     assert all(o.ok for o in resumed)
     by_name = {o.spec.fuzzer_name: o for o in resumed}
@@ -365,6 +335,17 @@ def test_checkpoint_resume_reruns_only_unfinished(
     for expect, got in zip(clean, resumed):
         assert got.result is not None
         assert _same_result(expect, got.result)
+
+
+def test_parallel_run_names_every_failed_cell(gcc, small_seeds, registry):
+    campaign = _campaign(gcc, small_seeds, registry, steps=3)
+    with pytest.raises(RuntimeError) as excinfo:
+        campaign.run(("Csmith", "NoSuchFuzzer"), parallelism=2)
+    message = str(excinfo.value)
+    assert "1 of 2 campaign cells failed" in message
+    assert "NoSuchFuzzer on gcc" in message
+    assert "unknown fuzzer" in message
+    assert "Csmith" not in message
 
 
 def test_checkpoint_store_roundtrip_and_corruption(tmp_path):
@@ -432,6 +413,35 @@ def test_cell_key_ignores_fault_and_attempt(gcc, small_seeds, registry):
     assert cell_key(spec) != cell_key(other)
 
 
+def test_cell_key_is_pinned():
+    # Checkpoint dirs and fabric journals written by earlier versions must
+    # still resume: the key of a fixed spec never moves.  The seeds
+    # exercise repr's quoting and escaping.
+    import dataclasses
+
+    spec = CellSpec(
+        fuzzer_name="uCFuzz.s",
+        personality="gcc",
+        version="13.2",
+        bug_seed=99,
+        seeds=(
+            "int main() { return 0; }",
+            'char *s = "a\\n\'b";',
+            "/* μ */ int x;",
+        ),
+        steps=5,
+        cell_seed=1234,
+    )
+    assert cell_key(spec) == "uCFuzz.s-gcc-c1f1ae8750b1d751"
+    every_field = dataclasses.replace(
+        spec, fuzzer_name="Csmith", virtual_hours=1.5, sample_points=6,
+        quarantine_threshold=3, cache_maxsize=64, incremental=False,
+        paranoid=True, session=True, reference=True, batch_compile=True,
+        schedule=True, mutator_stats=False,
+    )
+    assert cell_key(every_field) == "Csmith-gcc-1b2ad5019737f0b4"
+
+
 # ---------------------------------------------------------------------------
 # Hung-worker reaping: SIGTERM deserters must not leak past the grid
 
@@ -447,7 +457,7 @@ def _ignore_sigterm_and_sleep():  # pragma: no cover - subprocess body
 def test_ensure_dead_escalates_to_sigkill():
     import multiprocessing as mp
 
-    from repro.fuzzing.parallel import ensure_dead
+    from repro.fabric.supervisor import ensure_dead
 
     proc = mp.get_context().Process(
         target=_ignore_sigterm_and_sleep, daemon=True
@@ -469,7 +479,7 @@ def test_ensure_dead_escalates_to_sigkill():
 def test_ensure_dead_on_finished_process_is_noop():
     import multiprocessing as mp
 
-    from repro.fuzzing.parallel import ensure_dead
+    from repro.fabric.supervisor import ensure_dead
 
     proc = mp.get_context().Process(target=int, daemon=True)
     proc.start()
@@ -479,7 +489,7 @@ def test_ensure_dead_on_finished_process_is_noop():
 
 
 # ---------------------------------------------------------------------------
-# The strict API: cell errors propagate; serial fallback is narrow
+# The serial loop: cell errors propagate; unpicklable specs stay in-process
 
 
 def test_run_cells_propagates_cell_errors(gcc, small_seeds, registry):
@@ -488,13 +498,13 @@ def test_run_cells_propagates_cell_errors(gcc, small_seeds, registry):
         ("uCFuzz.s",), faults={"uCFuzz.s": CellFault(kind="raise")}
     )
     with pytest.raises(InjectedCellFault):
-        run_cells(specs, parallelism=1)
+        run_cells(specs)
 
 
 def test_run_cells_serial_fallback_on_unpicklable_registry(gcc, small_seeds):
     # A registry holding a locally-defined mutator class cannot cross a
-    # process boundary; run_cells must fall back to the (identical) serial
-    # path instead of crashing — and still actually run the cells.
+    # process boundary; the fabric must run such cells in-process (the
+    # identical result) instead of crashing — and still actually run them.
     local_registry = MutatorRegistry()
 
     @register_mutator(

@@ -184,18 +184,15 @@ def test_quarantined_arms_draw_no_scheduler_entropy():
 
 
 # ---------------------------------------------------------------------------
-# Population management: retirement + replacement invention hook
+# Population management: retirement
 
 
-def test_chronic_loser_is_retired_with_replacement_request():
+def test_chronic_loser_is_retired():
     names = ["winner", "loser"]
     stats = zero_mutator_stats(names)
     stats["winner"].update(attempts=20, changed=18, compiled=15, coverage_gain=40)
     stats["loser"].update(attempts=20)  # never changed anything
-    flagged = []
-    quarantine = MutatorQuarantine(
-        threshold=None, on_retire=lambda name, reason: flagged.append((name, reason))
-    )
+    quarantine = MutatorQuarantine(threshold=None)
     scheduler = MutatorScheduler(11, retire_after=10)
     scheduler.attach(stats, quarantine)
     infos = {name: _info(name) for name in names}
@@ -204,13 +201,9 @@ def test_chronic_loser_is_retired_with_replacement_request():
     assert scheduler.retired == {"loser"}
     assert quarantine.retired == {"loser"}
     assert not quarantine.allows("loser")
-    assert flagged == [("loser", "low-fitness")]
-    (request,) = scheduler.drain_replacement_requests()
-    assert request["name"] == "loser"
-    assert request["category"] == "Statement"
-    assert request["attempts"] == 20
-    assert request["fitness"] == 0.0
-    assert scheduler.drain_replacement_requests() == []  # drained once
+    assert [(e.mutator, e.reason) for e in quarantine.retirements] == [
+        ("loser", "low-fitness")
+    ]
     stats_snapshot = quarantine.stats()
     assert stats_snapshot["retired_mutators"] == ["loser"]
     assert stats_snapshot["retirements"] == 1

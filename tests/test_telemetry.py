@@ -244,6 +244,16 @@ def _campaign(compilers, seeds, registry, telemetry_dir=None, steps=15):
     )
 
 
+#: A small, quick fleet for the fabric-backed grid tests.
+_FABRIC = dict(fleet_size=2, heartbeat_interval=0.05, heartbeat_timeout=1.5)
+
+
+def _cell_rows(grid) -> list[dict]:
+    """The ``cell`` lifecycle rows of a grid log (fabric rows skipped)."""
+    rows = [json.loads(line) for line in grid.read_text().splitlines()]
+    return [r for r in rows if r["kind"] == "cell"]
+
+
 class TestTelemetryParity:
     NAMES = ("uCFuzz.s", "AFL++")
 
@@ -269,6 +279,11 @@ class TestTelemetryParity:
             compilers, seeds, registry, telemetry_dir=str(tmp_path / "ev")
         ).run(self.NAMES, parallelism=2)
         assert [r.to_json() for r in on] == [r.to_json() for r in off]
+        # The fabric the parallel run drains through writes the grid log.
+        grid = tmp_path / "ev" / "grid.jsonl"
+        assert validate_jsonl(grid) > 0
+        cells = _cell_rows(grid)
+        assert [r["fields"]["status"] for r in cells] == ["ok"] * len(off)
 
     def test_run_campaign_with_explicit_session(self, registry, small_seeds, tmp_path):
         def result_for(session):
@@ -292,21 +307,21 @@ class TestTelemetryParity:
             telemetry_dir=str(tmp_path / "ev"), steps=10,
         )
         ckpt = tmp_path / "ckpt"
-        first = campaign.run_resilient(self.NAMES, checkpoint_dir=str(ckpt))
+        grid = tmp_path / "ev" / "grid.jsonl"
+        first = campaign.run_fabric(
+            self.NAMES, checkpoint_dir=str(ckpt), **_FABRIC
+        )
         assert all(o.ok for o in first)
-        rows = [
-            json.loads(l)
-            for l in (tmp_path / "ev" / "grid.jsonl").read_text().splitlines()
-        ]
+        rows = _cell_rows(grid)
         assert len(rows) == len(first)
         assert {r["fields"]["status"] for r in rows} == {"ok"}
         # Resume: every cell is served from its checkpoint and says so.
-        second = campaign.run_resilient(self.NAMES, checkpoint_dir=str(ckpt))
+        second = campaign.run_fabric(
+            self.NAMES, checkpoint_dir=str(ckpt), **_FABRIC
+        )
         assert all(o.from_checkpoint for o in second)
-        rows = [
-            json.loads(l)
-            for l in (tmp_path / "ev" / "grid.jsonl").read_text().splitlines()
-        ]
+        rows = _cell_rows(grid)
+        assert len(rows) == len(second)
         assert {r["fields"]["status"] for r in rows} == {"checkpoint-skip"}
 
     def test_grid_jsonl_lifecycle_across_interrupt_and_resume(
@@ -323,18 +338,14 @@ class TestTelemetryParity:
         def grid_rows():
             path = tmp_path / "ev" / "grid.jsonl"
             assert validate_jsonl(path) > 0
-            rows = [json.loads(l) for l in path.read_text().splitlines()]
-            return {
-                r["name"]: r["fields"]["status"]
-                for r in rows
-                if r["kind"] == "cell"
-            }
+            return {r["name"]: r["fields"]["status"] for r in _cell_rows(path)}
 
         # "Interrupted" run: one cell keeps failing, as if the campaign
         # was killed while it was retrying.
-        first = campaign.run_resilient(
+        first = campaign.run_fabric(
             self.NAMES, checkpoint_dir=str(ckpt), cell_retries=0,
             faults={"AFL++": CellFault(kind="raise", attempts=None)},
+            **_FABRIC,
         )
         by_key = grid_rows()
         failed = [o for o in first if o.failed]
@@ -344,7 +355,9 @@ class TestTelemetryParity:
             assert by_key[key] == ("ok" if outcome.ok else "failed")
         # Resume without the fault: finished cells announce the skip, the
         # previously-failed cells rerun and land as "ok".
-        second = campaign.run_resilient(self.NAMES, checkpoint_dir=str(ckpt))
+        second = campaign.run_fabric(
+            self.NAMES, checkpoint_dir=str(ckpt), **_FABRIC
+        )
         by_key = grid_rows()
         for outcome in second:
             key = cell_key(outcome.spec)
@@ -396,8 +409,8 @@ class TestTriageReport:
             default_compilers(), small_seeds[:10], registry, steps=40
         )
         ckpt = tmp_path / "ckpt"
-        outcomes = campaign.run_resilient(
-            ("uCFuzz.s",), checkpoint_dir=str(ckpt)
+        outcomes = campaign.run_fabric(
+            ("uCFuzz.s",), checkpoint_dir=str(ckpt), **_FABRIC
         )
         assert all(o.ok for o in outcomes)
         return ckpt
