@@ -15,9 +15,13 @@ compiler only reads the AST.  As a guard, every cache hit re-hashes the
 stored source and raises :class:`CacheInvariantError` if it no longer
 matches the key it was stored under.
 
-Consumers attach derived, per-entry artifacts (memoized coverage edge sets,
-feature vectors, mutation contexts) to ``FrontendEntry.memo`` so higher
-layers can cache without this module importing them.
+Consumers attach derived, per-text front-end artifacts (the driver's
+coverage/feature summary and per-decl summaries, declaration digests, μAST
+mutation contexts) to ``FrontendEntry.memo`` so higher layers can cache
+without this module importing them.  Middle-end records do not live here:
+they are keyed by content in the compiler's
+:class:`~repro.compiler.session.CompileSession`, and an entry's memo dies
+with the entry.
 """
 
 from __future__ import annotations
@@ -71,8 +75,9 @@ class FrontendEntry:
     parse_recursion: bool
     sema: Sema | None
     sema_diags: list[Diagnostic]
-    #: Scratch space for derived per-text artifacts owned by higher layers
-    #: (driver coverage/feature summaries, μAST contexts).
+    #: Scratch space for derived per-text front-end artifacts owned by
+    #: higher layers (driver coverage/feature summaries, decl digests, μAST
+    #: contexts).
     memo: dict[str, Any] = field(default_factory=dict)
 
     @property

@@ -82,9 +82,10 @@ def lower_to_asm(
     """Emit the whole module.
 
     ``fn_lowerer(fn, ctx) -> BackendResult`` overrides per-function lowering
-    (the incremental middle end replays unchanged functions through it); the
-    cumulative statistics and the module/function checkpoints always run
-    live, because they depend on the preceding functions' totals.
+    (the compile session replays the functions it already holds through
+    it; the plain middle end passes none); the cumulative statistics and
+    the module/function checkpoints always run live, because they depend on
+    the preceding functions' totals.
     """
     lines: list[str] = []
     cov = ctx.cov

@@ -23,10 +23,10 @@ class CoverageMap:
     edges: set[Edge] = field(default_factory=set)
     #: Optional event sink: when set, every :meth:`hit` *attempt* (including
     #: re-hits of already-covered edges) is appended as ``("cov", site,
-    #: outcome)``, in order.  The incremental middle end
-    #: (:mod:`repro.compiler.incremental`) records a compile's event stream
-    #: through this hook and replays it for unchanged functions.  Excluded
-    #: from :meth:`copy` and merge semantics.
+    #: outcome)``, in order.  The compile session
+    #: (:mod:`repro.compiler.session`) records a cached compile's event
+    #: stream through this hook and replays it for functions it has already
+    #: compiled.  Excluded from :meth:`copy` and merge semantics.
     journal: list | None = field(default=None, repr=False, compare=False)
 
     def hit(self, site: str, outcome: Hashable = True) -> None:

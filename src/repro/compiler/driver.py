@@ -23,20 +23,15 @@ from repro.compiler.bugs import BugRegistry
 from repro.compiler.coverage import CoverageMap
 from repro.compiler.crash import CompilerCrash, CompilerHang
 from repro.compiler.flatir import BridgeCounters
-from repro.compiler.incremental import (
-    assert_results_equal,
-    lower_and_optimize,
-)
 from repro.compiler.ir import IRModule
 from repro.compiler.session import (
     CompileSession,
+    assert_results_equal,
+    lower_and_optimize,
     lower_and_optimize_session,
     middle_memo_key,
 )
 from repro.telemetry.spans import Tracer
-
-#: Sentinel for "use the compiler's own session" on per-call overrides.
-_SESSION_DEFAULT = object()
 
 
 @dataclass
@@ -81,8 +76,6 @@ class Compiler:
         personality: str,
         version: str,
         bug_seed: int = 20240427,
-        cache: FrontendCache | None = None,
-        session: CompileSession | None = None,
         reference: bool = False,
     ) -> None:
         assert personality in ("gcc-sim", "clang-sim")
@@ -91,11 +84,10 @@ class Compiler:
         self.name = f"{personality}-{version}"
         self.bug_seed = bug_seed
         self.bugs = BugRegistry.for_compiler(personality, seed=bug_seed)
-        #: Optional shared front-end cache; ``compile(cache=...)`` overrides.
-        self.cache = cache
-        #: Optional cross-step middle-end session; ``compile(session=...)``
-        #: overrides (``session=None`` there forces a session-less compile).
-        self.session = session
+        #: The middle end's reuse store.  Every compile given a front-end
+        #: cache interns its per-function artifacts here and replays the
+        #: ones it already holds; compiles without a cache never touch it.
+        self.compile_session = CompileSession()
         #: Run the object-IR reference pipeline (object irgen, the
         #: sequential five-pass local round, the object backend) instead of
         #: the default flat-native middle end, which keeps every function in
@@ -115,8 +107,8 @@ class Compiler:
         #: Stage spans accumulate into ``stage_timings``; a fuzzer's
         #: telemetry session may attach its sink/clock for event emission.
         self.tracer = Tracer(timings=self.stage_timings)
-        #: Compiles served by function-granular middle-end replay, and
-        #: incremental attempts that aborted back to a full middle end.
+        #: Cached compiles served, wholly or in part, from the session, and
+        #: session reuse attempts that aborted back to a fully live run.
         self.middle_incremental_hits = 0
         self.middle_incremental_fallbacks = 0
 
@@ -133,20 +125,19 @@ class Compiler:
         cache: FrontendCache | None = None,
         edits_from: tuple[str, tuple] | None = None,
         paranoid: bool = False,
-        session: "CompileSession | None" = _SESSION_DEFAULT,
     ) -> CompileResult:
         """Compile ``source_text``; never raises for input-driven outcomes.
 
+        With a ``cache`` the front end is shared through it and the middle
+        end runs against this compiler's :class:`CompileSession`, which
+        replays every function it has already compiled in the same context;
+        without one the compile runs the plain pipeline and records nothing.
         ``edits_from=(parent_text, edit_script)`` names the already-compiled
         program this text was mutated from, enabling dirty-region front-end
-        reuse and function-granular middle-end replay.  ``session`` (default:
-        the compiler's own) interns per-function middle-end artifacts across
-        compiles; pass ``session=None`` explicitly to force a session-less
-        run.  ``paranoid=True`` cross-checks every cached/incremental/
-        session-served compile against a from-scratch one and raises
-        ``IncrementalDivergence`` on any observable mismatch.
+        reuse.  ``paranoid=True`` cross-checks every cached compile against
+        a from-scratch one (no cache, object-IR reference pipeline) and
+        raises ``IncrementalDivergence`` on any observable mismatch.
         """
-        session = self.session if session is _SESSION_DEFAULT else session
         cov = CoverageMap()
         result = CompileResult(False, self.name, coverage=cov)
         features: dict = {
@@ -155,18 +146,12 @@ class Compiler:
             "personality": self.personality,
         }
         result.features = features
-        cache = cache if cache is not None else self.cache
-        journal: list | None = (
-            [] if cache is not None or session is not None else None
-        )
-        if journal is not None:
-            cov.journal = journal
         stages = ["frontend"]
         try:
             self._run_pipeline(
                 source_text, opt_level, flags, cov, features, result,
                 cache, edits_from=edits_from, paranoid=paranoid,
-                journal=journal, stages=stages, session=session,
+                stages=stages,
             )
         except CompilerCrash as crash:
             result.ok = False
@@ -186,19 +171,16 @@ class Compiler:
         if "backend" in stages:
             cost += 0.01 + 0.20 * u
         result.cost = cost
-        if paranoid and (cache is not None or session is not None):
+        if paranoid and cache is not None:
             # The from-scratch reference always runs the object pipeline, so
             # every paranoid check is also a flat-vs-object differential.
             reference_prev = self.reference
             self.reference = True
             try:
-                reference = self.compile(
-                    source_text, opt_level, flags, cache=None, session=None
-                )
+                reference = self.compile(source_text, opt_level, flags)
             finally:
                 self.reference = reference_prev
-            if session is not None:
-                session.paranoid_checks += 1
+            self.compile_session.paranoid_checks += 1
             assert_results_equal(result, reference)
         return result
 
@@ -209,26 +191,25 @@ class Compiler:
         flags: tuple[str, ...] = (),
         cache: FrontendCache | None = None,
         paranoid: bool = False,
-        session: "CompileSession | None" = _SESSION_DEFAULT,
         until=None,
     ) -> list[CompileResult]:
-        """Compile one mutation attempt set against one session.
+        """Compile one mutation attempt set against the compile session.
 
         ``requests`` is an iterable of ``(text, edits_from)`` pairs — lazily
         consumed, so a generator that draws fuzzer randomness keeps its exact
-        sequential draw order.  The first request's parent is materialized in
-        the session once per batch (if not already interned), so every
-        attempt's clean functions replay instead of re-lowering.  ``until``,
-        when given, is invoked with each result and truthy return stops the
-        batch early (μCFuzz's keep/crash early exit).
+        sequential draw order.  With a ``cache``, the first request's parent
+        is materialized in the session once per batch (if its result is not
+        already interned), so every attempt's clean functions replay instead
+        of re-lowering.  ``until``, when given, is invoked with each result
+        and truthy return stops the batch early (μCFuzz's keep/crash early
+        exit).
         """
-        session = self.session if session is _SESSION_DEFAULT else session
-        cache = cache if cache is not None else self.cache
+        session = self.compile_session
         results: list[CompileResult] = []
         materialized = False
         for text, edits_from in requests:
             if (
-                session is not None
+                cache is not None
                 and edits_from is not None
                 and not materialized
             ):
@@ -239,15 +220,12 @@ class Compiler:
                     # already compiled when it entered the pool, so this
                     # warm-up adds no coverage/pool state and consumes no
                     # fuzzer randomness.
-                    self.compile(
-                        parent_text, opt_level, flags,
-                        cache=cache, session=session,
-                    )
+                    self.compile(parent_text, opt_level, flags, cache=cache)
                     session.materializations += 1
                 materialized = True
             result = self.compile(
                 text, opt_level, flags, cache=cache, edits_from=edits_from,
-                paranoid=paranoid, session=session,
+                paranoid=paranoid,
             )
             results.append(result)
             if until is not None and until(result):
@@ -264,12 +242,11 @@ class Compiler:
         cov: CoverageMap,
         features: dict,
         result: CompileResult,
-        cache: FrontendCache | None = None,
-        edits_from: tuple[str, tuple] | None = None,
-        paranoid: bool = False,
-        journal: list | None = None,
-        stages: list | None = None,
-        session: "CompileSession | None" = None,
+        cache: FrontendCache | None,
+        *,
+        edits_from: tuple[str, tuple] | None,
+        paranoid: bool,
+        stages: list,
     ) -> None:
         # ---- Front end: lex/parse/sema, shared via the content cache. ----
         # The per-text summary (coverage edges, feature vector, diagnostics)
@@ -278,11 +255,12 @@ class Compiler:
         # because they depend on opt_level/flags.
         if cache is None:
             entry = analyze_front_end(source_text, tracer=self.tracer)
-            plan = None
+            plan = session = None
         else:
             entry, plan = cache.front_end_from(
                 source_text, edits_from, paranoid=paranoid, tracer=self.tracer
             )
+            session = self.compile_session
         summary = _frontend_summary(entry, plan, session)
         cov.merge(summary.edges)
         features.update(summary.features)
@@ -293,21 +271,18 @@ class Compiler:
         if entry.unit is None or result.diagnostics:
             return
 
-        # ---- Middle + back end (session- and incremental-aware). ---------
-        if stages is not None:
-            stages.append("middle")
-        if session is not None:
-            # The session path supersedes the journal/parent-memo machinery:
-            # reuse is content-keyed, so it fires across steps and lineages.
-            lower_and_optimize_session(
-                self, session, entry, opt_level, flags, cov, features,
-                result, journal=journal, plan=plan, stages=stages,
+        # ---- Middle + back end: the session with a cache, else plain. ----
+        stages.append("middle")
+        if session is None:
+            lower_and_optimize(
+                self, entry, opt_level, flags, cov, features, result,
+                stages=stages,
             )
-            return
-        lower_and_optimize(
-            self, entry, opt_level, flags, cov, features, result,
-            journal=journal, plan=plan, stages=stages,
-        )
+        else:
+            lower_and_optimize_session(
+                self, entry, opt_level, flags, cov, features, result,
+                plan=plan, stages=stages,
+            )
 
     def _personality_flags(self, flags: tuple[str, ...]) -> tuple[str, ...]:
         extra: tuple[str, ...] = ()

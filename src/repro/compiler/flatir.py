@@ -507,11 +507,11 @@ class FlatFunction:
 class FunctionSnapshot:
     """A cheap point-in-time copy of a function, captured as a buffer.
 
-    Replaces the ``copy.deepcopy(fn)`` snapshots the session/incremental
-    middle ends record for inline candidates: :meth:`of` walks the function
-    once into flat arrays (no per-node deepcopy dispatch) — or, for a
-    buffer-backed :class:`FlatFunction`, just clones the arrays with no
-    bridge crossing at all — and :meth:`materialize` decodes it back on
+    The compile session records one per inline candidate (the body callers
+    inline by value) instead of a ``copy.deepcopy(fn)``: :meth:`of` walks
+    the function once into flat arrays (no per-node deepcopy dispatch) — or,
+    for a buffer-backed :class:`FlatFunction`, just clones the arrays with
+    no bridge crossing at all — and :meth:`materialize` decodes it back on
     first use and memoizes the result.  Sharing one materialized function
     across reuses is safe because the inliner deep-copies candidate bodies
     into callers and never mutates the candidate itself; sharing

@@ -123,11 +123,13 @@ def candidate_map(module, ctx: OptContext) -> dict:
 def run_pipeline(module, ctx: OptContext) -> None:
     """Run the optimization pipeline at the context's -O level.
 
-    Kept decomposed into per-function stage entry points (:func:`local_opt`,
-    :func:`stage_passes`, :func:`cleanup_opt`) so the incremental middle end
-    (:mod:`repro.compiler.incremental`) and the compile session can replay
-    unchanged functions and re-run only the dirty ones while preserving the
-    exact per-function event order of this loop.
+    The plain middle end (every compile without a front-end cache) runs
+    this loop as is.  It is built from per-function stage entry points
+    (:func:`local_opt`, :func:`stage_passes`, :func:`cleanup_opt`) so that
+    the compile session (:mod:`repro.compiler.session`), which walks the
+    same order function by function, can replay the functions it already
+    holds and run only the others, with the exact per-function event order
+    of this loop.
     """
     if ctx.opt_level <= 0:
         return

@@ -14,8 +14,8 @@ from repro.compiler.ir import Block, IRFunction, Operand, Temp
 class OptStats:
     counters: Counter = field(default_factory=Counter)
     #: Optional event sink mirroring :attr:`CoverageMap.journal`: every bump
-    #: is appended as ``("stat", key, n)`` so the incremental middle end can
-    #: replay an unchanged function's statistics without re-running passes.
+    #: is appended as ``("stat", key, n)`` so the compile session can replay
+    #: a known function's statistics without re-running passes.
     journal: list | None = field(default=None, repr=False, compare=False)
 
     def bump(self, key: str, n: int = 1) -> None:

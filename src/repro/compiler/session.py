@@ -1,19 +1,26 @@
-"""Cross-step middle-end compile sessions: content-keyed IR interning.
+"""The middle end: the plain pipeline and the compile session.
 
-PR 3's incremental middle end replays a clean function's journal slice from
-its *parent's* recorded run — every mutant still pays O(parent events) per
-clean function, and the reuse chain is pinned to one parent lineage.  A
-:class:`CompileSession` generalizes that into a persistent, cross-step store:
-per-function middle-end artifacts (IR generation replay segments, per-phase
-optimizer segments, the final post-pipeline IR object, backend asm/stats) are
-interned under a **content key** that captures everything the function's
-middle-end run can observe.  Any mutant whose function hashes to a known key
-skips irgen, the optimizer, and the backend for that function entirely —
-regardless of which program the record was made in.
+A compile without a :class:`~repro.cast.cache.FrontendCache` (the program
+generators, AFL++, ``use_cache=False`` fuzzers, paranoid mode's from-scratch
+reference) runs the plain pipeline, :func:`lower_and_optimize`: whole-module
+IR generation, :func:`repro.compiler.passes.run_pipeline` and
+:func:`repro.compiler.backend.lower_to_asm`.  It records nothing.
+
+A compile that carries a cache runs :func:`lower_and_optimize_session`
+against its compiler's own :class:`CompileSession`, the middle end's one
+reuse mechanism.  The session interns per-function middle-end artifacts (IR
+generation replay segments, per-phase optimizer segments, the final
+post-pipeline IR object, backend asm/stats) under a **content key** that
+captures everything the function's middle-end run can observe.  Any compile
+whose function hashes to a known key skips irgen, the optimizer, and the
+backend for that function entirely, whichever program the record was made
+in: a mutant's unchanged siblings, a pool member's functions on the next
+step, a mutant of a mutant.  A second compile of the same text and options
+replays the whole recorded result.
 
 The key must cover all cross-declaration state the middle end reads:
 
-* the options tuple (personality, bug seed, -O level, flags);
+* the options tuple (personality, bug seed, -O level, flags, pipeline);
 * the enum-constant table (``_collect_enums`` walks the whole unit);
 * the *environment digest* — per-decl header text for function definitions
   (signature only; bodies are invisible to other decls) and full text for
@@ -30,47 +37,48 @@ The key must cover all cross-declaration state the middle end reads:
 Inlining is the one pass that makes one function's events depend on another
 function's *body*.  Records therefore carry the recording module's inline
 candidate name-set and a digest over the candidates' (name, content key)
-pairs; reuse aborts — falling back to a fully live, self-recording run —
-whenever the current module's candidate situation differs (a dirty function
-is or was a candidate, candidate sets disagree across records, or a
-candidate's body key changed).
+pairs.  Reuse aborts (:class:`_MiddleAbort`) whenever the current module's
+candidate situation differs: a dirty function is or was a candidate,
+candidate sets disagree across records, or a candidate's body key changed.
+An abort falls back to a fully live, self-recording run.  It is safe mid-run
+because everything applied up to that point is a prefix of what the live run
+produces: coverage hits are idempotent set-inserts and the feature dict has
+not been merged yet.
 
-Replay is segment-compiled: each recorded journal slice is split at
-bug-checkpoint events into ``(coverage edge set, stats deltas, checkpoint)``
-segments.  Coverage applies as one bulk set-union and stats as direct counter
-adds — O(unique sites), not O(events) — while checkpoints run live through
-the bug registry with the evolving feature dict, preserving crash identity
-and the exact abort point of a seeded crash.
+Replay is segment-compiled: each recorded journal slice (the ``("cov", ...)``,
+``("stat", ...)`` and ``("check", ...)`` events a live run appends to its
+compile's journal) is split at bug-checkpoint events into ``(coverage edge
+set, stats deltas, checkpoint)`` segments.  Coverage applies as one bulk
+set-union and stats as direct counter adds — O(unique sites), not O(events) —
+while checkpoints run live through the bug registry with the evolving
+feature dict, preserving crash identity and the exact abort point of a
+seeded crash.
 
-``paranoid=True`` on :meth:`Compiler.compile` cross-checks every
-session-served compile against a cold run (no cache, no session) via
-:func:`~repro.compiler.incremental.assert_results_equal`.
+``paranoid=True`` on :meth:`Compiler.compile` cross-checks every cached
+compile against a from-scratch plain compile through the object-IR reference
+pipeline via :func:`assert_results_equal`.
 """
 
 from __future__ import annotations
 
 from collections import Counter, OrderedDict
 from dataclasses import dataclass, field
+from operator import itemgetter
 
+from repro.cast import ast_nodes as ast
 from repro.cast.cache import decl_digests, source_digest
+from repro.cast.incremental import IncrementalDivergence
 from repro.compiler.backend import BackendResult, _lower_function, lower_to_asm
 from repro.compiler.flatir import FunctionSnapshot
 from repro.compiler.ir import IRFunction, IRModule
-from repro.compiler.irgen import LoweringError
-from repro.compiler.incremental import (
-    _MiddleAbort,
-    _decl_kind,
-    _stats_delta,
-    middle_memo_key,
-    new_irgen,
-    new_opt_context,
-)
+from repro.compiler.irgen import FlatIRGen, IRGen, LoweringError
 from repro.compiler.passes import (
     OptContext,
     candidate_map,
     cleanup_opt,
     is_inlinable,
     local_opt,
+    run_pipeline,
     stage_passes,
 )
 from repro.telemetry.spans import span
@@ -81,6 +89,68 @@ from repro.telemetry.spans import span
 DEFAULT_SESSION_SIZE = 4096
 #: Default bound on whole-result memos (same-text recompiles).
 DEFAULT_RESULT_SIZE = 2048
+
+_EVENT_TAG = itemgetter(0)
+_EVENT_EDGE = itemgetter(1, 2)
+
+
+class _MiddleAbort(Exception):
+    """Internal: session reuse hit an inconsistent state."""
+
+
+def middle_memo_key(compiler, opt_level: int, flags: tuple) -> str:
+    """The options part of every session key (and of whole-result keys).
+
+    The key also names the pipeline: flat-native runs record
+    :class:`~repro.compiler.flatir.FlatFunction` objects, so they must never
+    share a record with reference (object-IR) runs.
+    """
+    suffix = "" if compiler.reference else ":flat-native"
+    return (
+        f"middle:{compiler.name}:{compiler.bug_seed}:{opt_level}:"
+        f"{','.join(flags)}{suffix}"
+    )
+
+
+def new_irgen(compiler, entry, cov):
+    """IR generation for ``compiler``'s pipeline.
+
+    The default is buffer-direct: functions are emitted straight into
+    :class:`~repro.compiler.flatir.IRBuffer` rows, and replayed records
+    re-inject their :class:`~repro.compiler.flatir.FlatFunction` carriers
+    verbatim (zero bridge crossings).  The reference builds object IR.
+    """
+    if compiler.reference:
+        return IRGen(entry.sema, cov)
+    return FlatIRGen(entry.sema, cov, counters=compiler.bridge)
+
+
+def new_opt_context(compiler, cov, opt_level: int, flags: tuple, checkpoint):
+    """The optimizer/backend context of one middle-end run."""
+    return OptContext(
+        cov=cov,
+        opt_level=opt_level,
+        flags=compiler._personality_flags(flags),
+        checkpoint=checkpoint,
+        flat=not compiler.reference,
+        bridge=compiler.bridge,
+    )
+
+
+def _stats_delta(before: Counter, after: Counter) -> tuple:
+    return tuple(
+        (k, after[k] - before.get(k, 0))
+        for k in after
+        if after[k] != before.get(k, 0)
+    )
+
+
+def _decl_kind(decl) -> tuple[str, str | None]:
+    if isinstance(decl, ast.FunctionDecl) and decl.body is not None:
+        return "fn", decl.name
+    if isinstance(decl, ast.VarDecl):
+        return "var", decl.name
+    return "other", getattr(decl, "name", None)
 
 
 def _digest(*parts) -> str:
@@ -110,7 +180,13 @@ def _segments(events: tuple) -> tuple:
     stats are sums), then the checkpoint itself, which must run live and in
     order because it can raise a seeded crash.  A crash truncates the event
     stream exactly where the original run stopped.
+
+    Every live declaration is compiled at commit, replayed or not, so the
+    common slice — coverage only, as IR generation's always is — takes a
+    loop-free path.
     """
+    if set(map(_EVENT_TAG, events)) <= {"cov"}:
+        return ((frozenset(map(_EVENT_EDGE, events)), (), None),)
     segs: list = []
     edges: list = []
     stats: list = []
@@ -168,7 +244,12 @@ class SessionResult:
 
 
 class CompileSession:
-    """A persistent cross-step store of interned middle-end artifacts."""
+    """A persistent cross-step store of interned middle-end artifacts.
+
+    Every :class:`~repro.compiler.driver.Compiler` owns one
+    (``compile_session``); only compiles that carry a front-end cache read
+    or write it, so a compiler that never gets a cache keeps it empty.
+    """
 
     def __init__(
         self,
@@ -324,13 +405,11 @@ class _SessionRun:
         self.candidate_names: frozenset = frozenset()
         self.candidates_digest = ""
 
-        def checkpoint(point: str, extra: dict) -> None:
-            self.journal.append(("check", point, dict(extra)))
-            merged = dict(self.features)
-            merged.update(extra)
-            self.compiler.bugs.check(point, merged)
-
-        self.checkpoint = checkpoint
+    def checkpoint(self, point: str, extra: dict) -> None:
+        self.journal.append(("check", point, dict(extra)))
+        merged = dict(self.features)
+        merged.update(extra)
+        self.compiler.bugs.check(point, merged)
 
     # -- replay ------------------------------------------------------------
 
@@ -575,73 +654,47 @@ class _SessionRun:
             )
 
 
-def lower_and_optimize_session(
-    compiler,
-    session: CompileSession,
-    entry,
-    opt_level: int,
-    flags: tuple,
-    cov,
-    features: dict,
-    result,
-    *,
-    journal: list,
-    plan=None,
-    stages: list | None = None,
-) -> None:
-    """The session-backed middle end + back end of ``Compiler.compile``.
+class _PlainRun:
+    """One plain middle-end run: the whole-module entry points, no records."""
 
-    Replaces :func:`repro.compiler.incremental.lower_and_optimize` when the
-    compile carries a :class:`CompileSession`: per-function reuse is keyed on
-    content, not parent lineage, so it also fires across steps, across pool
-    members, and on mutants of mutants.  A reuse inconsistency aborts to a
-    fully live run that re-records every declaration.
+    journal = None
+
+    def __init__(
+        self, compiler, entry, opt_level: int, flags: tuple, cov,
+        features: dict,
+    ) -> None:
+        self.compiler = compiler
+        self.unit = entry.unit
+        self.opt_level = opt_level
+        self.flags = flags
+        self.cov = cov
+        self.features = features
+        self.irgen = new_irgen(compiler, entry, cov)
+
+    def checkpoint(self, point: str, extra: dict) -> None:
+        merged = dict(self.features)
+        merged.update(extra)
+        self.compiler.bugs.check(point, merged)
+
+    def lower(self) -> IRModule:
+        return self.irgen.lower(self.unit)
+
+    def optimize(self, module: IRModule, ctx: OptContext) -> None:
+        run_pipeline(module, ctx)
+
+    def backend(self, module: IRModule, ctx: OptContext) -> BackendResult:
+        return lower_to_asm(module, ctx)
+
+
+def _run_stages(run, result, stages: list) -> bool:
+    """IR generation, the optimizer and the back end through ``run``.
+
+    ``run`` (a :class:`_PlainRun` or a :class:`_SessionRun`) supplies the
+    three stages; the spans, the feature merges and the ``ir-gen`` /
+    ``optimization`` / ``back-end`` bug checks between them are shared.
+    Returns False when lowering failed (a diagnostic, not a crash).
     """
-    options = middle_memo_key(compiler, opt_level, tuple(flags))
-    result_key = (options, entry.source_hash)
-    with span(compiler.tracer, "session"):
-        memo = session.result_for(result_key)
-    if memo is not None:
-        session.result_hits += 1
-        _replay_session_result(memo, cov, features, result, stages)
-        return
-    try:
-        _run_session(
-            compiler, session, entry, opt_level, flags, cov, features,
-            result, journal, plan, stages, result_key, reuse=True,
-        )
-    except _MiddleAbort:
-        session.aborts += 1
-        # Same prefix property as the incremental middle end: everything
-        # applied so far (idempotent coverage inserts, unmerged features) is
-        # a subset of what the live run recomputes.  Stale replayed function
-        # objects in the half-built module are discarded with it.
-        journal.clear()
-        _run_session(
-            compiler, session, entry, opt_level, flags, cov, features,
-            result, journal, plan, stages, result_key, reuse=False,
-        )
-
-
-def _run_session(
-    compiler,
-    session,
-    entry,
-    opt_level,
-    flags,
-    cov,
-    features,
-    result,
-    journal,
-    plan,
-    stages,
-    result_key,
-    reuse,
-) -> None:
-    run = _SessionRun(
-        compiler, session, entry, opt_level, flags, cov, features, journal,
-        plan, reuse,
-    )
+    compiler, features = run.compiler, run.features
     try:
         with span(compiler.tracer, "irgen"):
             module = run.lower()
@@ -649,53 +702,106 @@ def _run_session(
         result.diagnostics.append(f"sorry, unimplemented: {exc}")
         features["lowering_failed"] = 1
         compiler.bugs.check("ir-gen", features)
-        session.store_result(
-            result_key,
-            SessionResult(
-                ok=False,
-                diagnostics=tuple(result.diagnostics),
-                asm="",
-                module=None,
-                features=dict(features),
-                edges=frozenset(cov.edges),
-                stages=tuple(stages) if stages is not None else (),
-            ),
-        )
-        return
+        return False
     features.update(run.irgen.stats.counters)
     compiler.bugs.check("ir-gen", features)
 
     with span(compiler.tracer, "opt"):
         ctx = new_opt_context(
-            compiler, cov, opt_level, flags, run.checkpoint
+            compiler, run.cov, run.opt_level, run.flags, run.checkpoint
         )
-        ctx.stats.journal = journal
+        ctx.stats.journal = run.journal
         run.optimize(module, ctx)
     features.update(ctx.stats.counters)
     compiler.bugs.check("optimization", features)
 
     with span(compiler.tracer, "backend"):
         be = run.backend(module, ctx)
-    if stages is not None:
-        stages.append("backend")
+    stages.append("backend")
     features.update(be.stats)
     compiler.bugs.check("back-end", features)
 
     result.ok = True
     result.asm = be.asm
     result.module = module
+    return True
+
+
+def lower_and_optimize(
+    compiler, entry, opt_level: int, flags: tuple, cov, features: dict,
+    result, *, stages: list,
+) -> None:
+    """The middle end + back end of a compile without a cache."""
+    _run_stages(
+        _PlainRun(compiler, entry, opt_level, flags, cov, features),
+        result, stages,
+    )
+
+
+def lower_and_optimize_session(
+    compiler, entry, opt_level: int, flags: tuple, cov, features: dict,
+    result, *, plan=None, stages: list,
+) -> None:
+    """The middle end + back end of a cached compile, through the session.
+
+    Runs against ``compiler.compile_session``.  A reuse inconsistency aborts
+    to a fully live run that re-records every declaration.  The compiler
+    counts each compile whose whole result, or at least one declaration, was
+    served from the session and ran to the end (``middle_incremental_hits``),
+    and each abort (``middle_incremental_fallbacks``).
+    """
+    session = compiler.compile_session
+    options = middle_memo_key(compiler, opt_level, tuple(flags))
+    result_key = (options, entry.source_hash)
     with span(compiler.tracer, "session"):
-        run.commit(module)
-        session.store_result(
+        memo = session.result_for(result_key)
+    if memo is not None:
+        session.result_hits += 1
+        compiler.middle_incremental_hits += 1
+        _replay_session_result(memo, cov, features, result, stages)
+        return
+    # Live declarations capture their events from this journal.
+    journal = cov.journal = []
+    try:
+        run = _SessionRun(
+            compiler, session, entry, opt_level, flags, cov, features,
+            journal, plan, reuse=True,
+        )
+        try:
+            _run_session(run, result_key, result, stages)
+        except _MiddleAbort:
+            compiler.middle_incremental_fallbacks += 1
+            session.aborts += 1
+            # Stale replayed function objects in the half-built module are
+            # discarded with the run; the live run re-records everything.
+            journal.clear()
+            run = _SessionRun(
+                compiler, session, entry, opt_level, flags, cov, features,
+                journal, plan, reuse=False,
+            )
+            _run_session(run, result_key, result, stages)
+        else:
+            if run.reused:
+                compiler.middle_incremental_hits += 1
+    finally:
+        cov.journal = None
+
+
+def _run_session(run, result_key, result, stages: list) -> None:
+    lowered = _run_stages(run, result, stages)
+    with span(run.compiler.tracer, "session"):
+        if lowered:
+            run.commit(result.module)
+        run.session.store_result(
             result_key,
             SessionResult(
-                ok=True,
-                diagnostics=(),
-                asm=be.asm,
-                module=module,
-                features=dict(features),
-                edges=frozenset(cov.edges),
-                stages=tuple(stages) if stages is not None else (),
+                ok=result.ok,
+                diagnostics=tuple(result.diagnostics),
+                asm=result.asm,
+                module=result.module,
+                features=dict(run.features),
+                edges=frozenset(run.cov.edges),
+                stages=tuple(stages),
             ),
         )
 
@@ -710,7 +816,52 @@ def _replay_session_result(
     result.ok = memo.ok
     result.asm = memo.asm
     result.module = memo.module
-    if stages is not None:
-        for stage in memo.stages:
-            if stage not in stages:
-                stages.append(stage)
+    for stage in memo.stages:
+        if stage not in stages:
+            stages.append(stage)
+
+
+def assert_results_equal(inc, full) -> None:
+    """Raise :class:`IncrementalDivergence` unless two CompileResults match.
+
+    ``inc`` is the result produced with the cache and the session, ``full``
+    a from-scratch compile of the same text and options.  Every observable
+    field must agree; modules are compared by dump.
+    """
+
+    def _fail(aspect: str, a, b):
+        raise IncrementalDivergence(
+            f"paranoid middle-end check failed on {aspect}: {a!r} != {b!r}"
+        )
+
+    if inc.ok != full.ok:
+        _fail("ok", inc.ok, full.ok)
+    if list(inc.diagnostics) != list(full.diagnostics):
+        _fail("diagnostics", inc.diagnostics, full.diagnostics)
+    inc_crash = inc.crash.bug_id if inc.crash else None
+    full_crash = full.crash.bug_id if full.crash else None
+    if inc_crash != full_crash:
+        _fail("crash", inc_crash, full_crash)
+    inc_hang = inc.hang.bug_id if inc.hang else None
+    full_hang = full.hang.bug_id if full.hang else None
+    if inc_hang != full_hang:
+        _fail("hang", inc_hang, full_hang)
+    if inc.asm != full.asm:
+        _fail("asm", len(inc.asm), len(full.asm))
+    if inc.coverage.edges != full.coverage.edges:
+        only_inc = list(inc.coverage.edges - full.coverage.edges)[:4]
+        only_full = list(full.coverage.edges - inc.coverage.edges)[:4]
+        _fail("coverage edges", only_inc, only_full)
+    if dict(inc.features) != dict(full.features):
+        diff = {
+            k: (inc.features.get(k), full.features.get(k))
+            for k in set(inc.features) | set(full.features)
+            if inc.features.get(k) != full.features.get(k)
+        }
+        _fail("features", diff, "")
+    if inc.cost != full.cost:
+        _fail("cost", inc.cost, full.cost)
+    inc_dump = inc.module.dump() if inc.module is not None else None
+    full_dump = full.module.dump() if full.module is not None else None
+    if inc_dump != full_dump:
+        _fail("module", len(inc_dump or ""), len(full_dump or ""))

@@ -106,7 +106,6 @@ def make_fuzzer(
     cache_maxsize: int | None = None,
     incremental: bool = True,
     paranoid: bool = False,
-    session: bool = False,
     batch_compile: bool = False,
     scheduler: "MutatorScheduler | None" = None,
     mutator_stats: bool | None = None,
@@ -118,16 +117,14 @@ def make_fuzzer(
         if quarantine_threshold is not None
         else None
     )
-    # ``session=True`` gives the μCFuzz variants a private per-cell
-    # CompileSession (cross-step middle-end memoization); the generator
-    # baselines ignore it, as they do the evolutionary scheduler.
-    session_arg = True if session else None
+    # The generator baselines ignore the μCFuzz knobs (batch compilation,
+    # the evolutionary scheduler).
     if name == "uCFuzz.s":
         fuzzer: Fuzzer = MuCFuzz(
             compiler, rng, seeds, registry.supervised(), name=name,
             quarantine=quarantine, cache_maxsize=cache_maxsize,
             incremental=incremental, paranoid=paranoid,
-            session=session_arg, batch_compile=batch_compile,
+            batch_compile=batch_compile,
             scheduler=scheduler, mutator_stats=mutator_stats,
         )
     elif name == "uCFuzz.u":
@@ -135,7 +132,7 @@ def make_fuzzer(
             compiler, rng, seeds, registry.unsupervised(), name=name,
             quarantine=quarantine, cache_maxsize=cache_maxsize,
             incremental=incremental, paranoid=paranoid,
-            session=session_arg, batch_compile=batch_compile,
+            batch_compile=batch_compile,
             scheduler=scheduler, mutator_stats=mutator_stats,
         )
     elif name == "AFL++":
@@ -243,12 +240,10 @@ class Campaign:
     quarantine_threshold: int | None = None
     #: Front-end cache capacity per cell (None = FrontendCache default).
     cache_maxsize: int | None = None
-    #: Incremental (dirty-region + function-granular) compilation per cell.
+    #: Dirty-region front ends for mutants (``edits_from``) per cell.
     incremental: bool = True
     #: Differentially check every incremental compile (slow; CI/tests only).
     paranoid: bool = False
-    #: Cross-step middle-end memoization: one CompileSession per cell.
-    session: bool = False
     #: Compile each μCFuzz step's attempt set as one session batch.
     batch_compile: bool = False
     #: Evolutionary mutator scheduling: give each μCFuzz cell a
@@ -292,7 +287,6 @@ class Campaign:
                 cache_maxsize=self.cache_maxsize,
                 incremental=self.incremental,
                 paranoid=self.paranoid,
-                session=self.session,
                 reference=compiler.reference,
                 batch_compile=self.batch_compile,
                 schedule=self.schedule,

@@ -8,7 +8,10 @@ Performance: all mutation attempts of one iteration target the same parent
 program, so the front end (lex/parse/sema) of the parent is computed once
 and shared through a :class:`~repro.cast.cache.FrontendCache`; the same
 cache backs ``Compiler.compile``'s front-end stage for mutants and no-op
-recompiles.  Pass ``use_cache=False`` to measure the uncached baseline.
+recompiles, and a cached compile replays every function the compiler's
+:class:`~repro.compiler.session.CompileSession` has already compiled (a
+mutant's unchanged siblings).  Pass ``use_cache=False`` to measure the
+uncached baseline, which runs the plain pipeline.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ import random
 
 from repro.cast.cache import FrontendCache
 from repro.compiler.driver import Compiler
-from repro.compiler.session import CompileSession
 from repro.muast.mutator import MutatorCrash, MutatorHang, apply_mutator
 from repro.muast.registry import MutatorInfo
 from repro.resilience.circuit import MutatorQuarantine
@@ -48,7 +50,6 @@ class MuCFuzz(CoverageGuidedFuzzer):
         incremental: bool = True,
         paranoid: bool = False,
         quarantine: MutatorQuarantine | None = None,
-        session: "CompileSession | bool | None" = None,
         batch_compile: bool = False,
         scheduler: MutatorScheduler | None = None,
         mutator_stats: bool | None = None,
@@ -56,21 +57,6 @@ class MuCFuzz(CoverageGuidedFuzzer):
         super().__init__(compiler, rng, seeds)
         self.mutators = list(mutators)
         self.name = name
-        # Cross-step middle-end memoization: ``True`` builds a private
-        # per-fuzzer session (one per campaign cell), an explicit
-        # ``CompileSession`` shares one, ``False`` force-disables whatever
-        # the compiler was constructed with, and ``None`` leaves the
-        # compiler's own ``session`` attribute alone.
-        if session is True:
-            compiler.session = CompileSession()
-        elif session is False:
-            compiler.session = None
-        elif session is not None:
-            compiler.session = session
-        self.session = compiler.session
-        #: Compile each step's mutation attempts as one batch against the
-        #: session (parent materialized once); requires a session.
-        self.batch_compile = batch_compile and self.session is not None
         if cache is not None:
             self.cache = cache
         elif use_cache:
@@ -81,8 +67,12 @@ class MuCFuzz(CoverageGuidedFuzzer):
             )
         else:
             self.cache = None
+        #: Compile each step's mutation attempts as one batch against the
+        #: compiler's session (parent materialized once); requires a cache.
+        self.batch_compile = batch_compile and self.cache is not None
         #: Feed mutant edit scripts to the compiler for dirty-region
-        #: front-end reuse and function-granular middle-end replay.
+        #: front-end reuse (the session's middle-end reuse is content-keyed
+        #: and needs no edit script).
         self.incremental = incremental and self.cache is not None
         #: Cross-check every cached/incremental compile against a full one.
         self.paranoid = paranoid
@@ -120,8 +110,8 @@ class MuCFuzz(CoverageGuidedFuzzer):
             scheduler.attach(self.stats["mutator_stats"], quarantine)
 
     def stats_snapshot(self) -> dict:
-        if self.session is not None:
-            self.stats.update(self.session.stats())
+        if self.cache is not None:
+            self.stats.update(self.compiler.compile_session.stats())
         # Object<->buffer bridge crossings: both pipelines hold them at
         # zero, so a nonzero count flags a function that decayed to object IR.
         self.stats["flat_encodes"] = self.compiler.bridge.encodes

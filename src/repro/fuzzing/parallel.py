@@ -68,10 +68,6 @@ class CellSpec:
     incremental: bool = True
     #: Cross-check every incremental compile against a full one (CI/tests).
     paranoid: bool = False
-    #: Give the cell's fuzzer a private CompileSession (cross-step
-    #: middle-end memoization).  Sessions are per-cell by construction —
-    #: a worker builds its own — so serial==parallel holds.
-    session: bool = False
     #: Compile through the object-IR reference pipeline
     #: (``Compiler(reference=True)``) instead of the default flat-native one.
     reference: bool = False
@@ -135,7 +131,9 @@ def cell_keys(specs: Sequence[CellSpec]) -> list[str]:
             spec.cache_maxsize,
             spec.incremental,
             spec.paranoid,
-            spec.session,
+            # The slot of the retired per-cell compile-session switch,
+            # pinned to its old default so existing keys still resume.
+            False,
             spec.reference,
             spec.batch_compile,
             spec.schedule,
@@ -234,7 +232,6 @@ def run_cell(spec: CellSpec) -> "CampaignResult":
         cache_maxsize=spec.cache_maxsize,
         incremental=spec.incremental,
         paranoid=spec.paranoid,
-        session=spec.session,
         batch_compile=spec.batch_compile,
         scheduler=scheduler,
         mutator_stats=spec.mutator_stats,

@@ -318,6 +318,3 @@ def smoke_main(argv: "list[str] | None" = None) -> int:
     )
     return 0
 
-
-if __name__ == "__main__":  # pragma: no cover - exercised by CI
-    raise SystemExit(smoke_main())

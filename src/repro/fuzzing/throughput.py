@@ -1,19 +1,20 @@
-"""Fuzzing-throughput measurement: reference vs. uncached vs. cached vs. incremental vs. session.
+"""Fuzzing-throughput measurement: reference vs. uncached vs. cached vs. incremental.
 
 The perf contract of the compile pipeline is measured here: the same μCFuzz
 run (same compiler, seeds, RNG seed — hence an identical step sequence) is
-executed five ways in one process.  The ``reference`` arm compiles through
+executed four ways in one process.  The ``reference`` arm compiles through
 the object-IR reference pipeline (``Compiler(reference=True)``) with no
 caches; every other arm runs the default flat-native middle end
-(buffer-direct irgen, the flat passes and backend, buffer-served journal
-replay): front end uncached, front-end cache only, fully incremental
-(dirty-region front end plus function-granular middle-end replay), and
-session (cross-step middle-end memoization through a persistent
-:class:`~repro.compiler.session.CompileSession` with batched per-step
-compilation).  The steps/sec ratios, cache hit-rates, and per-stage timing
-breakdown are written to ``BENCH_throughput.json`` so successive PRs
-accumulate a perf trajectory.  All runs must land on identical final
-coverage and pool sizes: the speedup changes no observable result.
+(buffer-direct irgen, the flat passes and backend): ``uncached`` runs the
+plain pipeline with no cache; ``cached`` shares the front end through a
+cache, which also puts every compile on the compiler's
+:class:`~repro.compiler.session.CompileSession` (content-keyed
+per-function middle-end reuse); ``incremental``, the default fuzzer
+configuration, adds the dirty-region front end for mutants.  The steps/sec
+ratios, cache and session hit-rates, and per-stage timing breakdown are
+written to ``BENCH_throughput.json`` so successive changes accumulate a
+perf trajectory.  All runs must land on identical final coverage and pool
+sizes: the speedup changes no observable result.
 
 Entry points:
 
@@ -22,8 +23,8 @@ Entry points:
   step budget that asserts the caches are actually hitting and no
   non-reference arm crosses the IR bridge (tier-2 CI);
 * ``paranoid-smoke`` / :func:`paranoid_main` — a paranoid-mode run where
-  every cached/incremental/session compile is differentially checked
-  against a from-scratch reference-pipeline compile; any divergence raises.
+  every cached compile is differentially checked against a from-scratch
+  reference-pipeline compile; any divergence raises.
 """
 
 from __future__ import annotations
@@ -64,8 +65,6 @@ def _build_fuzzer(
     incremental: bool = False,
     paranoid: bool = False,
     cache_maxsize: int | None = None,
-    session: bool = False,
-    batch_compile: bool = False,
     reference: bool = False,
 ):
     import repro.mutators  # noqa: F401  (populate the registry)
@@ -89,8 +88,6 @@ def _build_fuzzer(
         cache_maxsize=cache_maxsize,
         incremental=incremental,
         paranoid=paranoid,
-        session=True if session else None,
-        batch_compile=batch_compile,
     )
 
 
@@ -130,14 +127,13 @@ def _time_run(fuzzer, steps: int) -> dict:
     }
 
 
-#: The measured arms in gate order:
-#: (label, reference, use_cache, incremental, session).
+#: The measured arms in gate order: (label, reference, use_cache,
+#: incremental).  ``incremental`` is the default μCFuzz configuration.
 ARMS = (
-    ("reference", True, False, False, False),
-    ("uncached", False, False, False, False),
-    ("cached", False, True, False, False),
-    ("incremental", False, True, True, False),
-    ("session", False, True, True, True),
+    ("reference", True, False, False),
+    ("uncached", False, False, False),
+    ("cached", False, True, False),
+    ("incremental", False, True, True),
 )
 
 
@@ -147,12 +143,11 @@ def measure_throughput(
     n_seeds: int = DEFAULT_SEEDS,
     seed: int = 2024,
 ) -> dict:
-    """Run the reference through session arms (five of them).
+    """Run the four arms, reference through incremental.
 
     All runs use the same RNG seed; neither the pipeline, caching,
     incremental compilation, nor the compile session consumes fuzzer
-    randomness (the batched step path draws per attempt lazily, in the
-    sequential order), so they execute the identical step sequence and the
+    randomness, so they execute the identical step sequence and the
     comparison is apples-to-apples (also sanity-checked via final coverage
     and pool size, which must match exactly across all arms).
     """
@@ -160,10 +155,10 @@ def measure_throughput(
 
     seeds = generate_seeds(n_seeds)
     report: dict = {"fuzzer": fuzzer_name, "seed": seed, "n_seeds": n_seeds}
-    for label, reference, use_cache, incremental, session in ARMS:
+    for label, reference, use_cache, incremental in ARMS:
         fuzzer = _build_fuzzer(
             fuzzer_name, seeds, seed, use_cache, incremental=incremental,
-            session=session, batch_compile=session, reference=reference,
+            reference=reference,
         )
         report[label] = _time_run(fuzzer, steps)
     for label, *_ in ARMS[1:]:
@@ -194,10 +189,6 @@ def measure_throughput(
     report["speedup_incremental_vs_cached"] = _ratio(
         _sps("incremental"), _sps("cached")
     )
-    report["speedup_session"] = _ratio(_sps("session"), _sps("uncached"))
-    report["speedup_session_vs_incremental"] = _ratio(
-        _sps("session"), _sps("incremental")
-    )
     report["cache_hit_rate"] = report["cached"]["stats"].get("cache_hit_rate", 0.0)
     inc_stats = report["incremental"]["stats"]
     report["incremental_hit_rate"] = _ratio(
@@ -205,9 +196,7 @@ def measure_throughput(
         inc_stats.get("cache_incremental_hits", 0)
         + inc_stats.get("cache_incremental_fallbacks", 0),
     )
-    report["session_hit_rate"] = report["session"]["stats"].get(
-        "middle_session_hit_rate", 0.0
-    )
+    report["session_hit_rate"] = inc_stats.get("middle_session_hit_rate", 0.0)
     report["stage_timings"] = report["incremental"]["profile"]["stage_timings"]
     return report
 
@@ -221,15 +210,16 @@ def write_report(report: dict, path: str | Path = DEFAULT_REPORT) -> Path:
 def run(steps: int, output: str | Path, fuzzer_name: str = "uCFuzz.s") -> dict:
     report = measure_throughput(steps=steps, fuzzer_name=fuzzer_name)
     path = write_report(report, output)
+    inc_stats = report["incremental"]["stats"]
     arms = " -> ".join(
         f"{report[label]['steps_per_sec']} ({label})" for label, *_ in ARMS
     )
     print(
         f"{report['fuzzer']}: {arms} steps/sec "
         f"(uncached {report['speedup_uncached_vs_reference']}x over "
-        f"reference, session {report['speedup_session']}x over uncached, "
-        f"session flat decodes "
-        f"{report['session']['stats'].get('flat_decodes', 0)}, "
+        f"reference, incremental {report['speedup_incremental']}x over "
+        f"uncached, incremental flat decodes "
+        f"{inc_stats.get('flat_decodes', 0)}, "
         f"cache hit-rate {report['cache_hit_rate']:.2%}, "
         f"session hit-rate {report['session_hit_rate']:.2%}) -> {path}"
     )
@@ -258,8 +248,7 @@ def smoke_main(argv: list[str] | None = None) -> int:
     inc_stats = report["incremental"]["stats"]
     if inc_stats.get("cache_incremental_hits", 0) <= 0:
         raise SystemExit("bench-smoke: incremental front end never hit")
-    sess_stats = report["session"]["stats"]
-    if sess_stats.get("middle_session_hits", 0) <= 0:
+    if inc_stats.get("middle_session_hits", 0) <= 0:
         raise SystemExit("bench-smoke: the compile session never hit")
     # The bridge-elimination contract: no arm on the default pipeline ever
     # decodes a buffer back to object IR (encodes would mean irgen fell
@@ -294,26 +283,22 @@ def smoke_main(argv: list[str] | None = None) -> int:
 
 
 def paranoid_main(argv: list[str] | None = None) -> int:
-    """Differential smoke: every cached/incremental compile is cross-checked.
+    """Differential smoke: every cached compile is cross-checked.
 
-    Runs μCFuzz on the default pipeline with ``paranoid=True`` — each
-    cached/incremental/session compile is recompiled from scratch through
-    the object-IR reference pipeline and compared field-for-field, so every
-    check is also a flat-native-vs-reference differential; any divergence
-    raises :class:`~repro.cast.incremental.IncrementalDivergence` and fails
-    the run.  Gating is on zero divergences, not on throughput.  ``--macro``
-    runs the macro fuzzer instead (:func:`_paranoid_macro`).
+    Runs μCFuzz in its default configuration with ``paranoid=True`` — each
+    compile (dirty-region front end, session-served middle end) is
+    recompiled from scratch through the object-IR reference pipeline and
+    compared field-for-field, so every check is also a
+    flat-native-vs-reference differential; any divergence raises
+    :class:`~repro.cast.incremental.IncrementalDivergence` and fails the
+    run.  Gating is on zero divergences and on both reuse paths having
+    fired, not on throughput.  ``--macro`` runs the macro fuzzer instead
+    (:func:`_paranoid_macro`).
     """
     parser = argparse.ArgumentParser(description="paranoid-smoke")
     parser.add_argument("--steps", type=int, default=200)
     parser.add_argument("--seed", type=int, default=2024)
-    mode = parser.add_mutually_exclusive_group()
-    mode.add_argument(
-        "--session", action="store_true",
-        help="run with a CompileSession (cross-step middle-end memoization "
-        "and batched per-step compilation)",
-    )
-    mode.add_argument(
+    parser.add_argument(
         "--macro", action="store_true",
         help="run the macro fuzzer instead, alternating gcc-sim and "
         "clang-sim steps: Havoc rounds, sampled -O levels and flags",
@@ -329,35 +314,29 @@ def paranoid_main(argv: list[str] | None = None) -> int:
     seeds = generate_seeds(DEFAULT_SEEDS)
     fuzzer = _build_fuzzer(
         "uCFuzz.s", seeds, args.seed, True, incremental=True, paranoid=True,
-        session=args.session, batch_compile=args.session,
     )
     for _ in range(args.steps):
         fuzzer.step()  # IncrementalDivergence propagates and fails the job
     stats = fuzzer.stats_snapshot()
     inc_hits = stats.get("cache_incremental_hits", 0)
-    middle_hits = stats.get("middle_incremental_hits", 0)
     session_hits = stats.get("middle_session_hits", 0)
-    mode = "session" if args.session else "incremental"
     print(
-        f"paranoid-smoke[{mode}]: {args.steps} steps, 0 divergences, "
+        f"paranoid-smoke: {args.steps} steps, 0 divergences, "
+        f"{stats.get('middle_session_paranoid_checks', 0)} compile checks, "
         f"{stats.get('cache_paranoid_checks', 0)} front-end checks, "
         f"{inc_hits} incremental front ends, "
-        f"{middle_hits} middle-end replays, "
-        f"{session_hits} session replays, "
+        f"{session_hits} session replays "
+        f"({stats.get('middle_incremental_hits', 0)} compiles served, "
+        f"{stats.get('middle_incremental_fallbacks', 0)} aborts), "
         f"{stats['flat_encodes']} encodes / {stats['flat_decodes']} decodes"
     )
     if inc_hits <= 0:
         raise SystemExit(
             "paranoid-smoke: the incremental front end was never exercised"
         )
-    if args.session:
-        if session_hits <= 0:
-            raise SystemExit(
-                "paranoid-smoke: the compile session was never exercised"
-            )
-    elif middle_hits <= 0:
+    if session_hits <= 0:
         raise SystemExit(
-            "paranoid-smoke: the incremental middle end was never exercised"
+            "paranoid-smoke: the compile session was never exercised"
         )
     return 0
 

@@ -40,7 +40,6 @@ from repro.compiler.passes import (
     inline_into_caller,
     local_opt,
 )
-from repro.compiler.session import CompileSession
 from repro.fuzzing.campaign import Campaign, make_fuzzer
 from repro.fuzzing.macro import MacroFuzzer
 from repro.fuzzing.mucfuzz import MuCFuzz
@@ -344,39 +343,37 @@ class TestFlatNativeCompile:
             type(fn) for fn in reference.module.functions.values()
         }
 
-    @pytest.mark.parametrize("arm", ["plain", "cache", "session"])
+    @pytest.mark.parametrize("arm", ["plain", "cache"])
     def test_matches_object_compile(self, arm):
         ref = Compiler(*GCC_SIM, reference=True).compile(_PROGRAM, 2, ())
-        kwargs = {}
-        if arm in ("cache", "session"):
-            kwargs["cache"] = FrontendCache()
-        if arm == "session":
-            kwargs["session"] = CompileSession()
-        compiler = Compiler(*GCC_SIM, **kwargs)
-        for _ in range(2):  # second compile exercises journal replay
-            result = compiler.compile(_PROGRAM, 2, ())
+        cache = FrontendCache() if arm == "cache" else None
+        compiler = Compiler(*GCC_SIM)
+        for _ in range(2):  # a cached second compile replays the session
+            result = compiler.compile(_PROGRAM, 2, (), cache=cache)
             assert result.ok and result.asm == ref.asm
             assert result.features == ref.features
         assert compiler.bridge.encodes == 0
         assert compiler.bridge.decodes == 0
 
     def test_paranoid_differential(self):
-        compiler = Compiler(
-            *GCC_SIM, cache=FrontendCache(), session=CompileSession()
-        )
-        result = compiler.compile(_PROGRAM, 2, (), paranoid=True)
+        compiler = Compiler(*GCC_SIM)
+        cache = FrontendCache()
+        result = compiler.compile(_PROGRAM, 2, (), cache=cache, paranoid=True)
         assert result.ok
         # The paranoid reference ran the object pipeline and restored the
         # compiler's own switch afterwards.
         assert compiler.reference is False
+        # ... and it ran from scratch: only the checked compile touched the
+        # cache (one miss), so the reference took no entry from it.
+        assert (cache.hits, cache.misses) == (0, 1)
+        assert compiler.compile_session.paranoid_checks == 1
 
     def test_corpus_matches_object_compile(self, small_seeds):
-        flat = Compiler(
-            *GCC_SIM, cache=FrontendCache(), session=CompileSession()
-        )
+        flat = Compiler(*GCC_SIM)
+        cache = FrontendCache()
         ref = Compiler(*GCC_SIM, reference=True)
         for text in small_seeds[:15]:
-            a = flat.compile(text, 2, ())
+            a = flat.compile(text, 2, (), cache=cache)
             b = ref.compile(text, 2, ())
             assert a.ok == b.ok
             assert a.asm == b.asm
@@ -392,7 +389,6 @@ class TestFlatNativeCampaign:
             random.Random(11),
             ["int main(void) { return 0; }"],
             global_registry.supervised(),
-            session=True,
             incremental=True,
         )
         for _ in range(steps):

@@ -19,11 +19,10 @@ from repro.cast.sema import Sema
 from repro.compiler.coverage import CoverageMap
 from repro.compiler.driver import Compiler, GCC_SIM
 from repro.compiler.flatir import FunctionSnapshot, IRBuffer, from_nodes, to_nodes
-from repro.compiler.incremental import assert_results_equal
 from repro.compiler.interp import execute
 from repro.compiler.irgen import IRGen
 from repro.compiler.passes import OptContext, local_opt, cleanup_opt
-from repro.compiler.session import CompileSession
+from repro.compiler.session import assert_results_equal
 from repro.fuzzing.mucfuzz import MuCFuzz
 from repro.fuzzing.progen import GenPolicy, ProgramGenerator
 from repro.muast.registry import global_registry
@@ -170,14 +169,20 @@ class TestFlatCompileEquivalence:
     """Whole default compiles == whole object-IR compiles, field for field."""
 
     def _compilers(self):
-        flat = Compiler(*GCC_SIM, cache=FrontendCache(), session=CompileSession())
-        return flat, Compiler(*GCC_SIM, reference=True)
+        """A cached default compile (the session path) and the reference."""
+        cache = FrontendCache()
+        flat = Compiler(*GCC_SIM)
+
+        def cached(text, **kwargs):
+            return flat.compile(text, cache=cache, paranoid=True, **kwargs)
+
+        return cached, Compiler(*GCC_SIM, reference=True)
 
     def test_seed_corpus(self, small_seeds):
         flat, plain = self._compilers()
         for text in small_seeds[:20]:
             for opt in (0, 2):
-                a = flat.compile(text, opt_level=opt, paranoid=True)
+                a = flat(text, opt_level=opt)
                 b = plain.compile(text, opt_level=opt)
                 assert a.crashed == b.crashed
                 if not a.crashed:
@@ -186,7 +191,7 @@ class TestFlatCompileEquivalence:
     def test_mutant_corpus(self, small_seeds):
         flat, plain = self._compilers()
         for text in _mutant_corpus(small_seeds[:12]):
-            a = flat.compile(text, opt_level=2, paranoid=True)
+            a = flat(text, opt_level=2)
             b = plain.compile(text, opt_level=2)
             assert a.crashed == b.crashed
             if not a.crashed:
@@ -195,7 +200,7 @@ class TestFlatCompileEquivalence:
     def test_random_programs(self):
         flat, plain = self._compilers()
         for text in _random_texts(10):
-            a = flat.compile(text, opt_level=2, paranoid=True)
+            a = flat(text, opt_level=2)
             b = plain.compile(text, opt_level=2)
             assert a.crashed == b.crashed
             if not a.crashed:
@@ -268,10 +273,10 @@ class TestDeclDigestMemo:
         assert stats["decl_digest_memo_hits"] == len(entry.unit.decls)
 
     def test_session_surfaces_counter(self):
-        session = CompileSession()
+        comp = Compiler(*GCC_SIM)
+        session = comp.compile_session
         assert session.stats()["decl_digest_memo_hits"] == 0
-        comp = Compiler(*GCC_SIM, cache=FrontendCache(), session=session)
-        comp.compile("int main(void) { return 3; }")
+        comp.compile("int main(void) { return 3; }", cache=FrontendCache())
         assert "decl_digest_memo_hits" in session.stats()
 
 
@@ -322,7 +327,7 @@ class TestFlatKnobPlumbing:
             comp = Compiler(*GCC_SIM, reference=reference)
             fuzzer = MuCFuzz(
                 comp, random.Random(5), list(small_seeds[:6]),
-                registry.supervised(), session=True, batch_compile=True,
+                registry.supervised(), batch_compile=True,
             )
             return run_campaign(fuzzer, steps=12)
 

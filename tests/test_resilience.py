@@ -436,10 +436,12 @@ def test_cell_key_is_pinned():
     every_field = dataclasses.replace(
         spec, fuzzer_name="Csmith", virtual_hours=1.5, sample_points=6,
         quarantine_threshold=3, cache_maxsize=64, incremental=False,
-        paranoid=True, session=True, reference=True, batch_compile=True,
+        paranoid=True, reference=True, batch_compile=True,
         schedule=True, mutator_stats=False,
     )
-    assert cell_key(every_field) == "Csmith-gcc-1b2ad5019737f0b4"
+    # Every field that can be set: the key the spec had before the
+    # compile-session switch was retired (its slot hashes as False).
+    assert cell_key(every_field) == "Csmith-gcc-f1da24ab41709737"
 
 
 # ---------------------------------------------------------------------------

@@ -31,8 +31,27 @@ from repro.telemetry import merge_stats
 # the flat-native pipeline became the default: the canonical JSON changed
 # only in pipeline-diagnostic stats keys (the fused-round counter dropped,
 # the bridge counters ``flat_encodes: 0`` and ``flat_decodes: 0`` added).
+# Re-pinned once more when the compile session became the middle end's only
+# reuse path: the canonical JSON (``indent=1``) changed only in middle-end
+# stats keys, coverage 1266 and crashes 3 unchanged:
+#
+#     +  "decl_digest_memo_hits": 390,
+#     -  "middle_incremental_fallbacks": 18,
+#     -  "middle_incremental_hits": 248,
+#     +  "middle_incremental_fallbacks": 6,
+#     +  "middle_incremental_hits": 322,
+#     +  "middle_session_aborts": 6,
+#     +  "middle_session_evictions": 0,
+#     +  "middle_session_hit_rate": 0.608659793814433,
+#     +  "middle_session_hits": 1476,
+#     +  "middle_session_materializations": 0,
+#     +  "middle_session_misses": 949,
+#     +  "middle_session_paranoid_checks": 0,
+#     +  "middle_session_result_hits": 5,
+#     +  "middle_session_size": 897,
+#     +  "middle_session_summary_hits": 401,
 
-_GOLDEN_SHA1 = "80deec4ea1b961013b56a8db0ee2994105054fa4"
+_GOLDEN_SHA1 = "c271466ba78d87f1c00b37ad19ba2d7cb3650707"
 _GOLDEN_COVERAGE = 1266
 _GOLDEN_CRASHES = 3
 

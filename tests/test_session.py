@@ -7,11 +7,12 @@ Two contracts are under test here:
   dump, coverage edges, and stats counters — to the sequential five-pass
   reference round, over seed programs, mutator-produced mutants, and
   randomly generated programs;
-* a :class:`repro.compiler.session.CompileSession` replays interned
-  per-function middle-end artifacts without changing any observable of
-  ``Compiler.compile`` (checked against from-scratch reference-pipeline
-  compiles), and a campaign routed twice through one warm session is
-  bit-identical.
+* a compiler's :class:`repro.compiler.session.CompileSession`, which every
+  cached compile runs against, replays interned per-function middle-end
+  artifacts without changing any observable of ``Compiler.compile``
+  (checked against from-scratch reference-pipeline compiles), a campaign
+  routed twice through one warm session is bit-identical, and compiles
+  without a cache leave the session empty.
 """
 
 import copy
@@ -20,15 +21,17 @@ import random
 import pytest
 
 import repro.mutators  # noqa: F401 - populate the registry
+from repro.cast.cache import FrontendCache
 from repro.cast.parser import parse
 from repro.cast.sema import Sema
 from repro.compiler import GCC_SIM, Compiler
 from repro.compiler.coverage import CoverageMap
 from repro.compiler.flatir import BridgeCounters
-from repro.compiler.incremental import assert_results_equal
 from repro.compiler.irgen import IRGen, LoweringError
 from repro.compiler.passes import OptContext, local_opt
-from repro.compiler.session import CompileSession
+from repro.compiler.session import CompileSession, assert_results_equal
+from repro.fuzzing.baselines.csmith import CsmithSim
+from repro.fuzzing.baselines.grayc import GrayCSim
 from repro.fuzzing.campaign import run_campaign
 from repro.fuzzing.mucfuzz import MuCFuzz
 from repro.fuzzing.progen import GenPolicy, ProgramGenerator
@@ -124,52 +127,67 @@ def _mutate_body(text):
 
 class TestCompileSession:
     def test_session_compile_matches_cold(self, small_seeds):
-        session = CompileSession()
-        warm = Compiler(*GCC_SIM, session=session)
+        warm = Compiler(*GCC_SIM)
+        cache = FrontendCache()
         cold = Compiler(*GCC_SIM, reference=True)
         for text in small_seeds[:10]:
-            assert_results_equal(warm.compile(text), cold.compile(text))
-        assert session.misses > 0
+            assert_results_equal(
+                warm.compile(text, cache=cache), cold.compile(text)
+            )
+        assert warm.compile_session.misses > 0
 
     def test_session_result_memo_on_recompile(self, small_seeds):
-        session = CompileSession()
-        warm = Compiler(*GCC_SIM, session=session)
+        warm = Compiler(*GCC_SIM)
+        session = warm.compile_session
+        cache = FrontendCache()
         cold = Compiler(*GCC_SIM, reference=True)
         text = small_seeds[0]
-        first = warm.compile(text)
-        before = session.result_hits
-        second = warm.compile(text)
-        assert session.result_hits == before + 1
+        first = warm.compile(text, cache=cache)
+        before = session.result_hits, warm.middle_incremental_hits
+        second = warm.compile(text, cache=cache)
+        assert (session.result_hits, warm.middle_incremental_hits) == (
+            before[0] + 1, before[1] + 1
+        )
         for result in (first, second):
             assert_results_equal(result, cold.compile(text))
 
     def test_session_hits_on_shared_clean_functions(self, small_seeds):
-        session = CompileSession()
-        warm = Compiler(*GCC_SIM, session=session)
+        warm = Compiler(*GCC_SIM)
+        session = warm.compile_session
+        cache = FrontendCache()
         cold = Compiler(*GCC_SIM, reference=True)
         text = small_seeds[1]
-        warm.compile(text)
+        warm.compile(text, cache=cache)
         mutant = _mutate_body(text)
         assert mutant != text
         before = session.hits
-        assert_results_equal(warm.compile(mutant), cold.compile(mutant))
-        # The mutant's unchanged sibling functions replayed from the session.
+        served = warm.middle_incremental_hits
+        assert_results_equal(
+            warm.compile(mutant, cache=cache), cold.compile(mutant)
+        )
+        # The mutant's unchanged sibling functions replayed from the
+        # session, and the compile counts as served from it.
         assert session.hits > before
+        assert warm.middle_incremental_hits == served + 1
 
     def test_paranoid_session_compile(self, small_seeds):
-        session = CompileSession()
-        warm = Compiler(*GCC_SIM, session=session)
+        warm = Compiler(*GCC_SIM)
+        session = warm.compile_session
+        cache = FrontendCache()
         text = small_seeds[2]
-        warm.compile(text)
+        warm.compile(text, cache=cache)
         before = session.paranoid_checks
-        warm.compile(_mutate_body(text), paranoid=True)
+        warm.compile(_mutate_body(text), cache=cache, paranoid=True)
         assert session.paranoid_checks == before + 1
 
-    def test_explicit_session_none_disables(self, small_seeds):
-        session = CompileSession()
-        warm = Compiler(*GCC_SIM, session=session)
-        warm.compile(small_seeds[3], session=None)
-        assert session.hits == 0 and session.misses == 0
+    def test_uncached_compile_records_nothing(self, small_seeds):
+        compiler = Compiler(*GCC_SIM)
+        for text in small_seeds[:3]:
+            assert compiler.compile(text).ok
+        session = compiler.compile_session
+        assert (session.hits, session.misses, len(session)) == (0, 0, 0)
+        assert session.result_hits == 0 and not session.summary_intern
+        assert compiler.middle_incremental_hits == 0
 
     def test_stats_keys(self):
         stats = CompileSession().stats()
@@ -182,10 +200,11 @@ class TestCompileSession:
             assert key in stats
 
     def test_record_eviction(self, small_seeds):
-        session = CompileSession(maxsize=2)
-        warm = Compiler(*GCC_SIM, session=session)
+        warm = Compiler(*GCC_SIM)
+        session = warm.compile_session = CompileSession(maxsize=2)
+        cache = FrontendCache()
         for text in small_seeds[:4]:
-            warm.compile(text)
+            warm.compile(text, cache=cache)
         assert session.evictions > 0
         assert len(session) <= 2
 
@@ -195,8 +214,9 @@ class TestCompileBatch:
         parent = small_seeds[4]
         mutants = [_mutate_body(parent), parent.replace("int", "long", 1)]
         requests = [(m, (parent, ((0, 0, ""),))) for m in mutants]
-        session = CompileSession()
-        batched = Compiler(*GCC_SIM, session=session).compile_batch(requests)
+        batched = Compiler(*GCC_SIM).compile_batch(
+            requests, cache=FrontendCache()
+        )
         cold = Compiler(*GCC_SIM, reference=True)
         assert len(batched) == len(mutants)
         for result, mutant in zip(batched, mutants):
@@ -208,9 +228,9 @@ class TestCompileBatch:
             (_mutate_body(parent), (parent, ((0, 0, ""),))),
             (parent.replace("int", "long", 1), (parent, ((0, 0, ""),))),
         ]
-        session = CompileSession()
-        Compiler(*GCC_SIM, session=session).compile_batch(requests)
-        assert session.materializations == 1
+        compiler = Compiler(*GCC_SIM)
+        compiler.compile_batch(requests, cache=FrontendCache())
+        assert compiler.compile_session.materializations == 1
 
     def test_batch_until_early_exit_is_lazy(self, small_seeds):
         parent = small_seeds[6]
@@ -223,23 +243,22 @@ class TestCompileBatch:
                 consumed.append(i)
                 yield text, (parent, ((0, 0, ""),))
 
-        session = CompileSession()
-        results = Compiler(*GCC_SIM, session=session).compile_batch(
-            requests(), until=lambda result: True
+        results = Compiler(*GCC_SIM).compile_batch(
+            requests(), cache=FrontendCache(), until=lambda result: True
         )
         assert len(results) == 1
         assert consumed == [0]  # the second request was never generated
 
 
 class TestSessionFuzzing:
-    def _fuzzer(self, session, seeds, registry, seed=7):
+    def _fuzzer(self, compiler, seeds, registry, seed=7, **kwargs):
         return MuCFuzz(
-            Compiler(*GCC_SIM),
+            compiler,
             random.Random(seed),
             seeds,
             registry.supervised(),
-            session=session,
             batch_compile=True,
+            **kwargs,
         )
 
     @staticmethod
@@ -247,11 +266,10 @@ class TestSessionFuzzing:
         payload = result.to_json()
         # Pipeline-plumbing counters legitimately differ between arms and
         # between warm/cold session runs (batching materializes parents →
-        # different cache-hit counts; the session supersedes the journal
-        # middle end → zero middle_incremental hits; session counters
-        # accumulate across runs sharing one session).  Everything
-        # *behavioral* — coverage trend, crashes, pool, attempts, RNG-driven
-        # counters — must be bit-identical.
+        # different cache-hit counts; an uncached run has no session; the
+        # counters accumulate across runs sharing one compiler).
+        # Everything *behavioral* — coverage trend, crashes, pool, attempts,
+        # RNG-driven counters — must be bit-identical.
         payload["stats"] = {
             k: v
             for k, v in payload["stats"].items()
@@ -263,54 +281,60 @@ class TestSessionFuzzing:
     def test_session_campaign_matches_sessionless(self, registry, small_seeds):
         seeds = small_seeds[:8]
         with_session = run_campaign(
-            self._fuzzer(CompileSession(), seeds, registry), steps=25
+            self._fuzzer(Compiler(*GCC_SIM), seeds, registry), steps=25
         )
+        # No cache: every compile runs the plain pipeline.
         without = run_campaign(
             MuCFuzz(
                 Compiler(*GCC_SIM), random.Random(7), seeds,
-                registry.supervised(),
+                registry.supervised(), use_cache=False,
             ),
             steps=25,
         )
         assert self._comparable(with_session) == self._comparable(without)
         assert with_session.stats["middle_session_hits"] > 0
+        assert "middle_session_hits" not in without.stats
 
     def test_same_campaign_twice_through_one_session(self, registry, small_seeds):
         seeds = small_seeds[:8]
-        session = CompileSession()
-        first = run_campaign(self._fuzzer(session, seeds, registry), steps=25)
-        second = run_campaign(self._fuzzer(session, seeds, registry), steps=25)
+        compiler = Compiler(*GCC_SIM)
+        first = run_campaign(self._fuzzer(compiler, seeds, registry), steps=25)
+        second = run_campaign(self._fuzzer(compiler, seeds, registry), steps=25)
         assert self._comparable(first) == self._comparable(second)
         # The warm rerun replayed entire results from the session memo.
         assert second.stats["middle_session_result_hits"] > 0
 
     def test_paranoid_session_fuzzing(self, registry, small_seeds):
-        fuzzer = MuCFuzz(
-            Compiler(*GCC_SIM),
-            random.Random(11),
-            small_seeds[:8],
-            registry.supervised(),
-            session=True,
-            batch_compile=True,
+        fuzzer = self._fuzzer(
+            Compiler(*GCC_SIM), small_seeds[:8], registry, seed=11,
             paranoid=True,
         )
         for _ in range(15):
             fuzzer.step()  # any divergence raises IncrementalDivergence
-        assert fuzzer.session.paranoid_checks > 0
+        assert fuzzer.compiler.compile_session.paranoid_checks > 0
 
-    def test_campaign_cell_specs_carry_session_knobs(self, registry, small_seeds):
-        from repro.fuzzing.campaign import Campaign
+    def test_generator_session_stays_empty(self):
+        # Csmith compiles every program uncached: its compiler's session
+        # must hold nothing, or a generator campaign's memory grows with
+        # the records nobody will replay.
+        fuzzer = CsmithSim(Compiler(*GCC_SIM), random.Random(3))
+        for _ in range(20):
+            fuzzer.step()
+        session = fuzzer.compiler.compile_session
+        assert len(session) == 0 and not session._results
+        assert session.misses == 0 and not session.summary_intern
 
-        campaign = Campaign(
-            compilers=[Compiler(*GCC_SIM)],
-            seeds=small_seeds[:6],
-            registry=registry,
-            steps=10,
-            session=True,
-            batch_compile=True,
+    def test_grayc_compiles_hit_the_session(self, small_seeds):
+        # GrayC keeps a front-end cache, so its compiles run against the
+        # session and replay the functions its mutants left unchanged.
+        fuzzer = GrayCSim(
+            Compiler(*GCC_SIM), random.Random(5), small_seeds[:8]
         )
-        spec = campaign.cell_specs(("uCFuzz.s",))[0]
-        assert spec.session and spec.batch_compile and not spec.reference
+        for _ in range(40):
+            fuzzer.step()
+        session = fuzzer.compiler.compile_session
+        assert session.hits > 0
+        assert fuzzer.compiler.middle_incremental_hits > 0
 
     def test_session_serial_equals_parallel(self, registry, small_seeds):
         from repro.fuzzing.campaign import Campaign
@@ -320,9 +344,10 @@ class TestSessionFuzzing:
             seeds=small_seeds[:6],
             registry=None or global_registry,
             steps=12,
-            session=True,
             batch_compile=True,
         )
+        specs = campaign.cell_specs(("uCFuzz.s", "uCFuzz.u"))
+        assert all(s.batch_compile and not s.reference for s in specs)
         serial = campaign.run(("uCFuzz.s", "uCFuzz.u"), parallelism=1)
         parallel = campaign.run(("uCFuzz.s", "uCFuzz.u"), parallelism=2)
         assert [r.to_json() for r in serial] == [r.to_json() for r in parallel]
