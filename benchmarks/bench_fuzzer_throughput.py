@@ -57,7 +57,6 @@ def test_fuzzer_throughput(benchmark):
     assert inc_stats["cache_incremental_hits"] > 0
     assert inc_stats["middle_session_hits"] > 0
     assert inc_stats["middle_incremental_hits"] > 0
-    assert inc_stats["flat_decodes"] == 0
     assert report["speedup"] > 1.0
     assert report["speedup_incremental"] > report["speedup"]
     # Uniform per-arm schema: every arm reports the same stage-key set.

@@ -114,7 +114,7 @@ def lower_to_asm(
 
 
 def _lower_function(fn: IRFunction, ctx: OptContext) -> BackendResult:
-    if getattr(ctx, "flat", False):
+    if ctx.flat:
         return _lower_function_flat(fn, ctx)
     cov = ctx.cov
     instrs = [i for b in fn.blocks for i in b.instrs]
@@ -247,7 +247,7 @@ def _flat_live_intervals(buf) -> dict[int, tuple[int, int]]:
     return intervals
 
 
-def _lower_function_flat(fn: IRFunction, ctx: OptContext) -> BackendResult:
+def _lower_function_flat(fn, ctx: OptContext) -> BackendResult:
     """The buffer-walk twin of :func:`_lower_function`.
 
     Emits byte-identical assembly and fires the same coverage hits with the
@@ -257,11 +257,7 @@ def _lower_function_flat(fn: IRFunction, ctx: OptContext) -> BackendResult:
     from repro.compiler import flatir as F
 
     cov = ctx.cov
-    buffer = getattr(fn, "buffer", None)
-    if buffer is not None:  # FlatFunction: walk its live buffer directly
-        buf = buffer()
-    else:
-        buf = F.from_nodes(fn, getattr(ctx, "bridge", None))
+    buf = fn.buf
     names = buf.names
     imms = buf.imms
     opcl, dstl, al, bl, tyl, auxl = buf.opc, buf.dst, buf.a, buf.b, buf.ty, buf.aux

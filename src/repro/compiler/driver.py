@@ -22,7 +22,6 @@ from repro.compiler import features as feat
 from repro.compiler.bugs import BugRegistry
 from repro.compiler.coverage import CoverageMap
 from repro.compiler.crash import CompilerCrash, CompilerHang
-from repro.compiler.flatir import BridgeCounters
 from repro.compiler.ir import IRModule
 from repro.compiler.session import (
     CompileSession,
@@ -84,23 +83,19 @@ class Compiler:
         self.name = f"{personality}-{version}"
         self.bug_seed = bug_seed
         self.bugs = BugRegistry.for_compiler(personality, seed=bug_seed)
-        #: The middle end's reuse store.  Every compile given a front-end
-        #: cache interns its per-function artifacts here and replays the
-        #: ones it already holds; compiles without a cache never touch it.
+        #: The middle end's reuse store.  Every default-pipeline compile
+        #: given a front-end cache interns its per-function artifacts here
+        #: and replays the ones it already holds; compiles without a cache,
+        #: and every reference compile, never touch it.
         self.compile_session = CompileSession()
         #: Run the object-IR reference pipeline (object irgen, the
         #: sequential five-pass local round, the object backend) instead of
         #: the default flat-native middle end, which keeps every function in
         #: a :class:`~repro.compiler.flatir.IRBuffer` from irgen through the
-        #: backend.  Both are bit-identical in every observable; paranoid
-        #: mode and the differential tests compare the two.
+        #: backend.  The reference takes no cache: every compile is built
+        #: from scratch.  Both are bit-identical in every observable;
+        #: paranoid mode and the differential tests compare the two.
         self.reference = reference
-        #: Object<->buffer bridge crossings charged to this compiler
-        #: (``flat_encodes``/``flat_decodes`` in ``stats_snapshot``),
-        #: deliberately outside the compared feature/stats space.  Both
-        #: stay zero on either pipeline; a crossing means something decayed
-        #: a buffer-native function back to object IR.
-        self.bridge = BridgeCounters()
         #: Wall-clock seconds per pipeline stage (lex/parse/sema via the
         #: cache, plus irgen/opt/backend), accumulated across compiles.
         self.stage_timings: Counter = Counter()
@@ -132,12 +127,16 @@ class Compiler:
         end runs against this compiler's :class:`CompileSession`, which
         replays every function it has already compiled in the same context;
         without one the compile runs the plain pipeline and records nothing.
-        ``edits_from=(parent_text, edit_script)`` names the already-compiled
-        program this text was mutated from, enabling dirty-region front-end
-        reuse.  ``paranoid=True`` cross-checks every cached compile against
-        a from-scratch one (no cache, object-IR reference pipeline) and
-        raises ``IncrementalDivergence`` on any observable mismatch.
+        The reference pipeline ignores ``cache`` (and with it ``edits_from``
+        and ``paranoid``).  ``edits_from=(parent_text, edit_script)`` names
+        the already-compiled program this text was mutated from, enabling
+        dirty-region front-end reuse.  ``paranoid=True`` cross-checks every
+        cached compile against a from-scratch one (no cache, object-IR
+        reference pipeline) and raises ``IncrementalDivergence`` on any
+        observable mismatch.
         """
+        if self.reference:
+            cache = None
         cov = CoverageMap()
         result = CompileResult(False, self.name, coverage=cov)
         features: dict = {
@@ -204,6 +203,8 @@ class Compiler:
         and truthy return stops the batch early (μCFuzz's keep/crash early
         exit).
         """
+        if self.reference:
+            cache = None  # built from scratch: there is no parent to warm
         session = self.compile_session
         results: list[CompileResult] = []
         materialized = False

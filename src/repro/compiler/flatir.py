@@ -27,19 +27,21 @@ their IEEE-754 bit pattern (``struct.pack``) so ``-0.0`` and ``0.0`` (equal
 under ``==``) keep distinct slots and NaNs with distinct payloads intern
 distinctly and round-trip bit-exactly (``repr`` collapses every NaN to the
 string ``'nan'``).  Pool entries are the frozen ``ImmInt``/``ImmFloat``
-objects themselves, so bridging back to object form allocates nothing new
+objects themselves, so decoding back to object form allocates nothing new
 for immediates, and flat passes that need object-equality semantics (CSE
 keys) can use the pooled objects directly.
 
-The bridge contract
--------------------
+The converters
+--------------
 
 ``to_nodes(from_nodes(fn))`` is dump-identical and structurally equal to
 ``fn``; ``from_nodes(to_nodes(buf))`` reproduces ``buf`` bit-identically for
 any freshly-encoded buffer (interning order is instruction order, which the
-decode walk preserves).  Everything not ported to the buffer — inlining,
-strlen/vectorize, crash seeding, coverage features, the paranoid
-differential — keeps operating on the object form via this bridge.
+decode walk preserves).  No compile crosses between the two forms: the
+default pipeline builds, optimizes, inlines, records and lowers buffers
+from irgen to the backend, and the reference pipeline never leaves object
+IR.  The converters serve :meth:`FlatFunction.dump`, the interpreter (which
+decodes each buffer-native function once) and the differential tests.
 """
 
 from __future__ import annotations
@@ -53,33 +55,6 @@ from repro.compiler.ir import (
 
 _pack_double = struct.Struct("<d").pack
 
-
-def _float_key(value: float) -> bytes:
-    """Immediate-pool key for a float: its IEEE-754 bit pattern.
-
-    ``bytes`` keys can never collide with the ``int`` keys used for
-    ``ImmInt`` entries, and unlike ``repr`` they distinguish NaN payloads
-    (every NaN reprs as ``'nan'``) as well as ``-0.0`` vs ``0.0``.
-    """
-    return _pack_double(value)
-
-
-class BridgeCounters:
-    """Counts object<->buffer bridge crossings for one compiler instance.
-
-    ``encodes`` is bumped by :func:`from_nodes` (object IR flattened into a
-    buffer), ``decodes`` by :func:`to_nodes` (buffer materialized back into
-    object IR) — but only when a counter is threaded through, so diagnostic
-    decodes (dumps, paranoid references) never pollute the steady-state
-    measurement.  The flat-native bench gate asserts ``decodes == 0`` at
-    steady state: a cache-warm hot path should never need object IR.
-    """
-
-    __slots__ = ("encodes", "decodes")
-
-    def __init__(self):
-        self.encodes = 0
-        self.decodes = 0
 
 # Opcode ints.  Order is part of the on-buffer format (dispatch tables index
 # by these), so append-only.
@@ -195,7 +170,7 @@ class IRBuffer:
             self.imm_index[key] = idx
         return (idx << 2) | TAG_IMM
 
-    # -- operand bridge ----------------------------------------------------
+    # -- operand encoding --------------------------------------------------
 
     def enc(self, op) -> int:
         if op is None:
@@ -332,10 +307,8 @@ def encode_instr(buf: IRBuffer, instr) -> int:
     raise TypeError(f"cannot encode {instr!r}")
 
 
-def from_nodes(fn: IRFunction, counters: BridgeCounters | None = None) -> IRBuffer:
+def from_nodes(fn: IRFunction) -> IRBuffer:
     """Encode an object-form function into a fresh buffer (lossless)."""
-    if counters is not None:
-        counters.encodes += 1
     buf = IRBuffer(
         fn.name,
         [(n, TYPE_TAG[t]) for n, t in fn.params],
@@ -350,10 +323,8 @@ def from_nodes(fn: IRFunction, counters: BridgeCounters | None = None) -> IRBuff
     return buf
 
 
-def to_nodes(buf: IRBuffer, counters: BridgeCounters | None = None) -> IRFunction:
+def to_nodes(buf: IRBuffer) -> IRFunction:
     """Decode a buffer into a fresh object-form function (lossless)."""
-    if counters is not None:
-        counters.decodes += 1
     names = buf.names
     xdata = buf.xdata
     dec = buf.dec
@@ -412,131 +383,41 @@ def to_nodes(buf: IRBuffer, counters: BridgeCounters | None = None) -> IRFunctio
 
 
 class FlatFunction:
-    """A buffer-backed function that duck-types as :class:`IRFunction`.
+    """A function of the default pipeline: an :class:`IRBuffer` and its header.
 
-    Exactly one of ``buf``/``_obj`` is authoritative at any moment.  The
-    flat-native middle end keeps ``buf`` live end to end; any consumer that
-    reaches for object-IR structure (``.blocks``, ``block()``, …) *decays*
-    the carrier — the buffer is materialized into an ``IRFunction`` (bumping
-    ``flat_decodes``) and becomes the authority until :meth:`buffer`
-    re-encodes (bumping ``flat_encodes``).  The bench gate asserting
-    ``flat_decodes == 0`` at steady state is therefore a structural proof
-    that the hot path never left the buffer.
-
-    ``dump()`` decodes a throwaway copy without decaying and without
-    counting: it serves diagnostics and the paranoid differential, which
-    must not perturb the measurement they are checking.
+    ``buf`` is the only body there is; every default-pipeline stage (irgen,
+    the flat passes, the compile session, the backend) works on it.  The
+    typed header accessors are what the shared irgen lowerers read, and
+    :meth:`dump` decodes a throwaway copy for diagnostics and the paranoid
+    differential.  There is deliberately no object-IR surface (``blocks``,
+    ``instructions()``, ...): object-IR code applied to a buffer-native
+    function fails with ``AttributeError`` instead of converting it.
     """
 
-    __slots__ = ("buf", "counters", "_obj")
+    __slots__ = ("buf",)
 
-    def __init__(self, buf: IRBuffer, counters: BridgeCounters | None = None):
+    def __init__(self, buf: IRBuffer):
         self.buf = buf
-        self.counters = counters
-        self._obj = None
-
-    # -- authority flips ---------------------------------------------------
-
-    def _decay(self) -> IRFunction:
-        if self._obj is None:
-            self._obj = to_nodes(self.buf, self.counters)
-            self.buf = None
-        return self._obj
-
-    def buffer(self) -> IRBuffer:
-        """The live buffer, re-encoding (counted) if object passes decayed it."""
-        if self.buf is None:
-            self.buf = from_nodes(self._obj, self.counters)
-            self._obj = None
-        return self.buf
-
-    # -- IRFunction surface ------------------------------------------------
 
     @property
     def name(self) -> str:
-        return self.buf.name if self.buf is not None else self._obj.name
+        return self.buf.name
 
     @property
     def params(self):
-        if self.buf is not None:
-            return [(n, TYPES[t]) for n, t in self.buf.params]
-        return self._obj.params
+        return [(n, TYPES[t]) for n, t in self.buf.params]
 
     @property
     def ret_ty(self) -> IRType:
-        if self.buf is not None:
-            return TYPES[self.buf.ret_ty]
-        return self._obj.ret_ty
+        return TYPES[self.buf.ret_ty]
 
     @property
     def slots(self) -> dict:
-        return self.buf.slots if self.buf is not None else self._obj.slots
+        return self.buf.slots
 
     @property
     def attributes(self):
-        if self.buf is not None:
-            return self.buf.attributes
-        return self._obj.attributes
-
-    @property
-    def blocks(self):
-        return self._decay().blocks
-
-    @blocks.setter
-    def blocks(self, value):
-        self._decay().blocks = value
-
-    def block(self, label: str) -> Block:
-        return self._decay().block(label)
-
-    def block_map(self) -> dict:
-        return self._decay().block_map()
-
-    def instructions(self):
-        return self._decay().instructions()
-
-    def predecessors(self) -> dict:
-        return self._decay().predecessors()
+        return self.buf.attributes
 
     def dump(self) -> str:
-        if self.buf is not None:
-            return to_nodes(self.buf).dump()
-        return self._obj.dump()
-
-
-class FunctionSnapshot:
-    """A cheap point-in-time copy of a function, captured as a buffer.
-
-    The compile session records one per inline candidate (the body callers
-    inline by value) instead of a ``copy.deepcopy(fn)``: :meth:`of` walks
-    the function once into flat arrays (no per-node deepcopy dispatch) — or,
-    for a buffer-backed :class:`FlatFunction`, just clones the arrays with
-    no bridge crossing at all — and :meth:`materialize` decodes it back on
-    first use and memoizes the result.  Sharing one materialized function
-    across reuses is safe because the inliner deep-copies candidate bodies
-    into callers and never mutates the candidate itself; sharing
-    :attr:`buf` with the flat inliner is safe because buffer splicing only
-    reads the callee arrays.
-    """
-
-    __slots__ = ("_buf", "_fn")
-
-    def __init__(self, buf: IRBuffer):
-        self._buf = buf
-        self._fn = None
-
-    @classmethod
-    def of(cls, fn, counters: BridgeCounters | None = None) -> "FunctionSnapshot":
-        if type(fn) is FlatFunction:
-            return cls(fn.buffer().clone())
-        return cls(from_nodes(fn, counters))
-
-    @property
-    def buf(self) -> IRBuffer:
-        """The snapshot buffer (read-only by convention — never mutate)."""
-        return self._buf
-
-    def materialize(self, counters: BridgeCounters | None = None) -> IRFunction:
-        if self._fn is None:
-            self._fn = to_nodes(self._buf, counters)
-        return self._fn
+        return to_nodes(self.buf).dump()

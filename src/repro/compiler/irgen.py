@@ -1281,10 +1281,8 @@ class FlatIRGen(IRGen):
     function is ever registered in the module.
     """
 
-    def __init__(self, sema: Sema, cov: CoverageMap | None = None,
-                 counters=None) -> None:
+    def __init__(self, sema: Sema, cov: CoverageMap | None = None) -> None:
         super().__init__(sema, cov)
-        self.counters = counters
         self._buf = None
         self._rows: dict[str, list] = {}
         self._handles: dict[str, Block] = {}
@@ -1293,7 +1291,7 @@ class FlatIRGen(IRGen):
     def _begin_function(self, decl: ast.FunctionDecl, ret_ty: IRType) -> None:
         buf = F.IRBuffer(decl.name, (), F.TYPE_TAG[ret_ty])
         buf.attributes = list(decl.attributes)
-        self.module.functions[decl.name] = F.FlatFunction(buf, self.counters)
+        self.module.functions[decl.name] = F.FlatFunction(buf)
         entry = Block("entry")
         row = [buf.name_id("entry"), []]
         buf.blocks.append(row)

@@ -106,16 +106,16 @@ def stage_passes(ctx: OptContext):
 
 def is_inlinable(fn, ctx: OptContext) -> bool:
     """Inline candidacy of one (post-local-opt) function."""
-    return flat_inlinable(fn.buffer()) if ctx.flat else _inlinable(fn)
+    return flat_inlinable(fn.buf) if ctx.flat else _inlinable(fn)
 
 
 def candidate_map(module, ctx: OptContext) -> dict:
     """The module's inline candidates: name -> body in ``ctx``'s IR form."""
     if ctx.flat:
         return {
-            name: fn.buffer()
+            name: fn.buf
             for name, fn in module.functions.items()
-            if flat_inlinable(fn.buffer())
+            if flat_inlinable(fn.buf)
         }
     return inline_candidates(module)
 

@@ -41,11 +41,6 @@ class OptContext:
     #: the :class:`~repro.compiler.flatir.IRBuffer`.  ``False`` is the
     #: object-IR reference pipeline.  Results are bit-identical either way.
     flat: bool = False
-    #: Per-compiler :class:`~repro.compiler.flatir.BridgeCounters`, threaded
-    #: through so passes can charge any object<->buffer bridge crossing they
-    #: cause.  Deliberately not an ``OptStats`` counter: bridge accounting
-    #: must not leak into the compared feature dict or the replay journal.
-    bridge: object | None = None
 
     def flag(self, name: str) -> bool:
         return name in self.flags

@@ -4,10 +4,10 @@
 for :func:`repro.compiler.passes.local_opt` / ``cleanup_opt``: every
 fixpoint round runs as int-dispatch loops over the parallel arrays of an
 :class:`~repro.compiler.flatir.IRBuffer`, and no instruction or operand
-objects are allocated while optimizing.  A buffer-native
-:class:`~repro.compiler.flatir.FlatFunction` is rewritten in place; a plain
-object function is encoded once and decoded once (a counted bridge
-crossing), which is how the differential tests drive these rounds.
+objects are allocated while optimizing.  They take a buffer-native
+:class:`~repro.compiler.flatir.FlatFunction` and rewrite its buffer in
+place; the differential tests hand them ``FlatFunction(from_nodes(fn))``
+copies of object functions.
 
 The -O1 round is *fused*: the sequential reference runs const_fold,
 simplify_cfg, forward_store, cse and dce as five traversals, four of which
@@ -53,7 +53,7 @@ from __future__ import annotations
 from repro.compiler.flatir import (
     F32_TAG, NONE, OP_BINOP, OP_BR, OP_CALL, OP_CAST, OP_GEP, OP_GLOBALADDR,
     OP_JMP, OP_LOAD, OP_LOCALADDR, OP_MEMCPY, OP_RET, OP_STORE, OP_UNOP,
-    TAG_IMM, TAG_TEMP, TERMINATOR_OPS, TYPES, from_nodes, to_nodes,
+    TAG_IMM, TAG_TEMP, TERMINATOR_OPS, TYPES,
 )
 from repro.compiler.ir import ImmInt
 from repro.compiler.passes.const_fold import _wrap, fold_binop_values
@@ -548,22 +548,9 @@ def _dce(buf, ctx) -> bool:
         changed = True
 
 
-def _enter_buffer(fn, ctx):
-    """The working buffer for ``fn`` plus whether to write object IR back.
-
-    A buffer-backed :class:`~repro.compiler.flatir.FlatFunction` is mutated
-    in place with no bridge crossing; a plain ``IRFunction`` pays the
-    encode/decode bridge, charged to ``ctx.bridge``.
-    """
-    buffer = getattr(fn, "buffer", None)
-    if buffer is not None:
-        return buffer(), False
-    return from_nodes(fn, ctx.bridge), True
-
-
 def flat_local_opt(fn, ctx) -> None:
     """The per-function -O1 fixpoint round over the flat buffer (fused)."""
-    buf, writeback = _enter_buffer(fn, ctx)
+    buf = fn.buf
     changed = True
     rounds = 0
     while changed and rounds < 4:
@@ -578,17 +565,13 @@ def flat_local_opt(fn, ctx) -> None:
         _replace_all(buf, mapping, _chain_get)
         changed |= _dce(buf, ctx)
     ctx.stats.bump("opt_rounds", rounds)
-    if writeback:
-        fn.blocks = to_nodes(buf, ctx.bridge).blocks
 
 
 def flat_cleanup_opt(fn, ctx) -> None:
     """The post-inline cleanup round (const_fold + simplify_cfg + dce)."""
-    buf, writeback = _enter_buffer(fn, ctx)
+    buf = fn.buf
     mapping: dict = {}
     _const_fold(buf, ctx, mapping, _flat_get)
     _replace_all(buf, mapping, _flat_get)
     _simplify_cfg(buf, ctx)
     _dce(buf, ctx)
-    if writeback:
-        fn.blocks = to_nodes(buf, ctx.bridge).blocks

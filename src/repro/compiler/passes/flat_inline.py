@@ -9,9 +9,10 @@ decision for decision (same temp-assignment encounter order, same trailing
 ``Cast``, same coverage edges and stats), so flat-native inlining is
 bit-identical to the object inliner under ``to_nodes``.
 
-Callee bodies come in as :class:`~repro.compiler.flatir.IRBuffer` snapshots
-(see ``FunctionSnapshot.buf``); splicing only *reads* the callee arrays, so
-candidates can be shared across callers and steps without copies.
+Callee bodies come in as :class:`~repro.compiler.flatir.IRBuffer` objects
+(the compile session's records keep a post-local-opt clone of each
+candidate's); splicing only *reads* the callee arrays, so candidates can be
+shared across callers and steps without copies.
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ def _max_temp(buf: IRBuffer) -> int:
 
 def flat_inline_into_caller(fn, candidates: dict[str, IRBuffer], ctx) -> bool:
     """Inline candidate callees into one buffer-backed caller."""
-    buf = fn.buffer()
+    buf = fn.buf
     changed = False
     next_temp = _max_temp(buf) + 1
     caller_name = buf.name

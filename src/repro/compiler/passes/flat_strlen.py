@@ -23,7 +23,7 @@ _PTR_TAG = TYPE_TAG[IRType.PTR]
 
 def flat_strlen_opt_fn(fn, module, ctx) -> bool:
     """The per-function strlen pass over a buffer-backed function."""
-    buf: IRBuffer = fn.buffer()
+    buf: IRBuffer = fn.buf
     changed = False
     names = buf.names
     opcl, dstl, tyl, auxl = buf.opc, buf.dst, buf.ty, buf.aux

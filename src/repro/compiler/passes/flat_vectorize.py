@@ -152,7 +152,7 @@ def _roots_at_global(buf: IRBuffer, temp: int) -> int:
 
 
 def flat_loop_vectorize(fn, ctx) -> bool:
-    buf = fn.buffer()
+    buf = fn.buf
     loops = _find_loops(buf)
     for loop in loops:
         _analyze_induction(buf, loop)

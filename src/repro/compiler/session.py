@@ -1,26 +1,29 @@
 """The middle end: the plain pipeline and the compile session.
 
 A compile without a :class:`~repro.cast.cache.FrontendCache` (the program
-generators, AFL++, ``use_cache=False`` fuzzers, paranoid mode's from-scratch
-reference) runs the plain pipeline, :func:`lower_and_optimize`: whole-module
-IR generation, :func:`repro.compiler.passes.run_pipeline` and
+generators, AFL++, ``use_cache=False`` fuzzers) and every compile of the
+object-IR reference pipeline (``Compiler(reference=True)``, which ignores a
+cache, so paranoid mode's reference is built from scratch) runs the plain
+pipeline, :func:`lower_and_optimize`: whole-module IR generation,
+:func:`repro.compiler.passes.run_pipeline` and
 :func:`repro.compiler.backend.lower_to_asm`.  It records nothing.
 
-A compile that carries a cache runs :func:`lower_and_optimize_session`
-against its compiler's own :class:`CompileSession`, the middle end's one
-reuse mechanism.  The session interns per-function middle-end artifacts (IR
-generation replay segments, per-phase optimizer segments, the final
-post-pipeline IR object, backend asm/stats) under a **content key** that
-captures everything the function's middle-end run can observe.  Any compile
-whose function hashes to a known key skips irgen, the optimizer, and the
-backend for that function entirely, whichever program the record was made
-in: a mutant's unchanged siblings, a pool member's functions on the next
-step, a mutant of a mutant.  A second compile of the same text and options
+A default-pipeline compile that carries a cache runs
+:func:`lower_and_optimize_session` against its compiler's own
+:class:`CompileSession`, the middle end's one reuse mechanism, which
+therefore holds buffer-native artifacts only.  The session interns
+per-function middle-end artifacts (IR generation replay segments, per-phase
+optimizer segments, the final post-pipeline function, backend asm/stats)
+under a **content key** that captures everything the function's middle-end
+run can observe.  Any compile whose function hashes to a known key skips
+irgen, the optimizer, and the backend for that function entirely, whichever
+program the record was made in: a mutant's unchanged siblings, a pool
+member's functions on the next step, a mutant of a mutant.  A second compile of the same text and options
 replays the whole recorded result.
 
 The key must cover all cross-declaration state the middle end reads:
 
-* the options tuple (personality, bug seed, -O level, flags, pipeline);
+* the options tuple (personality, bug seed, -O level, flags);
 * the enum-constant table (``_collect_enums`` walks the whole unit);
 * the *environment digest* — per-decl header text for function definitions
   (signature only; bodies are invisible to other decls) and full text for
@@ -69,8 +72,8 @@ from repro.cast import ast_nodes as ast
 from repro.cast.cache import decl_digests, source_digest
 from repro.cast.incremental import IncrementalDivergence
 from repro.compiler.backend import BackendResult, _lower_function, lower_to_asm
-from repro.compiler.flatir import FunctionSnapshot
-from repro.compiler.ir import IRFunction, IRModule
+from repro.compiler.flatir import FlatFunction, IRBuffer
+from repro.compiler.ir import IRModule
 from repro.compiler.irgen import FlatIRGen, IRGen, LoweringError
 from repro.compiler.passes import (
     OptContext,
@@ -99,16 +102,10 @@ class _MiddleAbort(Exception):
 
 
 def middle_memo_key(compiler, opt_level: int, flags: tuple) -> str:
-    """The options part of every session key (and of whole-result keys).
-
-    The key also names the pipeline: flat-native runs record
-    :class:`~repro.compiler.flatir.FlatFunction` objects, so they must never
-    share a record with reference (object-IR) runs.
-    """
-    suffix = "" if compiler.reference else ":flat-native"
+    """The options part of every session key (and of whole-result keys)."""
     return (
         f"middle:{compiler.name}:{compiler.bug_seed}:{opt_level}:"
-        f"{','.join(flags)}{suffix}"
+        f"{','.join(flags)}"
     )
 
 
@@ -117,12 +114,12 @@ def new_irgen(compiler, entry, cov):
 
     The default is buffer-direct: functions are emitted straight into
     :class:`~repro.compiler.flatir.IRBuffer` rows, and replayed records
-    re-inject their :class:`~repro.compiler.flatir.FlatFunction` carriers
-    verbatim (zero bridge crossings).  The reference builds object IR.
+    re-inject their :class:`~repro.compiler.flatir.FlatFunction` objects
+    verbatim.  The reference builds object IR.
     """
     if compiler.reference:
         return IRGen(entry.sema, cov)
-    return FlatIRGen(entry.sema, cov, counters=compiler.bridge)
+    return FlatIRGen(entry.sema, cov)
 
 
 def new_opt_context(compiler, cov, opt_level: int, flags: tuple, checkpoint):
@@ -133,7 +130,6 @@ def new_opt_context(compiler, cov, opt_level: int, flags: tuple, checkpoint):
         flags=compiler._personality_flags(flags),
         checkpoint=checkpoint,
         flat=not compiler.reference,
-        bridge=compiler.bridge,
     )
 
 
@@ -215,7 +211,7 @@ class SessionFnRecord:
     irgen_segments: tuple
     irgen_stats: tuple  # ((key, n), ...) applied to IRGenStats
     globals_added: tuple  # ((name, GlobalVar), ...) in emission order
-    fn: IRFunction | None  # final post-pipeline object (never mutated again)
+    fn: FlatFunction | None  # final post-pipeline function (never mutated again)
     str_delta: int
     static_delta: int
     phase_segments: dict = field(default_factory=dict)  # phase -> segments
@@ -224,10 +220,9 @@ class SessionFnRecord:
     asm: str = ""
     candidate_names: frozenset = frozenset()
     candidates_digest: str = ""
-    #: Post-local-opt flat snapshot when this function was an inline
-    #: candidate in its recording run (the body callers inline by value);
-    #: materialized back to object IR on reuse.
-    snapshot: "FunctionSnapshot | None" = None
+    #: Post-local-opt buffer clone when this function was an inline
+    #: candidate in its recording run (the body callers inline by value).
+    snapshot: IRBuffer | None = None
 
 
 @dataclass(frozen=True)
@@ -365,7 +360,7 @@ class _Pending:
         self.backend_events: tuple = ()
         self.backend_stats: tuple = ()
         self.asm = ""
-        self.snapshot: IRFunction | None = None
+        self.snapshot: IRBuffer | None = None
 
 
 class _SessionRun:
@@ -559,11 +554,9 @@ class _SessionRun:
             for name in candidates:
                 pend = self.pending_fn.get(name)
                 if pend is not None:
-                    # Callers inline the body by value: snapshot it at this
+                    # Callers inline the body by value: clone it at this
                     # (post-local-opt) point, before later phases mutate it.
-                    # Flat snapshots cost a handful of list copies instead of
-                    # a deep object-graph walk.
-                    pend.snapshot = FunctionSnapshot.of(module.functions[name])
+                    pend.snapshot = candidates[name].clone()
             return candidates
         names = None
         for rec in self.clean_fns.values():
@@ -585,17 +578,7 @@ class _SessionRun:
                 raise _MiddleAbort("candidate bodies changed")
         self.candidate_names = names
         self.candidates_digest = digest
-        if ctx.flat:
-            # Session-served callee bodies feed the flat inliner as raw
-            # buffers: no materialization, no bridge crossing.
-            return {
-                name: self.clean_fns[name].snapshot.buf
-                for name in names
-            }
-        return {
-            name: self.clean_fns[name].snapshot.materialize()
-            for name in names
-        }
+        return {name: self.clean_fns[name].snapshot for name in names}
 
     # -- backend -----------------------------------------------------------
 

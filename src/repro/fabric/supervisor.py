@@ -272,10 +272,10 @@ class Supervisor:
             worker.idle = True
             worker.lease_id = None
         elif kind == "heartbeat":
+            # Counted in the journal only: one event per heartbeat would
+            # make renewals most of the grid's event stream.
             if self.queue.renew(message[2], now):
                 self.journal.record_renew()
-                self._emit("lease", status="renew", lease=message[2],
-                           worker=token)
         elif kind == "done":
             lease = self.queue.complete(message[2])
             if lease is not None:  # else: a reclaimed lease's late result

@@ -112,10 +112,6 @@ class MuCFuzz(CoverageGuidedFuzzer):
     def stats_snapshot(self) -> dict:
         if self.cache is not None:
             self.stats.update(self.compiler.compile_session.stats())
-        # Object<->buffer bridge crossings: both pipelines hold them at
-        # zero, so a nonzero count flags a function that decayed to object IR.
-        self.stats["flat_encodes"] = self.compiler.bridge.encodes
-        self.stats["flat_decodes"] = self.compiler.bridge.decodes
         snap = super().stats_snapshot()
         if self.cache is not None:
             snap.update(self.cache.stats())

@@ -187,13 +187,10 @@ def render_triggers(
 
 
 #: Compile-pipeline counters surfaced in the text report (when present in
-#: the merged stats): middle-end reuse machinery plus the object<->buffer
-#: bridge crossings, which every campaign holds at zero.
+#: the merged stats): the middle end's session reuse.
 PIPELINE_COUNTERS = (
     "middle_incremental_hits",
     "middle_session_hits",
-    "flat_encodes",
-    "flat_decodes",
 )
 
 
@@ -224,7 +221,7 @@ def render_report(
         "== per-cell results (Table 5 shape) ==",
         render_cells(results),
         "",
-        "== compile pipeline (middle-end reuse + IR bridge) ==",
+        "== compile pipeline (middle-end reuse) ==",
         render_pipeline(merge_stats([r.stats for _, r in results])),
         "",
         "== unique crashes by module (Table 6 shape) ==",

@@ -1,15 +1,15 @@
-"""The flat-native middle end: buffer-direct irgen, flat inlining, journal.
+"""The flat-native middle end: buffer-direct irgen, flat inlining, session.
 
-Covers the bridge-elimination contract (a flat-native compile never
-constructs object IR on the hot path), bit-pattern float immediate pooling,
-IRBuffer edge cases (empty blocks, max-arity xdata, name-table interning
-across inline splices), full-pipeline equivalence (flat-native compiles
-and campaigns are bit-identical to the ``Compiler(reference=True)``
-object-IR pipeline), and that every campaign entry point runs flat-native
-by default.
+Covers one IR per pipeline (every default-pipeline function is a
+``FlatFunction`` with no object-IR surface, running a module leaves the
+session's records alone, and the reference pipeline never touches a cache),
+bit-pattern float immediate pooling, IRBuffer edge cases (empty blocks,
+max-arity xdata, name-table interning across inline splices), full-pipeline
+equivalence (flat-native compiles and campaigns are bit-identical to the
+``Compiler(reference=True)`` object-IR pipeline), and that every campaign
+entry point runs flat-native by default.
 """
 
-import copy
 import math
 import random
 import struct
@@ -22,16 +22,11 @@ from repro.cast.sema import Sema
 from repro.compiler.coverage import CoverageMap
 import repro.compiler.driver as driver
 from repro.compiler.driver import CLANG_SIM, Compiler, GCC_SIM
-from repro.compiler.flatir import (
-    BridgeCounters,
-    FlatFunction,
-    FunctionSnapshot,
-    IRBuffer,
-    from_nodes,
-    to_nodes,
-)
+from repro.compiler.flatir import FlatFunction, IRBuffer, from_nodes, to_nodes
+from repro.compiler.interp import execute
 from repro.compiler.ir import ImmFloat
 from repro.compiler.irgen import FlatIRGen, IRGen
+from repro.compiler.session import assert_results_equal
 from repro.compiler.passes import (
     OptContext,
     flat_inlinable,
@@ -61,6 +56,16 @@ def _front_end(text):
 
 def _bits(value: float) -> bytes:
     return struct.pack("<d", value)
+
+
+def _assert_buffer_only(functions) -> int:
+    """Every function is a ``FlatFunction`` with no object-IR surface."""
+    count = 0
+    for fn in functions:
+        assert type(fn) is FlatFunction
+        assert not hasattr(fn, "blocks")
+        count += 1
+    return count
 
 
 # ---------------------------------------------------------------------------
@@ -132,16 +137,12 @@ class TestFlatIRGenParity:
             obj_module = IRGen(sema, obj_cov).lower(unit)
         except Exception:
             return 0
-        counters = BridgeCounters()
-        flat_module = FlatIRGen(sema, flat_cov, counters=counters).lower(unit)
+        flat_module = FlatIRGen(sema, flat_cov).lower(unit)
         assert flat_module.dump() == obj_module.dump(), text
         assert frozenset(flat_cov.edges) == frozenset(obj_cov.edges)
-        for fn in flat_module.functions.values():
-            assert type(fn) is FlatFunction
-        # Buffer-direct emission: lowering never crossed the IR bridge
-        # (dump() above decodes fresh copies without counting).
-        assert counters.encodes == 0 and counters.decodes == 0
-        return len(flat_module.functions)
+        # Buffer-direct emission: irgen builds no object function at all
+        # (dump() above decodes fresh copies and leaves the buffers alone).
+        return _assert_buffer_only(flat_module.functions.values())
 
     def test_seed_corpus(self, small_seeds):
         assert sum(self._check_program(t) for t in small_seeds[:30]) > 30
@@ -189,7 +190,7 @@ class TestBufferEdgeCases:
         local_opt(obj_fn, obj_ctx)
         flat_ctx = OptContext(cov=CoverageMap(), opt_level=2, flat=True)
         local_opt(flat_fn, flat_ctx)
-        buf = flat_fn.buffer()
+        buf = flat_fn.buf
         live = sum(len(idxs) for _, idxs in buf.blocks)
         assert live < len(buf.opc)  # dead rows really were left behind
         assert flat_fn.dump() == obj_fn.dump()
@@ -266,7 +267,7 @@ class TestBufferEdgeCases:
         wide = obj_module.functions["wide"]
         assert len(wide.blocks[0].instrs) == 12  # at the bound, not below
         assert set(inline_candidates(obj_module)) == {"wide"}
-        assert flat_inlinable(flat_module.functions["wide"].buffer())
+        assert flat_inlinable(flat_module.functions["wide"].buf)
 
     def test_name_interning_across_inline_splices(self):
         # The callee must survive local_opt slot-free (params spill to
@@ -291,9 +292,9 @@ class TestBufferEdgeCases:
             local_opt(fn, flat_ctx)
         obj_cands = inline_candidates(obj_module)
         flat_cands = {
-            name: fn.buffer()
+            name: fn.buf
             for name, fn in flat_module.functions.items()
-            if flat_inlinable(fn.buffer())
+            if flat_inlinable(fn.buf)
         }
         assert set(obj_cands) == set(flat_cands) == {"bump"}
         inline_into_caller(obj_module.functions["main"], obj_cands, obj_ctx)
@@ -302,7 +303,7 @@ class TestBufferEdgeCases:
         )
         caller = flat_module.functions["main"]
         assert caller.dump() == obj_module.functions["main"].dump()
-        buf = caller.buffer()
+        buf = caller.buf
         # Splicing re-interns callee names: the table stays duplicate-free.
         assert len(buf.names) == len(set(buf.names))
         assert frozenset(flat_ctx.cov.edges) == frozenset(obj_ctx.cov.edges)
@@ -310,7 +311,7 @@ class TestBufferEdgeCases:
 
 
 # ---------------------------------------------------------------------------
-# Full-pipeline equivalence and the bridge-elimination contract.
+# Full-pipeline equivalence.
 
 
 _PROGRAM = """
@@ -352,8 +353,6 @@ class TestFlatNativeCompile:
             result = compiler.compile(_PROGRAM, 2, (), cache=cache)
             assert result.ok and result.asm == ref.asm
             assert result.features == ref.features
-        assert compiler.bridge.encodes == 0
-        assert compiler.bridge.decodes == 0
 
     def test_paranoid_differential(self):
         compiler = Compiler(*GCC_SIM)
@@ -378,7 +377,86 @@ class TestFlatNativeCompile:
             assert a.ok == b.ok
             assert a.asm == b.asm
             assert a.features == b.features
-        assert flat.bridge.decodes == 0
+
+
+def _mutate_tiny(text):
+    """``text`` with ``tiny``'s body edited, plus the edit script."""
+    begin = text.index("x + 1")
+    return (
+        text[:begin] + "x + 2" + text[begin + 5:],
+        ((begin, begin + 5, "x + 2"),),
+    )
+
+
+class TestOneIRPerPipeline:
+    """Each pipeline has one IR, and nothing converts between the two."""
+
+    @pytest.mark.parametrize(
+        "arm", ["plain", "cached", "session-replayed", "result-replayed"]
+    )
+    def test_default_compiles_are_buffer_only(self, arm):
+        compiler = Compiler(*GCC_SIM)
+        session = compiler.compile_session
+        cache = None if arm == "plain" else FrontendCache()
+        text = _PROGRAM
+        if arm == "session-replayed":
+            compiler.compile(_PROGRAM, cache=cache)
+            text, _ = _mutate_tiny(_PROGRAM)
+        elif arm == "result-replayed":
+            compiler.compile(_PROGRAM, cache=cache)
+        hits, result_hits = session.hits, session.result_hits
+        served = compiler.middle_incremental_hits
+        result = compiler.compile(text, cache=cache)
+        assert result.ok
+        assert _assert_buffer_only(result.module.functions.values()) == 3
+        if arm == "session-replayed":
+            # helper and main replayed from their records, tiny ran live.
+            assert session.hits > hits
+            assert compiler.middle_incremental_hits == served + 1
+            assert session.result_hits == result_hits
+        elif arm == "result-replayed":
+            assert session.result_hits == result_hits + 1
+
+    def test_running_a_cached_module_leaves_session_records_alone(self):
+        compiler = Compiler(*GCC_SIM)
+        result = compiler.compile(_PROGRAM, cache=FrontendCache())
+        records = [
+            rec for rec in compiler.compile_session._records.values()
+            if rec.fn is not None
+        ]
+        assert len(records) == 3
+        before = [(rec.fn.buf, rec.fn.buf.clone()) for rec in records]
+        reference = Compiler(*GCC_SIM, reference=True).compile(_PROGRAM)
+        ran = execute(result.module)
+        assert ran.observable == execute(reference.module).observable
+        assert ran.status == "ok"
+        for rec, (buf, saved) in zip(records, before):
+            assert rec.fn.buf is buf
+            assert buf == saved
+
+    def test_reference_compile_takes_no_cache(self):
+        cache = FrontendCache()
+        Compiler(*GCC_SIM).compile(_PROGRAM, cache=cache)  # parent cached
+        mutant, script = _mutate_tiny(_PROGRAM)
+        reference = Compiler(*GCC_SIM, reference=True)
+        session = reference.compile_session
+
+        def state():
+            return (
+                cache.hits, cache.misses,
+                len(session), session.hits, session.misses,
+            )
+
+        before = state()
+        result = reference.compile(
+            mutant, cache=cache, edits_from=(_PROGRAM, script)
+        )
+        assert state() == before
+        assert result.ok
+        assert_results_equal(result, reference.compile(mutant))
+        assert FlatFunction not in {
+            type(fn) for fn in result.module.functions.values()
+        }
 
 
 class TestFlatNativeCampaign:
@@ -402,9 +480,15 @@ class TestFlatNativeCampaign:
         assert [p.text for p in flat.pool.entries] == [
             p.text for p in obj.pool.entries
         ]
-        snap = flat.stats_snapshot()
-        assert snap["flat_decodes"] == 0
-        assert snap["flat_encodes"] == 0
+        # Zero decodes by construction: the default run's session holds
+        # buffers only, and the reference compiled every step from scratch
+        # although its fuzzer keeps a cache.
+        records = flat.compiler.compile_session._records.values()
+        assert _assert_buffer_only(r.fn for r in records if r.fn is not None)
+        ref_session = obj.compiler.compile_session
+        assert (len(ref_session), ref_session.hits, ref_session.misses) == (
+            0, 0, 0
+        )
 
     def test_cell_key_distinguishes_reference(self):
         base = dict(
@@ -419,28 +503,6 @@ class TestFlatNativeCampaign:
         plain = CellSpec(**base)
         reference = CellSpec(**base, reference=True)
         assert cell_key(plain) != cell_key(reference)
-
-
-class TestFunctionSnapshotFlat:
-    def test_snapshot_of_flat_function_skips_bridge(self):
-        unit, sema = _front_end(_PROGRAM)
-        counters = BridgeCounters()
-        module = FlatIRGen(sema, CoverageMap(), counters=counters).lower(unit)
-        fn = module.functions["tiny"]
-        snap = FunctionSnapshot.of(fn, counters)
-        assert counters.encodes == 0 and counters.decodes == 0
-        assert snap.buf is not fn.buffer()
-        assert to_nodes(snap.buf).dump() == fn.dump()
-
-    def test_decayed_flat_function_counts_and_reencodes(self):
-        unit, sema = _front_end(_PROGRAM)
-        counters = BridgeCounters()
-        module = FlatIRGen(sema, CoverageMap(), counters=counters).lower(unit)
-        fn = module.functions["tiny"]
-        _ = fn.blocks  # object access decays the carrier
-        assert counters.decodes == 1
-        fn.buffer()  # and coming back re-encodes
-        assert counters.encodes == 1
 
 
 # ---------------------------------------------------------------------------
@@ -487,12 +549,11 @@ class TestDefaultPipeline:
             campaign = Campaign(
                 [Compiler(*GCC_SIM)], seeds, global_registry, steps=10
             )
-            stats = campaign.run(("uCFuzz.s",))[0].stats
+            campaign.run(("uCFuzz.s",))
         else:
             fuzzer = _ENTRY_POINTS[entry](seeds)
             for _ in range(10):
                 fuzzer.step()
-            stats = fuzzer.stats_snapshot()
         functions = [
             fn
             for _, result in seen
@@ -500,12 +561,11 @@ class TestDefaultPipeline:
             for fn in result.module.functions.values()
         ]
         assert functions, "no compile reached the middle end"
-        assert {type(fn) for fn in functions} == {FlatFunction}
+        _assert_buffer_only(functions)
         for compiler in {id(c): c for c, _ in seen}.values():
             assert compiler.reference is False
-            assert (compiler.bridge.encodes, compiler.bridge.decodes) == (0, 0)
-        if entry in ("make_fuzzer", "Campaign.run"):  # μCFuzz reports them
-            assert stats["flat_encodes"] == stats["flat_decodes"] == 0
+            records = compiler.compile_session._records.values()
+            _assert_buffer_only(r.fn for r in records if r.fn is not None)
 
 
 class TestMacroDifferential:

@@ -1,10 +1,10 @@
-"""Flat slotted IR: round-trips, flat==object differentials, snapshots.
+"""Flat slotted IR: round-trips and flat==object differentials.
 
 The flat IR (:mod:`repro.compiler.flatir` + :mod:`repro.compiler.passes.flat`)
 is a pure representation change: every test here is an equivalence property
 against the object-IR pipeline — same IR dumps, same coverage edges, same
-stats, same asm, same interpreter observables — over the seed corpus, the
-mutator corpus (the fuzzing hot path's actual inputs), and random programs.
+stats, same asm — over the seed corpus, the mutator corpus (the fuzzing hot
+path's actual inputs), and random programs.
 """
 
 import copy
@@ -18,8 +18,7 @@ from repro.cast.parser import parse
 from repro.cast.sema import Sema
 from repro.compiler.coverage import CoverageMap
 from repro.compiler.driver import Compiler, GCC_SIM
-from repro.compiler.flatir import FunctionSnapshot, IRBuffer, from_nodes, to_nodes
-from repro.compiler.interp import execute
+from repro.compiler.flatir import from_nodes, to_nodes
 from repro.compiler.irgen import IRGen
 from repro.compiler.passes import OptContext, local_opt, cleanup_opt
 from repro.compiler.session import assert_results_equal
@@ -28,6 +27,7 @@ from repro.fuzzing.progen import GenPolicy, ProgramGenerator
 from repro.muast.registry import global_registry
 from repro.muast.mutator import apply_mutator
 from repro.telemetry.spans import Span, Tracer, _NOOP, span
+from tests.helpers import flat_copy
 
 
 def _lower(text):
@@ -122,7 +122,7 @@ class TestFlatOptEquivalence:
         checked = 0
         for name in module.functions:
             obj_fn = copy.deepcopy(module.functions[name])
-            flat_fn = copy.deepcopy(module.functions[name])
+            flat_fn = flat_copy(module.functions[name])
             obj_ctx = OptContext(cov=CoverageMap(), opt_level=opt_level)
             local_opt(obj_fn, obj_ctx)
             flat_ctx = OptContext(cov=CoverageMap(), opt_level=opt_level, flat=True)
@@ -155,7 +155,7 @@ class TestFlatOptEquivalence:
                 continue
             for name in module.functions:
                 obj_fn = copy.deepcopy(module.functions[name])
-                flat_fn = copy.deepcopy(module.functions[name])
+                flat_fn = flat_copy(module.functions[name])
                 obj_ctx = OptContext(cov=CoverageMap(), opt_level=2)
                 flat_ctx = OptContext(cov=CoverageMap(), opt_level=2, flat=True)
                 cleanup_opt(obj_fn, obj_ctx)
@@ -205,58 +205,6 @@ class TestFlatCompileEquivalence:
             assert a.crashed == b.crashed
             if not a.crashed:
                 assert_results_equal(a, b)
-
-
-class TestFlatInterpreter:
-    """The table-driven flat dispatch loop == the object-IR interpreter."""
-
-    def _check(self, text, opt_level):
-        module = _lower(text)
-        if module is None:
-            return 0
-        if opt_level:
-            from repro.compiler.passes import run_pipeline
-
-            run_pipeline(module, OptContext(cov=CoverageMap(), opt_level=opt_level))
-        obj = execute(module, fuel=100_000)
-        flat = execute(module, fuel=100_000, flat=True)
-        assert flat.observable == obj.observable, text
-        assert flat.reason == obj.reason, text
-        assert flat.status == obj.status, text
-        return 1
-
-    def test_seed_corpus(self, small_seeds):
-        assert sum(self._check(t, 0) + self._check(t, 2) for t in small_seeds[:20]) > 20
-
-    def test_random_programs(self):
-        for text in _random_texts(10, max_stmts=10):
-            self._check(text, 0)
-            self._check(text, 2)
-
-
-class TestFunctionSnapshot:
-    def test_materialize_equals_deepcopy(self, small_seeds):
-        for text in small_seeds[:10]:
-            module = _lower(text)
-            if module is None:
-                continue
-            for fn in module.functions.values():
-                snap = FunctionSnapshot.of(fn)
-                assert snap.materialize().dump() == copy.deepcopy(fn).dump()
-
-    def test_materialize_is_memoized(self):
-        module = _lower("int main(void) { return 7; }")
-        snap = FunctionSnapshot.of(module.functions["main"])
-        assert snap.materialize() is snap.materialize()
-
-    def test_snapshot_is_isolated_from_source_mutation(self):
-        module = _lower("int main(void) { int x = 1; return x + 2; }")
-        fn = module.functions["main"]
-        before = fn.dump()
-        snap = FunctionSnapshot.of(fn)
-        local_opt(fn, OptContext(cov=CoverageMap(), opt_level=2))
-        assert fn.dump() != before  # the local round actually changed it
-        assert snap.materialize().dump() == before
 
 
 class TestDeclDigestMemo:

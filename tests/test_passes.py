@@ -194,7 +194,7 @@ def test_optimizer_preserves_semantics(seed, opt_level):
 
     Every drawn program runs through both pipelines: the object-IR
     reference, and the default flat-native one, whose buffer-native module
-    executes in the interpreter's flat mode.
+    the interpreter decodes and runs on its one engine.
     """
     program = ProgramGenerator(
         random.Random(seed), GenPolicy(max_stmts=6)
@@ -206,7 +206,7 @@ def test_optimizer_preserves_semantics(seed, opt_level):
             optimized,
             OptContext(cov=CoverageMap(), opt_level=opt_level, flat=flat),
         )
-        r1 = execute(optimized, fuel=300_000, flat=flat)
+        r1 = execute(optimized, fuel=300_000)
         assert r0.observable == r1.observable, ("flat" if flat else "reference")
 
 
