@@ -47,8 +47,7 @@ from repro.cast.source import SourceFile
 #: Default bound on cached translation units.  The μCFuzz pool stays small
 #: (tens of programs) while mutants churn; 256 evicted heavily (1749
 #: evictions over a 600-step benchmark run), so the default keeps the whole
-#: mutant working set of a campaign cell warm.  Tunable per fuzzer/Campaign
-#: via the ``cache_maxsize`` knob.
+#: mutant working set of a campaign cell warm.
 DEFAULT_CACHE_SIZE = 2048
 
 
@@ -207,11 +206,10 @@ def decl_digests(
 class FrontendCache:
     """A bounded, content-hash-keyed LRU over :class:`FrontendEntry`."""
 
-    def __init__(self, maxsize: int = DEFAULT_CACHE_SIZE, verify_on_hit: bool = True) -> None:
+    def __init__(self, maxsize: int = DEFAULT_CACHE_SIZE) -> None:
         if maxsize < 1:
             raise ValueError("cache maxsize must be >= 1")
         self.maxsize = maxsize
-        self.verify_on_hit = verify_on_hit
         self._entries: OrderedDict[str, FrontendEntry] = OrderedDict()
         self.hits = 0
         self.misses = 0
@@ -229,7 +227,7 @@ class FrontendCache:
         entry = self._entries.get(key)
         if entry is None:
             return None
-        if self.verify_on_hit and source_digest(entry.source.text) != entry.source_hash:
+        if source_digest(entry.source.text) != entry.source_hash:
             raise CacheInvariantError(
                 f"cached unit for {entry.source_hash[:12]} was mutated in place"
             )

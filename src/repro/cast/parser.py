@@ -9,6 +9,14 @@ GNU ``__imag``/``__real``/``__attribute__``/``_Complex`` extensions used by
 the paper's GCC #111819 case.
 
 Every node carries its exact source range so the rewriter can splice text.
+
+Nesting is bounded: statements, declarators, initializer lists, record
+definitions, type names and every nested sub-expression each open one
+level, and a program nested deeper than :data:`MAX_NESTING` levels fails to
+parse with :class:`RecursionError` (the front end records it as
+``parse_recursion``).  The bound keeps every later recursive walk of the
+tree well inside Python's recursion limit, so whether a program compiles
+never depends on how deep the caller's stack already is.
 """
 
 from __future__ import annotations
@@ -17,6 +25,12 @@ from repro.cast import ast_nodes as ast
 from repro.cast.lexer import Lexer, LexError, Token, TokenKind
 from repro.cast.source import SourceFile, SourceLocation, SourceRange
 from repro.cast import types as ct
+
+
+#: The deepest nesting the parser accepts, in levels (see the module
+#: docstring).  The seed corpus, the generators and the fuzzers' mutants
+#: nest far less; one level costs at most about ten Python frames here.
+MAX_NESTING = 64
 
 
 class ParseError(Exception):
@@ -70,6 +84,8 @@ class Parser:
         self.record_names: dict[str, ct.RecordType] = {}
         self.typedefs: dict[str, ct.QualType] = {}
         self._anon_counter = 0
+        #: Current nesting level (see :meth:`_enter`).
+        self.depth = 0
         #: Ordered log of cross-declaration parser-state *definitions*
         #: (record definitions and typedefs).  Replaying a prefix of this
         #: journal reconstructs the parser state an incremental re-parse
@@ -112,6 +128,32 @@ class Parser:
 
     def _error(self, message: str) -> ParseError:
         return ParseError(message, self.tok.begin)
+
+    def _enter(self) -> None:
+        """Open one nesting level; past :data:`MAX_NESTING` the parse fails.
+
+        The message starts like Python's own recursion error, so the
+        diagnostic coverage the front end derives from it is the same
+        whichever of the two stopped the parse.
+        """
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise RecursionError(
+                "maximum recursion depth exceeded: more than "
+                f"{MAX_NESTING} nesting levels"
+            )
+
+    def _nested(self, parse):
+        """``parse()`` one nesting level deeper.
+
+        A failed parse is abandoned whole, so an exception needs no unwind
+        of the level.  (A plain call: CPython runs it in the same
+        interpreter loop, where ``parse(*args)`` would recurse in C.)
+        """
+        self._enter()
+        node = parse()
+        self.depth -= 1
+        return node
 
     # -- entry point -------------------------------------------------------
 
@@ -318,6 +360,7 @@ class Parser:
             self.record_names.setdefault(name, rec)
             return ct.QualType(rec)
         self.expect("{")
+        self._enter()
         fields: list[ast.FieldDecl] = []
         while not self.tok.is_punct("}"):
             fspec = self._parse_declaration_specifiers()
@@ -337,6 +380,7 @@ class Parser:
                     break
             self.expect(";")
         rbrace = self.expect("}")
+        self.depth -= 1
         rec = ct.RecordType(
             tag_kind, name, tuple((f.name, f.type) for f in fields)
         )
@@ -394,6 +438,7 @@ class Parser:
             self.rparen_loc: SourceLocation | None = None
 
     def _parse_declarator(self, base: ct.QualType) -> "Parser._Declarator":
+        self._enter()
         d = Parser._Declarator()
         ty = base
         while self.accept("*"):
@@ -442,6 +487,7 @@ class Parser:
         while self.tok.is_keyword("__attribute__"):
             self._parse_attribute()
         d.type = ty
+        self.depth -= 1
         return d
 
     def _const_int(self, expr: ast.Expr) -> int | None:
@@ -592,6 +638,9 @@ class Parser:
         )
 
     def parse_stmt(self) -> ast.Stmt:
+        return self._nested(self._parse_stmt)
+
+    def _parse_stmt(self) -> ast.Stmt:
         tok = self.tok
         start = tok.begin
         if tok.is_punct("{"):
@@ -746,6 +795,7 @@ class Parser:
         return self.parse_assignment_expr()
 
     def _parse_init_list(self) -> ast.InitListExpr:
+        self._enter()
         lbrace = self.expect("{")
         inits: list[ast.Expr] = []
         while not self.tok.is_punct("}"):
@@ -753,6 +803,7 @@ class Parser:
             if not self.accept(","):
                 break
         rbrace = self.expect("}")
+        self.depth -= 1
         return ast.InitListExpr(inits, SourceRange(lbrace.begin, rbrace.end))
 
     # -- expressions ------------------------------------------------------------
@@ -774,7 +825,7 @@ class Parser:
         lhs = self.parse_conditional_expr()
         if self.tok.kind is TokenKind.PUNCT and self.tok.text in ast.ASSIGN_OPS:
             op_tok = self.advance()
-            rhs = self.parse_assignment_expr()
+            rhs = self._nested(self.parse_assignment_expr)
             return ast.BinaryOperator(
                 op_tok.text, lhs, rhs,
                 SourceRange(lhs.range.begin, rhs.range.end),
@@ -785,9 +836,9 @@ class Parser:
     def parse_conditional_expr(self) -> ast.Expr:
         cond = self._parse_binop_rhs(self.parse_cast_expr(), 0)
         if self.accept("?"):
-            true_expr = self.parse_expr()
+            true_expr = self._nested(self.parse_expr)
             self.expect(":")
-            false_expr = self.parse_conditional_expr()
+            false_expr = self._nested(self.parse_conditional_expr)
             return ast.ConditionalOperator(
                 cond, true_expr, false_expr,
                 SourceRange(cond.range.begin, false_expr.range.end),
@@ -814,7 +865,9 @@ class Parser:
                 )
                 if next_prec <= prec:
                     break
+                self._enter()
                 rhs = self._parse_binop_rhs(rhs, prec + 1)
+                self.depth -= 1
             lhs = ast.BinaryOperator(
                 op_tok.text, lhs, rhs,
                 SourceRange(lhs.range.begin, rhs.range.end),
@@ -836,13 +889,14 @@ class Parser:
                 return ast.CompoundLiteralExpr(
                     qtype, type_text, init, SourceRange(start, init.range.end)
                 )
-            operand = self.parse_cast_expr()
+            operand = self._nested(self.parse_cast_expr)
             return ast.CastExpr(
                 qtype, type_text, operand, SourceRange(start, operand.range.end)
             )
         return self.parse_unary_expr()
 
     def _parse_type_name(self) -> ct.QualType:
+        self._enter()
         spec = self._parse_declaration_specifiers()
         ty = spec.base_type
         while self.accept("*"):
@@ -858,6 +912,7 @@ class Parser:
             self.expect("]")
         for size in reversed(dims):
             ty = ct.array_of(ty, size)
+        self.depth -= 1
         return ty
 
     def parse_unary_expr(self) -> ast.Expr:
@@ -867,13 +922,13 @@ class Parser:
             "+", "-", "!", "~", "*", "&", "++", "--",
         ):
             self.advance()
-            operand = self.parse_cast_expr()
+            operand = self._nested(self.parse_cast_expr)
             return ast.UnaryOperator(
                 tok.text, operand, True, SourceRange(start, operand.range.end)
             )
         if tok.is_keyword("__imag") or tok.is_keyword("__real"):
             self.advance()
-            operand = self.parse_cast_expr()
+            operand = self._nested(self.parse_cast_expr)
             return ast.UnaryOperator(
                 tok.text, operand, True, SourceRange(start, operand.range.end)
             )
@@ -886,7 +941,7 @@ class Parser:
                 return ast.SizeofExpr(
                     None, qtype, SourceRange(start, rparen.end)
                 )
-            operand = self.parse_unary_expr()
+            operand = self._nested(self.parse_unary_expr)
             return ast.SizeofExpr(
                 operand, None, SourceRange(start, operand.range.end)
             )
@@ -900,9 +955,9 @@ class Parser:
                 lparen = self.advance()
                 args: list[ast.Expr] = []
                 if not self.tok.is_punct(")"):
-                    args.append(self.parse_assignment_expr())
+                    args.append(self._nested(self.parse_assignment_expr))
                     while self.accept(","):
-                        args.append(self.parse_assignment_expr())
+                        args.append(self._nested(self.parse_assignment_expr))
                 rparen = self.expect(")")
                 expr = ast.CallExpr(
                     expr, args,
@@ -912,7 +967,7 @@ class Parser:
                 )
             elif tok.is_punct("["):
                 self.advance()
-                index = self.parse_expr()
+                index = self._nested(self.parse_expr)
                 rbracket = self.expect("]")
                 expr = ast.ArraySubscriptExpr(
                     expr, index, SourceRange(expr.range.begin, rbracket.end)
@@ -965,7 +1020,7 @@ class Parser:
             return ast.DeclRefExpr(tok.text, tok.range)
         if tok.is_punct("("):
             lparen = self.advance()
-            inner = self.parse_expr()
+            inner = self._nested(self.parse_expr)
             rparen = self.expect(")")
             return ast.ParenExpr(inner, SourceRange(lparen.begin, rparen.end))
         raise self._error(f"unexpected token {tok.text!r} in expression")

@@ -1,10 +1,10 @@
 """The middle end: the plain pipeline and the compile session.
 
 A compile without a :class:`~repro.cast.cache.FrontendCache` (the program
-generators, AFL++, ``use_cache=False`` fuzzers) and every compile of the
-object-IR reference pipeline (``Compiler(reference=True)``, which ignores a
-cache, so paranoid mode's reference is built from scratch) runs the plain
-pipeline, :func:`lower_and_optimize`: whole-module IR generation,
+generators, AFL++) and every compile of the object-IR reference pipeline
+(``Compiler(reference=True)``, which ignores a cache, so paranoid mode's
+reference is built from scratch) runs the plain pipeline,
+:func:`lower_and_optimize`: whole-module IR generation,
 :func:`repro.compiler.passes.run_pipeline` and
 :func:`repro.compiler.backend.lower_to_asm`.  It records nothing.
 

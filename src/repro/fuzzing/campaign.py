@@ -103,10 +103,7 @@ def make_fuzzer(
     registry: MutatorRegistry,
     rng: random.Random,
     quarantine_threshold: int | None = None,
-    cache_maxsize: int | None = None,
-    incremental: bool = True,
     paranoid: bool = False,
-    batch_compile: bool = False,
     scheduler: "MutatorScheduler | None" = None,
     mutator_stats: bool | None = None,
     telemetry: TelemetrySession | None = None,
@@ -117,22 +114,18 @@ def make_fuzzer(
         if quarantine_threshold is not None
         else None
     )
-    # The generator baselines ignore the μCFuzz knobs (batch compilation,
-    # the evolutionary scheduler).
+    # The generator baselines ignore the μCFuzz knobs (paranoid mode, the
+    # evolutionary scheduler).
     if name == "uCFuzz.s":
         fuzzer: Fuzzer = MuCFuzz(
             compiler, rng, seeds, registry.supervised(), name=name,
-            quarantine=quarantine, cache_maxsize=cache_maxsize,
-            incremental=incremental, paranoid=paranoid,
-            batch_compile=batch_compile,
+            quarantine=quarantine, paranoid=paranoid,
             scheduler=scheduler, mutator_stats=mutator_stats,
         )
     elif name == "uCFuzz.u":
         fuzzer = MuCFuzz(
             compiler, rng, seeds, registry.unsupervised(), name=name,
-            quarantine=quarantine, cache_maxsize=cache_maxsize,
-            incremental=incremental, paranoid=paranoid,
-            batch_compile=batch_compile,
+            quarantine=quarantine, paranoid=paranoid,
             scheduler=scheduler, mutator_stats=mutator_stats,
         )
     elif name == "AFL++":
@@ -238,14 +231,9 @@ class Campaign:
     steps: int = 600
     base_seed: int = 2024
     quarantine_threshold: int | None = None
-    #: Front-end cache capacity per cell (None = FrontendCache default).
-    cache_maxsize: int | None = None
-    #: Dirty-region front ends for mutants (``edits_from``) per cell.
-    incremental: bool = True
-    #: Differentially check every incremental compile (slow; CI/tests only).
+    #: Check every compile against a from-scratch reference compile (slow;
+    #: CI/tests only).
     paranoid: bool = False
-    #: Compile each μCFuzz step's attempt set as one session batch.
-    batch_compile: bool = False
     #: Evolutionary mutator scheduling: give each μCFuzz cell a
     #: fitness-proportional :class:`MutatorScheduler` seeded from the cell
     #: seed (scheduled cells stay serial == parallel == fabric identical).
@@ -284,11 +272,8 @@ class Campaign:
                 cell_seed=stable_cell_seed(name, compiler.name, self.base_seed),
                 registry=registry,
                 quarantine_threshold=self.quarantine_threshold,
-                cache_maxsize=self.cache_maxsize,
-                incremental=self.incremental,
                 paranoid=self.paranoid,
                 reference=compiler.reference,
-                batch_compile=self.batch_compile,
                 schedule=self.schedule,
                 mutator_stats=self.mutator_stats,
                 telemetry_dir=self.telemetry_dir,

@@ -41,10 +41,6 @@ class MacroFuzzer(CoverageGuidedFuzzer):
         mutators: list[MutatorInfo],
         shared_coverage: CoverageMap | None = None,
         *,
-        cache: FrontendCache | None = None,
-        use_cache: bool = True,
-        cache_maxsize: int | None = None,
-        incremental: bool = True,
         paranoid: bool = False,
         quarantine: MutatorQuarantine | None = None,
     ) -> None:
@@ -52,20 +48,10 @@ class MacroFuzzer(CoverageGuidedFuzzer):
         self.mutators = list(mutators)
         if shared_coverage is not None:
             self.coverage = shared_coverage  # enhancement 3
-        # Havoc front-ends the intermediate mutant of every round; with the
-        # cache, a round after the first takes the dirty-region front end
-        # from the previous round's text and edit script.
-        if cache is not None:
-            self.cache = cache
-        elif use_cache:
-            self.cache = (
-                FrontendCache(maxsize=cache_maxsize)
-                if cache_maxsize is not None
-                else FrontendCache()
-            )
-        else:
-            self.cache = None
-        self.incremental = incremental and self.cache is not None
+        # Havoc front-ends the intermediate mutant of every round; a round
+        # after the first takes the dirty-region front end from the
+        # previous round's text and edit script.
+        self.cache = FrontendCache()
         self.paranoid = paranoid
         self.quarantine = quarantine
 
@@ -88,9 +74,7 @@ class MacroFuzzer(CoverageGuidedFuzzer):
         # the first, and of the final compile, is the *last* intermediate
         # text (already front-ended into the cache), not the pool parent.
         edits_from: tuple[str, tuple] | None = None
-        hits_before = (
-            self.cache.incremental_hits if self.cache is not None else 0
-        )
+        hits_before = self.cache.incremental_hits
         for _ in range(rounds):
             info = self.mutators[self.rng.randrange(len(self.mutators))]
             if self.quarantine is not None and not self.quarantine.allows(
@@ -99,18 +83,16 @@ class MacroFuzzer(CoverageGuidedFuzzer):
                 continue
             mutated = self._mutate(mutant, info, edits_from)
             if mutated is not None and len(mutated[0]) <= MAX_MUTANT_BYTES:
-                if self.incremental:
-                    edits_from = (mutant, mutated[1])
+                edits_from = (mutant, mutated[1])
                 mutant = mutated[0]
                 applied.append(info.name)
-        if self.cache is not None:
-            # Dirty-region front ends of Havoc rounds (the final compile's
-            # is not among them); the paranoid macro smoke gates on it.
-            self.stats["havoc_incremental_hits"] = (
-                self.stats.get("havoc_incremental_hits", 0)
-                + self.cache.incremental_hits
-                - hits_before
-            )
+        # Dirty-region front ends of Havoc rounds (the final compile's is
+        # not among them); the paranoid macro smoke gates on it.
+        self.stats["havoc_incremental_hits"] = (
+            self.stats.get("havoc_incremental_hits", 0)
+            + self.cache.incremental_hits
+            - hits_before
+        )
         opt_level, flags = self.sample_options()
         result = self.compiler.compile(
             mutant,

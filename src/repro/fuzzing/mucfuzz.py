@@ -6,12 +6,14 @@ mopt, no fork server, no pool culling — deliberately simple (§3.4).
 
 Performance: all mutation attempts of one iteration target the same parent
 program, so the front end (lex/parse/sema) of the parent is computed once
-and shared through a :class:`~repro.cast.cache.FrontendCache`; the same
-cache backs ``Compiler.compile``'s front-end stage for mutants and no-op
-recompiles, and a cached compile replays every function the compiler's
-:class:`~repro.compiler.session.CompileSession` has already compiled (a
-mutant's unchanged siblings).  Pass ``use_cache=False`` to measure the
-uncached baseline, which runs the plain pipeline.
+and shared through the fuzzer's :class:`~repro.cast.cache.FrontendCache`.
+The same cache backs ``Compiler.compile``'s front-end stage: a mutant takes
+the dirty-region front end from its parent's entry and edit script, and a
+no-op round's recompile is a cache hit.  Every compile then replays each
+function the compiler's :class:`~repro.compiler.session.CompileSession` has
+already compiled (a mutant's unchanged siblings).  The object-IR reference
+compiler (``Compiler(reference=True)``) ignores the cache and compiles every
+program from scratch; only the mutators' front end still shares it.
 """
 
 from __future__ import annotations
@@ -44,37 +46,16 @@ class MuCFuzz(CoverageGuidedFuzzer):
         mutators: list[MutatorInfo],
         name: str = "uCFuzz",
         *,
-        cache: FrontendCache | None = None,
-        use_cache: bool = True,
-        cache_maxsize: int | None = None,
-        incremental: bool = True,
         paranoid: bool = False,
         quarantine: MutatorQuarantine | None = None,
-        batch_compile: bool = False,
         scheduler: MutatorScheduler | None = None,
         mutator_stats: bool | None = None,
     ) -> None:
         super().__init__(compiler, rng, seeds)
         self.mutators = list(mutators)
         self.name = name
-        if cache is not None:
-            self.cache = cache
-        elif use_cache:
-            self.cache = (
-                FrontendCache(maxsize=cache_maxsize)
-                if cache_maxsize is not None
-                else FrontendCache()
-            )
-        else:
-            self.cache = None
-        #: Compile each step's mutation attempts as one batch against the
-        #: compiler's session (parent materialized once); requires a cache.
-        self.batch_compile = batch_compile and self.cache is not None
-        #: Feed mutant edit scripts to the compiler for dirty-region
-        #: front-end reuse (the session's middle-end reuse is content-keyed
-        #: and needs no edit script).
-        self.incremental = incremental and self.cache is not None
-        #: Cross-check every cached/incremental compile against a full one.
+        self.cache = FrontendCache()
+        #: Cross-check every compile against a from-scratch reference one.
         self.paranoid = paranoid
         #: Evolutionary outer loop: a seeded fitness-proportional bandit
         #: that reorders each step's mutator try-list from the per-mutator
@@ -110,24 +91,27 @@ class MuCFuzz(CoverageGuidedFuzzer):
             scheduler.attach(self.stats["mutator_stats"], quarantine)
 
     def stats_snapshot(self) -> dict:
-        if self.cache is not None:
+        # The reference pipeline never runs the compile session, so its
+        # counters would only read as a session that never hit.
+        has_session = not self.compiler.reference
+        if has_session:
             self.stats.update(self.compiler.compile_session.stats())
         snap = super().stats_snapshot()
-        if self.cache is not None:
-            snap.update(self.cache.stats())
-        snap["middle_incremental_hits"] = self.compiler.middle_incremental_hits
-        snap["middle_incremental_fallbacks"] = (
-            self.compiler.middle_incremental_fallbacks
-        )
+        snap.update(self.cache.stats())
+        if has_session:
+            snap["middle_incremental_hits"] = (
+                self.compiler.middle_incremental_hits
+            )
+            snap["middle_incremental_fallbacks"] = (
+                self.compiler.middle_incremental_fallbacks
+            )
         steps = snap.get("steps", 0)
         snap["attempts_per_step"] = snap["attempts"] / steps if steps else 0.0
         return snap
 
     def step(self) -> StepResult:
         self.stats["steps"] += 1
-        cache_before = (
-            (self.cache.hits, self.cache.misses) if self.cache is not None else (0, 0)
-        )
+        cache_before = (self.cache.hits, self.cache.misses)
         attempts_before = self.stats["attempts"]
         events_before = (
             len(self.quarantine.events) if self.quarantine is not None else 0
@@ -145,11 +129,6 @@ class MuCFuzz(CoverageGuidedFuzzer):
         self.rng.shuffle(order)
         if self.scheduler is not None:
             order = self.scheduler.order(order)
-        if self.batch_compile:
-            return self._step_batched(
-                parent, order, attempts_before, cache_before, events_before,
-                retired_before,
-            )
         last: StepResult | None = None
         for info in order[:MAX_TRIES_PER_ITERATION]:
             if self.quarantine is not None and not self.quarantine.allows(
@@ -167,7 +146,7 @@ class MuCFuzz(CoverageGuidedFuzzer):
             result = self.compiler.compile(
                 mutant,
                 cache=self.cache,
-                edits_from=(parent.text, edits) if self.incremental else None,
+                edits_from=(parent.text, edits),
                 paranoid=self.paranoid,
             )
             kept = self.keep_if_new_coverage(mutant, result, parent, info.name)
@@ -204,84 +183,6 @@ class MuCFuzz(CoverageGuidedFuzzer):
             retired_before,
         )
 
-    def _step_batched(
-        self,
-        parent,
-        order: list[MutatorInfo],
-        attempts_before: int,
-        cache_before: tuple[int, int],
-        events_before: int,
-        retired_before: int = 0,
-    ) -> StepResult:
-        """One iteration routed through :meth:`Compiler.compile_batch`.
-
-        Behaviourally identical to the sequential loop in :meth:`step` —
-        same RNG draw order (the request generator is lazy, so a mutator
-        only consumes entropy when the batch actually reaches it), same
-        keep/merge bookkeeping, same early exit on a kept or crashing
-        mutant.  The only addition is that ``compile_batch`` materializes
-        the parent's session record once up front, so every attempt's
-        clean functions replay from the session.
-        """
-        state: dict = {}
-
-        def requests():
-            for info in order[:MAX_TRIES_PER_ITERATION]:
-                if self.quarantine is not None and not self.quarantine.allows(
-                    info.name
-                ):
-                    self.stats["quarantine_skips"] += 1
-                    continue
-                self.stats["attempts"] += 1
-                mutated = self._mutate(parent.text, info)
-                if mutated is None or mutated[0] == parent.text:
-                    self.stats["unchanged"] += 1
-                    self.record_mutator_yield(info.name)
-                    continue
-                mutant, edits = mutated
-                state["pending"] = (mutant, info)
-                yield mutant, (
-                    (parent.text, edits) if self.incremental else None
-                )
-
-        def until(result) -> bool:
-            mutant, info = state.pop("pending")
-            kept = self.keep_if_new_coverage(mutant, result, parent, info.name)
-            covered_before = len(self.coverage)
-            self.coverage.merge(result.coverage)
-            self.record_mutator_yield(
-                info.name,
-                changed=True,
-                compiled=result.ok,
-                crashed=result.crashed,
-                coverage_gain=len(self.coverage) - covered_before,
-            )
-            state["last"] = StepResult(
-                mutant, result, kept=kept, mutator=info.name
-            )
-            return kept or result.crashed
-
-        self.compiler.compile_batch(
-            requests(), cache=self.cache, paranoid=self.paranoid, until=until
-        )
-        last = state.get("last")
-        if last is not None:
-            return self._finish(
-                last, attempts_before, cache_before, events_before,
-                retired_before,
-            )
-        result = self.compiler.compile(
-            parent.text, cache=self.cache, paranoid=self.paranoid
-        )
-        self.coverage.merge(result.coverage)
-        return self._finish(
-            StepResult(parent.text, result, kept=False, mutator=None),
-            attempts_before,
-            cache_before,
-            events_before,
-            retired_before,
-        )
-
     def _finish(
         self,
         step: StepResult,
@@ -290,10 +191,11 @@ class MuCFuzz(CoverageGuidedFuzzer):
         events_before: int = 0,
         retired_before: int = 0,
     ) -> StepResult:
-        step.stats = {"attempts": self.stats["attempts"] - attempts_before}
-        if self.cache is not None:
-            step.stats["cache_hits"] = self.cache.hits - cache_before[0]
-            step.stats["cache_misses"] = self.cache.misses - cache_before[1]
+        step.stats = {
+            "attempts": self.stats["attempts"] - attempts_before,
+            "cache_hits": self.cache.hits - cache_before[0],
+            "cache_misses": self.cache.misses - cache_before[1],
+        }
         if self.quarantine is not None:
             step.stats["quarantined"] = [
                 event.mutator

@@ -62,17 +62,11 @@ class CellSpec:
     #: Consecutive crash/hang threshold for the per-mutator circuit
     #: breaker; None leaves quarantine off (the historical behaviour).
     quarantine_threshold: int | None = None
-    #: Front-end cache capacity for the cell's fuzzer (None = default).
-    cache_maxsize: int | None = None
-    #: Feed mutant edit scripts to the compiler for incremental reuse.
-    incremental: bool = True
-    #: Cross-check every incremental compile against a full one (CI/tests).
+    #: Check every compile against a from-scratch reference one (CI/tests).
     paranoid: bool = False
     #: Compile through the object-IR reference pipeline
     #: (``Compiler(reference=True)``) instead of the default flat-native one.
     reference: bool = False
-    #: Compile each μCFuzz step's attempt set as one session batch.
-    batch_compile: bool = False
     #: Evolutionary mutator scheduling: the worker builds a
     #: :class:`~repro.fuzzing.schedule.MutatorScheduler` seeded from
     #: ``cell_seed``, so every execution of the spec — serial, parallel,
@@ -111,7 +105,9 @@ def cell_keys(specs: Sequence[CellSpec]) -> list[str]:
     corpus dominates that text (hundreds of programs) and every cell of a
     grid shares it, so it is rendered once per distinct corpus and hashed
     between the other fields; the bytes hashed, and so the keys of
-    existing checkpoint dirs and fabric journals, do not change.
+    existing checkpoint dirs and fabric journals, do not change.  The slots
+    of retired fields hash as the defaults they had, so a spec keeps the
+    key it had before they went.
     """
     rendered: dict[tuple[str, ...], bytes] = {}
     keys = []
@@ -128,14 +124,12 @@ def cell_keys(specs: Sequence[CellSpec]) -> list[str]:
             spec.virtual_hours,
             spec.sample_points,
             spec.quarantine_threshold,
-            spec.cache_maxsize,
-            spec.incremental,
+            None,  # front-end cache capacity (retired)
+            True,  # dirty-region front end switch (retired)
             spec.paranoid,
-            # The slot of the retired per-cell compile-session switch,
-            # pinned to its old default so existing keys still resume.
-            False,
+            False,  # compile-session switch (retired)
             spec.reference,
-            spec.batch_compile,
+            False,  # batched step switch (retired)
             spec.schedule,
             spec.mutator_stats,
         )
@@ -229,10 +223,7 @@ def run_cell(spec: CellSpec) -> "CampaignResult":
         registry,
         random.Random(spec.cell_seed),
         quarantine_threshold=spec.quarantine_threshold,
-        cache_maxsize=spec.cache_maxsize,
-        incremental=spec.incremental,
         paranoid=spec.paranoid,
-        batch_compile=spec.batch_compile,
         scheduler=scheduler,
         mutator_stats=spec.mutator_stats,
         telemetry=session,

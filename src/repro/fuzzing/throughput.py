@@ -1,31 +1,30 @@
-"""Fuzzing-throughput measurement: reference vs. uncached vs. cached vs. incremental.
+"""Fuzzing-throughput measurement: the reference pipeline vs. the default.
 
 The perf contract of the compile pipeline is measured here: the same μCFuzz
-run (same compiler, seeds, RNG seed — hence an identical step sequence) is
-executed four ways in one process.  The ``reference`` arm compiles through
-the object-IR reference pipeline (``Compiler(reference=True)``) with no
-caches; every other arm runs the default flat-native middle end
-(buffer-direct irgen, the flat passes and backend): ``uncached`` runs the
-plain pipeline with no cache; ``cached`` shares the front end through a
-cache, which also puts every compile on the compiler's
-:class:`~repro.compiler.session.CompileSession` (content-keyed
-per-function middle-end reuse); ``incremental``, the default fuzzer
-configuration, adds the dirty-region front end for mutants.  The steps/sec
-ratios, cache and session hit-rates, and per-stage timing breakdown are
-written to ``BENCH_throughput.json`` so successive changes accumulate a
-perf trajectory.  All runs must land on identical final coverage and pool
+run (same compiler personality, seeds, RNG seed — hence an identical step
+sequence) is executed two ways in one process.  The ``reference`` arm
+compiles through the object-IR reference pipeline
+(``Compiler(reference=True)``), which builds every program from scratch;
+the ``default`` arm is the fuzzer as campaigns run it: the flat-native
+middle end (buffer-direct irgen, the flat passes and backend) behind the
+shared front-end cache, the dirty-region front end for mutants and the
+compiler's :class:`~repro.compiler.session.CompileSession` (content-keyed
+per-function middle-end reuse).  The steps/sec ratio, cache and session
+hit-rates, and per-stage timing breakdown are written to
+``BENCH_throughput.json`` so successive changes accumulate a perf
+trajectory.  Both runs must land on identical final coverage and pool
 sizes: the speedup changes no observable result.
 
 Entry points:
 
 * ``python benchmarks/bench_fuzzer_throughput.py`` — the full 600-step run;
 * ``bench-smoke`` (``pyproject.toml`` script) / :func:`smoke_main` — a tiny
-  step budget that asserts the caches are actually hitting and the arms
-  keep their speed order (tier-2 CI); it writes a report only when given
-  ``--output``;
+  step budget that asserts the caches are actually hitting and the default
+  arm is not slower than the reference (tier-2 CI); it writes a report only
+  when given ``--output``;
 * ``paranoid-smoke`` / :func:`paranoid_main` — a paranoid-mode run where
-  every cached compile is differentially checked against a from-scratch
-  reference-pipeline compile; any divergence raises.
+  every default-pipeline compile is differentially checked against a
+  from-scratch reference-pipeline compile; any divergence raises.
 """
 
 from __future__ import annotations
@@ -62,10 +61,7 @@ def _build_fuzzer(
     fuzzer_name: str,
     seeds: list[str],
     seed: int,
-    use_cache: bool,
-    incremental: bool = False,
     paranoid: bool = False,
-    cache_maxsize: int | None = None,
     reference: bool = False,
 ):
     import repro.mutators  # noqa: F401  (populate the registry)
@@ -85,9 +81,6 @@ def _build_fuzzer(
         seeds,
         mutators,
         name=fuzzer_name,
-        use_cache=use_cache,
-        cache_maxsize=cache_maxsize,
-        incremental=incremental,
         paranoid=paranoid,
     )
 
@@ -128,13 +121,11 @@ def _time_run(fuzzer, steps: int) -> dict:
     }
 
 
-#: The measured arms in gate order: (label, reference, use_cache,
-#: incremental).  ``incremental`` is the default μCFuzz configuration.
+#: The measured arms in gate order: (label, reference).  ``default`` is
+#: the fuzzer as campaigns construct it.
 ARMS = (
-    ("reference", True, False, False),
-    ("uncached", False, False, False),
-    ("cached", False, True, False),
-    ("incremental", False, True, True),
+    ("reference", True),
+    ("default", False),
 )
 
 
@@ -144,32 +135,27 @@ def measure_throughput(
     n_seeds: int = DEFAULT_SEEDS,
     seed: int = 2024,
 ) -> dict:
-    """Run the four arms, reference through incremental.
+    """Run both arms, the reference first.
 
-    All runs use the same RNG seed; neither the pipeline, caching,
-    incremental compilation, nor the compile session consumes fuzzer
-    randomness, so they execute the identical step sequence and the
-    comparison is apples-to-apples (also sanity-checked via final coverage
-    and pool size, which must match exactly across all arms).
+    Both runs use the same RNG seed; neither the pipeline nor any cache
+    consumes fuzzer randomness, so they execute the identical step sequence
+    and the comparison is apples-to-apples (also sanity-checked via final
+    coverage and pool size, which must match exactly).
     """
     from repro.fuzzing.seedgen import generate_seeds
 
     seeds = generate_seeds(n_seeds)
     report: dict = {"fuzzer": fuzzer_name, "seed": seed, "n_seeds": n_seeds}
-    for label, reference, use_cache, incremental in ARMS:
-        fuzzer = _build_fuzzer(
-            fuzzer_name, seeds, seed, use_cache, incremental=incremental,
-            reference=reference,
-        )
+    for label, reference in ARMS:
+        fuzzer = _build_fuzzer(fuzzer_name, seeds, seed, reference=reference)
         report[label] = _time_run(fuzzer, steps)
-    for label, *_ in ARMS[1:]:
-        assert (
-            report[label]["final_coverage"]
-            == report["reference"]["final_coverage"]
-        ), f"{label} run changed fuzzing coverage"
-        assert (
-            report[label]["pool_size"] == report["reference"]["pool_size"]
-        ), f"{label} run changed the mutant pool"
+    ref, default = report["reference"], report["default"]
+    assert (
+        default["final_coverage"] == ref["final_coverage"]
+    ), "the default run changed fuzzing coverage"
+    assert (
+        default["pool_size"] == ref["pool_size"]
+    ), "the default run changed the mutant pool"
 
     def _ratio(a: "float | None", b: "float | None") -> "float | None":
         # None propagates: a timing too small to measure produces no ratio.
@@ -177,28 +163,18 @@ def measure_throughput(
             return None
         return round(a / b, 3)
 
-    def _sps(label: str) -> "float | None":
-        return report[label]["steps_per_sec"]
-
-    report["speedup_uncached_vs_reference"] = _ratio(
-        _sps("uncached"), _sps("reference")
+    report["speedup"] = _ratio(
+        default["steps_per_sec"], ref["steps_per_sec"]
     )
-    report["speedup"] = _ratio(_sps("cached"), _sps("uncached"))
-    report["speedup_incremental"] = _ratio(
-        _sps("incremental"), _sps("uncached")
-    )
-    report["speedup_incremental_vs_cached"] = _ratio(
-        _sps("incremental"), _sps("cached")
-    )
-    report["cache_hit_rate"] = report["cached"]["stats"].get("cache_hit_rate", 0.0)
-    inc_stats = report["incremental"]["stats"]
+    stats = default["stats"]
+    report["cache_hit_rate"] = stats.get("cache_hit_rate", 0.0)
     report["incremental_hit_rate"] = _ratio(
-        inc_stats.get("cache_incremental_hits", 0),
-        inc_stats.get("cache_incremental_hits", 0)
-        + inc_stats.get("cache_incremental_fallbacks", 0),
+        stats.get("cache_incremental_hits", 0),
+        stats.get("cache_incremental_hits", 0)
+        + stats.get("cache_incremental_fallbacks", 0),
     )
-    report["session_hit_rate"] = inc_stats.get("middle_session_hit_rate", 0.0)
-    report["stage_timings"] = report["incremental"]["profile"]["stage_timings"]
+    report["session_hit_rate"] = stats.get("middle_session_hit_rate", 0.0)
+    report["stage_timings"] = default["profile"]["stage_timings"]
     return report
 
 
@@ -218,13 +194,12 @@ def run(
     report = measure_throughput(steps=steps, fuzzer_name=fuzzer_name)
     written = f" -> {write_report(report, output)}" if output else ""
     arms = " -> ".join(
-        f"{report[label]['steps_per_sec']} ({label})" for label, *_ in ARMS
+        f"{report[label]['steps_per_sec']} ({label})" for label, _ in ARMS
     )
     print(
         f"{report['fuzzer']}: {arms} steps/sec "
-        f"(uncached {report['speedup_uncached_vs_reference']}x over "
-        f"reference, incremental {report['speedup_incremental']}x over "
-        f"uncached, cache hit-rate {report['cache_hit_rate']:.2%}, "
+        f"(default {report['speedup']}x over reference, "
+        f"cache hit-rate {report['cache_hit_rate']:.2%}, "
         f"session hit-rate {report['session_hit_rate']:.2%}){written}"
     )
     return report
@@ -253,27 +228,25 @@ def smoke_main(argv: list[str] | None = None) -> int:
     report = run(args.steps, args.output)
     if report["cache_hit_rate"] <= 0:
         raise SystemExit("bench-smoke: cache hit-rate is 0 on the hot path")
-    inc_stats = report["incremental"]["stats"]
-    if inc_stats.get("cache_incremental_hits", 0) <= 0:
+    stats = report["default"]["stats"]
+    if stats.get("cache_incremental_hits", 0) <= 0:
         raise SystemExit("bench-smoke: incremental front end never hit")
-    if inc_stats.get("middle_session_hits", 0) <= 0:
+    if stats.get("middle_session_hits", 0) <= 0:
         raise SystemExit("bench-smoke: the compile session never hit")
-    # Arm ordering: each optimization layer must not make the pipeline
-    # slower.  A tiny step budget is noisy, so the gate is a generous slack
-    # factor, not strict monotonicity — it catches a de-optimized layer
-    # (2x regressions), not jitter — and only applies once the budget is
-    # large enough to amortize session/cache warmup (below ~40 steps the
-    # memoizing arms legitimately trail while their stores are cold).
+    # The default pipeline must not be slower than the reference.  A tiny
+    # step budget is noisy, so the gate is a generous slack factor, not a
+    # strict order — it catches a de-optimized pipeline (2x regressions),
+    # not jitter — and only applies once the budget is large enough to
+    # amortize cache/session warmup (below ~40 steps the memoizing arm
+    # legitimately trails while its stores are cold).
     slack = 0.7
-    order = [label for label, *_ in ARMS]
-    rates = [report[label]["steps_per_sec"] for label in order]
-    if args.steps >= 40 and all(rate is not None for rate in rates):
-        for i in range(1, len(order)):
-            if rates[i] < rates[i - 1] * slack:
-                raise SystemExit(
-                    f"bench-smoke: {order[i]} arm ({rates[i]}/s) fell below "
-                    f"{slack}x of the {order[i - 1]} arm ({rates[i - 1]}/s)"
-                )
+    ref, default = (report[label]["steps_per_sec"] for label, _ in ARMS)
+    if args.steps >= 40 and ref is not None and default is not None:
+        if default < ref * slack:
+            raise SystemExit(
+                f"bench-smoke: default arm ({default}/s) fell below "
+                f"{slack}x of the reference arm ({ref}/s)"
+            )
     return 0
 
 
@@ -307,9 +280,7 @@ def paranoid_main(argv: list[str] | None = None) -> int:
         )
 
     seeds = generate_seeds(DEFAULT_SEEDS)
-    fuzzer = _build_fuzzer(
-        "uCFuzz.s", seeds, args.seed, True, incremental=True, paranoid=True,
-    )
+    fuzzer = _build_fuzzer("uCFuzz.s", seeds, args.seed, paranoid=True)
     for _ in range(args.steps):
         fuzzer.step()  # IncrementalDivergence propagates and fails the job
     stats = fuzzer.stats_snapshot()

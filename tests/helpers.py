@@ -11,3 +11,21 @@ def flat_copy(fn):
     then compare dumps, coverage and stats.
     """
     return FlatFunction(from_nodes(fn))
+
+
+def full_front_end(fuzzer):
+    """Route ``fuzzer``'s front end past the dirty-region path; returns it.
+
+    Every ``cache.front_end_from`` call, the mutators' and the compiler's,
+    then front-ends the whole text (still through the cache, so the compile
+    session keeps running).  The parity tests run such a fuzzer step for
+    step beside a default one: any difference is the dirty-region front
+    end's.
+    """
+    cache = fuzzer.cache
+
+    def front_end_from(text, edits_from=None, *, paranoid=False, tracer=None):
+        return cache.front_end(text, tracer=tracer), None
+
+    cache.front_end_from = front_end_from
+    return fuzzer

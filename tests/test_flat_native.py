@@ -467,7 +467,6 @@ class TestFlatNativeCampaign:
             random.Random(11),
             ["int main(void) { return 0; }"],
             global_registry.supervised(),
-            incremental=True,
         )
         for _ in range(steps):
             fuzzer.step()

@@ -275,7 +275,7 @@ class TestFlatKnobPlumbing:
             comp = Compiler(*GCC_SIM, reference=reference)
             fuzzer = MuCFuzz(
                 comp, random.Random(5), list(small_seeds[:6]),
-                registry.supervised(), batch_compile=True,
+                registry.supervised(),
             )
             return run_campaign(fuzzer, steps=12)
 

@@ -15,10 +15,13 @@ from repro.cast.incremental import assert_entries_equal
 from repro.cast.rewriter import Rewriter
 from repro.cast.source import SourceFile, SourceLocation, SourceRange
 from repro.compiler import CLANG_SIM, GCC_SIM, Compiler
+from repro.fuzzing.baselines import AFLPlusPlus
 from repro.fuzzing.campaign import run_campaign
 from repro.fuzzing.macro import MacroFuzzer
 from repro.fuzzing.mucfuzz import MuCFuzz
 from repro.muast.mutator import apply_mutator
+from repro.fuzzing.seedgen import generate_seeds
+from tests.helpers import full_front_end
 
 
 def _span(begin: int, end: int) -> SourceRange:
@@ -192,16 +195,16 @@ class TestIncrementalCompileParity:
         stats = fuzzer.stats_snapshot()
         assert stats["cache_paranoid_checks"] > 0
 
-    def test_incremental_equals_plain_cached_run(self, gcc, registry, small_seeds):
+    def test_incremental_equals_plain_cached_run(self, registry, small_seeds):
         """Step-for-step identity: the speedup changes no observable result."""
-        inc = MuCFuzz(
-            gcc, random.Random(7), small_seeds[:8], registry.supervised(),
-            incremental=True,
+        inc, plain = (
+            MuCFuzz(
+                Compiler(*GCC_SIM), random.Random(7), small_seeds[:8],
+                registry.supervised(),
+            )
+            for _ in range(2)
         )
-        plain = MuCFuzz(
-            gcc, random.Random(7), small_seeds[:8], registry.supervised(),
-            incremental=False,
-        )
+        full_front_end(plain)
         for _ in range(40):
             a, b = inc.step(), plain.step()
             assert a.program == b.program
@@ -212,6 +215,7 @@ class TestIncrementalCompileParity:
             assert a.result.asm == b.result.asm
         assert inc.coverage.edges == plain.coverage.edges
         assert inc.stats_snapshot()["cache_incremental_hits"] > 0
+        assert plain.cache.incremental_hits == 0
 
     @pytest.mark.parametrize(
         "personality", [GCC_SIM, CLANG_SIM], ids=["gcc-sim", "clang-sim"]
@@ -224,10 +228,11 @@ class TestIncrementalCompileParity:
         inc, plain = (
             MacroFuzzer(
                 Compiler(*personality), random.Random(20240427), small_seeds,
-                list(registry), incremental=incremental,
+                list(registry),
             )
-            for incremental in (True, False)
+            for _ in range(2)
         )
+        full_front_end(plain)
         for _ in range(40):
             a, b = inc.step(), plain.step()
             assert a.program == b.program
@@ -238,12 +243,14 @@ class TestIncrementalCompileParity:
         # after the first took the incremental path too.
         assert inc.cache.incremental_hits > 40
 
-    def test_campaign_invariant_under_incremental(self, gcc, registry, small_seeds):
+    def test_campaign_invariant_under_incremental(self, registry, small_seeds):
         def result_of(incremental):
             fuzzer = MuCFuzz(
-                gcc, random.Random(11), small_seeds[:8],
-                registry.supervised(), incremental=incremental,
+                Compiler(*GCC_SIM), random.Random(11), small_seeds[:8],
+                registry.supervised(),
             )
+            if not incremental:
+                full_front_end(fuzzer)
             r = run_campaign(fuzzer, steps=30)
             return (
                 r.coverage_trend, r.compiled, r.total,
@@ -252,3 +259,50 @@ class TestIncrementalCompileParity:
             )
 
         assert result_of(True) == result_of(False)
+
+
+def _one_span_script(parent: str, child: str) -> tuple:
+    """The edit script replacing what lies between the two texts' common
+    prefix and common suffix."""
+    limit = min(len(parent), len(child))
+    prefix = 0
+    while prefix < limit and parent[prefix] == child[prefix]:
+        prefix += 1
+    suffix = 0
+    while (
+        suffix < limit - prefix
+        and parent[len(parent) - 1 - suffix] == child[len(child) - 1 - suffix]
+    ):
+        suffix += 1
+    return ((prefix, len(parent) - suffix, child[prefix : len(child) - suffix]),)
+
+
+class TestAdversarialBytes:
+    """The facade's never-raise contract on the cached, incremental path:
+    AFL++ byte-havoc variants of cached seeds, front-ended from their
+    parent's entry and checked against the reference pipeline."""
+
+    @pytest.mark.parametrize(
+        "personality", [GCC_SIM, CLANG_SIM], ids=["gcc-sim", "clang-sim"]
+    )
+    def test_havoc_variants_compile_incrementally(self, personality):
+        compiler = Compiler(*personality)
+        cache = FrontendCache()
+        havoc = AFLPlusPlus(compiler, random.Random(7), ["int x;"])
+        options = ((2, ()), (3, ("-fno-inline",)), (0, ()))
+        for seed in generate_seeds(60):
+            compiler.compile(seed, cache=cache)
+            for _ in range(4):
+                data = bytearray(seed.encode("latin-1", "replace"))
+                for _ in range(1 << havoc.rng.randint(0, 4)):
+                    havoc._havoc_once(data)
+                variant = bytes(data).decode("latin-1")
+                script = _one_span_script(seed, variant)
+                assert _apply_script(seed, script) == variant
+                for opt_level, flags in options:
+                    # Any exception, IncrementalDivergence included, fails.
+                    compiler.compile(
+                        variant, opt_level, flags, cache=cache,
+                        edits_from=(seed, script), paranoid=True,
+                    )
+        assert cache.incremental_hits > 0

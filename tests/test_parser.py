@@ -4,7 +4,9 @@ import pytest
 
 from repro.cast import ast_nodes as ast
 from repro.cast import types as ct
-from repro.cast.parser import ParseError, parse
+from repro.cast.cache import FrontendCache
+from repro.cast.parser import MAX_NESTING, ParseError, parse
+from repro.compiler import GCC_SIM, Compiler
 
 
 def first_fn(text) -> ast.FunctionDecl:
@@ -285,3 +287,70 @@ class TestParseErrors:
         with pytest.raises(ParseError) as info:
             parse("int x = ;")
         assert info.value.loc is not None
+
+
+#: One program per construct, nested ``n`` levels deep.
+_NESTED = {
+    "parens": lambda n: (
+        "int main(void) { return " + "(" * n + "1" + ")" * n + "; }"
+    ),
+    "unary": lambda n: "int main(void) { return " + "~" * n + "1; }",
+    "block": lambda n: (
+        "int main(void) { " + "{" * n + "}" * n + " return 0; }"
+    ),
+    "init-list": lambda n: (
+        "int a[1] = " + "{" * n + "1" + "}" * n + ";\n"
+        "int main(void) { return a[0]; }"
+    ),
+}
+
+
+def _deeper(frames, fn, *args, **kwargs):
+    """``fn(*args, **kwargs)`` called ``frames`` Python frames deeper."""
+    if frames == 0:
+        return fn(*args, **kwargs)
+    return _deeper(frames - 1, fn, *args, **kwargs)
+
+
+def _outcome(result) -> tuple:
+    return (
+        result.ok,
+        tuple(result.diagnostics),
+        frozenset(result.coverage.edges),
+        result.asm,
+        None if result.crash is None else result.crash.bug_id,
+    )
+
+
+class TestNestingBound:
+    """Whether a program compiles depends on the program, not on how deep
+    the caller's stack is: the parser's nesting bound fails a too-deep
+    program the same way at any depth, and keeps every accepted tree
+    shallow enough for the later recursive passes."""
+
+    @pytest.mark.parametrize("construct", sorted(_NESTED))
+    def test_outcome_independent_of_stack_depth(self, construct):
+        make = _NESTED[construct]
+        compiler = Compiler(*GCC_SIM)
+        for n in range(1, 2 * MAX_NESTING + 20):
+            text = make(n)
+            direct = compiler.compile(text)
+            # Deeper, and through the cached front end with every compile
+            # checked against a from-scratch reference compile.
+            deep = _deeper(
+                200, compiler.compile, text, cache=FrontendCache(),
+                paranoid=True,
+            )
+            assert _outcome(direct) == _outcome(deep), n
+
+    @pytest.mark.parametrize("construct", sorted(_NESTED))
+    def test_past_the_bound_is_a_depth_overflow(self, construct):
+        make = _NESTED[construct]
+        compiler = Compiler(*GCC_SIM)
+        inside = compiler.compile(make(MAX_NESTING - 1))
+        assert "parse_failed" not in inside.features
+        with pytest.raises(RecursionError):
+            parse(make(MAX_NESTING + 1))
+        past = compiler.compile(make(MAX_NESTING + 1))
+        assert past.features["parse_depth_overflow"] == 1
+        assert not past.ok

@@ -17,6 +17,7 @@ from repro.cast.cache import (
     analyze_front_end,
     source_digest,
 )
+from repro.compiler import GCC_SIM, Compiler
 from repro.fuzzing.campaign import Campaign, run_campaign
 from repro.fuzzing.mucfuzz import MuCFuzz
 from repro.fuzzing.parallel import stable_cell_seed
@@ -57,19 +58,16 @@ class TestCompileParity:
     def test_sema_error(self, gcc):
         self._assert_same_result(gcc, SEMA_BROKEN)
 
-    def test_mutant_compile_parity(self, gcc, registry, small_seeds):
-        """The actual hot path: mutants of a pool parent, cached vs. not."""
-        cached = MuCFuzz(
-            gcc, random.Random(7), small_seeds[:6], registry.supervised()
+    def test_mutant_compile_parity(self, registry, small_seeds):
+        """The actual hot path: mutants of a pool parent, cached and
+        session-served vs. built from scratch by the reference pipeline."""
+        cached, plain = (
+            MuCFuzz(
+                Compiler(*GCC_SIM, reference=reference), random.Random(7),
+                small_seeds[:6], registry.supervised(),
+            )
+            for reference in (False, True)
         )
-        plain = MuCFuzz(
-            gcc,
-            random.Random(7),
-            small_seeds[:6],
-            registry.supervised(),
-            use_cache=False,
-        )
-        assert cached.cache is not None and plain.cache is None
         for _ in range(15):
             a, b = cached.step(), plain.step()
             assert a.program == b.program
@@ -77,8 +75,11 @@ class TestCompileParity:
             assert a.kept == b.kept
             assert a.result.coverage.edges == b.result.coverage.edges
             assert a.result.diagnostics == b.result.diagnostics
+            assert a.result.asm == b.result.asm
         assert cached.coverage.edges == plain.coverage.edges
         assert cached.cache.hits > 0
+        assert cached.compiler.compile_session.hits > 0
+        assert len(plain.compiler.compile_session) == 0
 
 
 class TestApplyMutatorCache:
@@ -204,6 +205,33 @@ class TestStats:
         assert snap["attempts_per_step"] == step.stats["attempts"]
         assert 0.0 <= snap["cache_hit_rate"] <= 1.0
 
+    def test_reference_fuzzer_reports_no_session(self, registry, small_seeds):
+        """The reference pipeline never runs the compile session, so its
+        counters are absent, not zeros beside real cache figures."""
+
+        def session_keys(snap):
+            return {
+                key
+                for key in snap
+                if key.startswith(("middle_session_", "middle_incremental_"))
+                or key == "decl_digest_memo_hits"
+            }
+
+        default, reference = (
+            MuCFuzz(
+                Compiler(*GCC_SIM, reference=ref), random.Random(5),
+                small_seeds[:6], registry.supervised(),
+            )
+            for ref in (False, True)
+        )
+        for _ in range(15):
+            default.step()
+            reference.step()
+        snap = reference.stats_snapshot()
+        assert snap["cache_hits"] > 0  # the mutators still share the cache
+        assert not session_keys(snap)
+        assert len(session_keys(default.stats_snapshot())) == 13
+
     def test_campaign_result_reports_stats(self, gcc, registry, small_seeds):
         fuzzer = MuCFuzz(
             gcc, random.Random(6), small_seeds[:6], registry.supervised()
@@ -250,7 +278,7 @@ class TestThroughputBench:
         report = measure_throughput(steps=6, n_seeds=6)
         assert report["cache_hit_rate"] > 0
         assert (
-            report["cached"]["final_coverage"]
-            == report["uncached"]["final_coverage"]
+            report["default"]["final_coverage"]
+            == report["reference"]["final_coverage"]
         )
-        assert report["cached"]["steps"] == report["uncached"]["steps"] == 6
+        assert report["default"]["steps"] == report["reference"]["steps"] == 6

@@ -435,13 +435,13 @@ def test_cell_key_is_pinned():
     assert cell_key(spec) == "uCFuzz.s-gcc-c1f1ae8750b1d751"
     every_field = dataclasses.replace(
         spec, fuzzer_name="Csmith", virtual_hours=1.5, sample_points=6,
-        quarantine_threshold=3, cache_maxsize=64, incremental=False,
-        paranoid=True, reference=True, batch_compile=True,
+        quarantine_threshold=3, paranoid=True, reference=True,
         schedule=True, mutator_stats=False,
     )
     # Every field that can be set: the key the spec had before the
-    # compile-session switch was retired (its slot hashes as False).
-    assert cell_key(every_field) == "Csmith-gcc-f1da24ab41709737"
+    # compile-session, cache-capacity, dirty-region and batched-step
+    # switches were retired (their slots hash as their old defaults).
+    assert cell_key(every_field) == "Csmith-gcc-d3b9676ab08122aa"
 
 
 # ---------------------------------------------------------------------------

@@ -246,7 +246,6 @@ class TestSessionFuzzing:
             random.Random(seed),
             seeds,
             registry.supervised(),
-            batch_compile=True,
             **kwargs,
         )
 
@@ -254,9 +253,9 @@ class TestSessionFuzzing:
     def _comparable(result):
         payload = result.to_json()
         # Pipeline-plumbing counters legitimately differ between arms and
-        # between warm/cold session runs (batching materializes parents →
-        # different cache-hit counts; an uncached run has no session; the
-        # counters accumulate across runs sharing one compiler).
+        # between warm/cold session runs (the reference pipeline has no
+        # session; the counters accumulate across runs sharing one
+        # compiler).
         # Everything *behavioral* — coverage trend, crashes, pool, attempts,
         # RNG-driven counters — must be bit-identical.
         payload["stats"] = {
@@ -272,17 +271,21 @@ class TestSessionFuzzing:
         with_session = run_campaign(
             self._fuzzer(Compiler(*GCC_SIM), seeds, registry), steps=25
         )
-        # No cache: every compile runs the plain pipeline.
+        # The reference pipeline builds every compile from scratch.
         without = run_campaign(
-            MuCFuzz(
-                Compiler(*GCC_SIM), random.Random(7), seeds,
-                registry.supervised(), use_cache=False,
-            ),
+            self._fuzzer(Compiler(*GCC_SIM, reference=True), seeds, registry),
             steps=25,
         )
         assert self._comparable(with_session) == self._comparable(without)
         assert with_session.stats["middle_session_hits"] > 0
-        assert "middle_session_hits" not in without.stats
+        # No session ran, so none of its counters is reported.
+        assert not {
+            key
+            for key in without.stats
+            if key.startswith(("middle_session_", "middle_incremental_"))
+            or key == "decl_digest_memo_hits"
+        }
+        assert without.stats["cache_hits"] > 0
 
     def test_same_campaign_twice_through_one_session(self, registry, small_seeds):
         seeds = small_seeds[:8]
@@ -333,10 +336,9 @@ class TestSessionFuzzing:
             seeds=small_seeds[:6],
             registry=None or global_registry,
             steps=12,
-            batch_compile=True,
         )
         specs = campaign.cell_specs(("uCFuzz.s", "uCFuzz.u"))
-        assert all(s.batch_compile and not s.reference for s in specs)
+        assert not any(s.reference for s in specs)
         serial = campaign.run(("uCFuzz.s", "uCFuzz.u"), parallelism=1)
         parallel = campaign.run(("uCFuzz.s", "uCFuzz.u"), parallelism=2)
         assert [r.to_json() for r in serial] == [r.to_json() for r in parallel]
