@@ -22,6 +22,12 @@ without this module importing them.  Middle-end records do not live here:
 they are keyed by content in the compiler's
 :class:`~repro.compiler.session.CompileSession`, and an entry's memo dies
 with the entry.
+
+The cache holds what its fuzzer can reuse, not every text it has seen: at
+the end of each step the coverage-guided fuzzers :meth:`~FrontendCache.release`
+every mutant that did not enter their pool (see
+:meth:`repro.fuzzing.base.CoverageGuidedFuzzer.release_unpooled`), so in a
+campaign the cache stays about the size of the pool.
 """
 
 from __future__ import annotations
@@ -44,10 +50,10 @@ from repro.cast.parser import ParseError, Parser
 from repro.cast.sema import Diagnostic, Sema
 from repro.cast.source import SourceFile
 
-#: Default bound on cached translation units.  The μCFuzz pool stays small
-#: (tens of programs) while mutants churn; 256 evicted heavily (1749
-#: evictions over a 600-step benchmark run), so the default keeps the whole
-#: mutant working set of a campaign cell warm.
+#: Default bound on cached translation units.  The fuzzers release each
+#: mutant that does not enter their pool at the end of its step, so what
+#: stays cached is the pool (246 programs after the 600-step benchmark run);
+#: the bound only caps a caller that never releases.
 DEFAULT_CACHE_SIZE = 2048
 
 
@@ -258,6 +264,18 @@ class FrontendCache:
         """The cached entry for ``text`` without hit/miss accounting."""
         return self._entries.get(source_digest(text))
 
+    def release(self, text: str) -> FrontendEntry | None:
+        """Drop ``text``'s entry if it is cached; returns the dropped entry.
+
+        The caller no longer needs the text (a mutant that did not enter its
+        fuzzer's pool); a later request front-ends it again.
+        """
+        return self._entries.pop(source_digest(text), None)
+
+    def texts(self) -> list[str]:
+        """The cached source texts, least recently used first."""
+        return [entry.source.text for entry in self._entries.values()]
+
     def front_end_from(
         self,
         text: str,
@@ -322,6 +340,12 @@ class FrontendCache:
             return entry, None
         fields, plan = built
         entry = FrontendEntry(source_hash=key, **fields)
+        if plan is not None:
+            # The tuple, not the plan: the plan references the parent entry
+            # and would keep it alive.  A later compile of this text is a
+            # cache hit without a plan, and the compile session still needs
+            # to know which declarations the mutation changed.
+            entry.memo["decl_map"] = plan.decl_map
         self.incremental_hits += 1
         if paranoid:
             self.paranoid_checks += 1

@@ -34,14 +34,17 @@ class SourceRange:
     @staticmethod
     def of(begin: int, end: int) -> "SourceRange":
         # Interned: ranges are immutable value objects and the lexer/clone
-        # hot paths construct millions of repeats; the bound keeps a
-        # pathological offset spread from pinning memory.
+        # hot paths construct millions of repeats.  The table starts over
+        # when it reaches its bound, so a long campaign's offset spread
+        # never pins memory; ranges compare by value, so a range made
+        # before a reset still equals one made after it.
         key = (begin, end)
         cached = _RANGE_INTERN.get(key)
         if cached is None:
             cached = SourceRange(SourceLocation(begin), SourceLocation(end))
-            if len(_RANGE_INTERN) < 1_000_000:
-                _RANGE_INTERN[key] = cached
+            if len(_RANGE_INTERN) >= RANGE_INTERN_BOUND:
+                _RANGE_INTERN.clear()
+            _RANGE_INTERN[key] = cached
         return cached
 
     @property
@@ -61,6 +64,10 @@ class SourceRange:
         return f"range({self.begin.offset},{self.end.offset})"
 
 
+#: Entries the range intern table holds before it starts over.  One
+#: 120-step benchmark round of μCFuzz or the macro fuzzer interns about
+#: 20k ranges, so no round reaches it.
+RANGE_INTERN_BOUND = 65_536
 _RANGE_INTERN: dict[tuple[int, int], SourceRange] = {}
 
 

@@ -28,7 +28,6 @@ from repro.compiler.session import (
     assert_results_equal,
     lower_and_optimize,
     lower_and_optimize_session,
-    middle_memo_key,
 )
 from repro.telemetry.spans import Tracer
 
@@ -197,15 +196,12 @@ class Compiler:
         ``requests`` is an iterable of ``(text, edits_from)`` pairs — lazily
         consumed, so a generator that draws fuzzer randomness keeps its exact
         sequential draw order.  With a ``cache``, the first request's parent
-        is materialized in the session once per batch (if its result is not
-        already interned), so every attempt's clean functions replay instead
-        of re-lowering.  ``until``, when given, is invoked with each result
-        and truthy return stops the batch early (μCFuzz's keep/crash early
-        exit).
+        is compiled once per batch, so every attempt's clean functions
+        replay instead of re-lowering.  ``until``, when given, is invoked
+        with each result and truthy return stops the batch early.
         """
         if self.reference:
             cache = None  # built from scratch: there is no parent to warm
-        session = self.compile_session
         results: list[CompileResult] = []
         materialized = False
         for text, edits_from in requests:
@@ -214,15 +210,12 @@ class Compiler:
                 and edits_from is not None
                 and not materialized
             ):
-                parent_text = edits_from[0]
-                options = middle_memo_key(self, opt_level, tuple(flags))
-                if not session.has_result(options, parent_text):
-                    # Observationally pure for the caller: the parent was
-                    # already compiled when it entered the pool, so this
-                    # warm-up adds no coverage/pool state and consumes no
-                    # fuzzer randomness.
-                    self.compile(parent_text, opt_level, flags, cache=cache)
-                    session.materializations += 1
+                # Observationally pure for the caller: the parent was
+                # already compiled when it entered the pool, so this warm-up
+                # adds no coverage/pool state and consumes no fuzzer
+                # randomness.
+                self.compile(edits_from[0], opt_level, flags, cache=cache)
+                self.compile_session.materializations += 1
                 materialized = True
             result = self.compile(
                 text, opt_level, flags, cache=cache, edits_from=edits_from,

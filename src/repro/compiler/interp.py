@@ -23,6 +23,13 @@ from repro.compiler.ir import (
 SEG_SHIFT = 40
 _OFF_MASK = (1 << SEG_SHIFT) - 1
 
+#: The deepest interpreted call nesting a program may reach; one call
+#: deeper traps as a stack overflow.  An interpreted call costs three
+#: Python frames, so a run at the bound stays well inside Python's default
+#: recursion limit even under a caller 300 frames deep, and whether a
+#: program overflows never depends on where it was run from.
+MAX_CALL_DEPTH = 150
+
 _PACK = {
     IRType.I8: "<b", IRType.I16: "<h", IRType.I32: "<i", IRType.I64: "<q",
     IRType.F32: "<f", IRType.F64: "<d", IRType.PTR: "<q",
@@ -80,6 +87,8 @@ class Interpreter:
         self._next_seg = 0
         self.output: list[str] = []
         self._rand_state = 1
+        #: Interpreted calls now active below the entry function.
+        self.depth = 0
         self._init_globals()
 
     # -- memory ------------------------------------------------------------
@@ -367,7 +376,14 @@ class Interpreter:
         name = instr.callee
         args = [self._value(a, temps) for a in instr.args]
         if name in self.functions:
-            return self._call_function(self.functions[name], args)
+            if self.depth >= MAX_CALL_DEPTH:
+                # Reported like Python's own overflow (see ``run``).
+                raise RecursionError(f"more than {MAX_CALL_DEPTH} nested calls")
+            self.depth += 1
+            try:
+                return self._call_function(self.functions[name], args)
+            finally:
+                self.depth -= 1
         handler = getattr(self, f"_lib_{name}", None)
         if handler is None:
             raise Trap(f"call to unknown function {name!r}")

@@ -18,8 +18,16 @@ under a **content key** that captures everything the function's middle-end
 run can observe.  Any compile whose function hashes to a known key skips
 irgen, the optimizer, and the backend for that function entirely, whichever
 program the record was made in: a mutant's unchanged siblings, a pool
-member's functions on the next step, a mutant of a mutant.  A second compile of the same text and options
-replays the whole recorded result.
+member's functions on the next step, a mutant of a mutant.  A second compile
+of the same text and options is served the same way, declaration by
+declaration.
+
+The session keeps what the fuzzer's pool can reuse.  A compile notes on its
+front-end entry (``memo["session_keys"]``) the records it created for the
+declarations its mutation changed; when the fuzzer drops a mutant that did
+not enter its pool, :meth:`CompileSession.release` drops those records with
+it.  Records of declarations the mutant shares with its parent stay: they
+are the parent's functions, which the pool's next mutants replay.
 
 The key must cover all cross-declaration state the middle end reads:
 
@@ -87,11 +95,10 @@ from repro.compiler.passes import (
 from repro.telemetry.spans import span
 
 #: Default bound on interned per-function records.  A campaign cell's live
-#: working set is (pool size × functions per program) plus mutant churn;
-#: 4096 holds the whole 600-step bench without evictions.
+#: working set is about (pool size × functions per program), since the
+#: fuzzers release their unkept mutants' records at the end of each step;
+#: the bound only caps a caller that never releases.
 DEFAULT_SESSION_SIZE = 4096
-#: Default bound on whole-result memos (same-text recompiles).
-DEFAULT_RESULT_SIZE = 2048
 
 _EVENT_TAG = itemgetter(0)
 _EVENT_EDGE = itemgetter(1, 2)
@@ -102,7 +109,7 @@ class _MiddleAbort(Exception):
 
 
 def middle_memo_key(compiler, opt_level: int, flags: tuple) -> str:
-    """The options part of every session key (and of whole-result keys)."""
+    """The options part of every session key."""
     return (
         f"middle:{compiler.name}:{compiler.bug_seed}:{opt_level}:"
         f"{','.join(flags)}"
@@ -225,19 +232,6 @@ class SessionFnRecord:
     snapshot: IRBuffer | None = None
 
 
-@dataclass(frozen=True)
-class SessionResult:
-    """The complete observable outcome of one non-crashing compile."""
-
-    ok: bool
-    diagnostics: tuple
-    asm: str
-    module: IRModule | None
-    features: dict
-    edges: frozenset
-    stages: tuple
-
-
 class CompileSession:
     """A persistent cross-step store of interned middle-end artifacts.
 
@@ -246,25 +240,17 @@ class CompileSession:
     or write it, so a compiler that never gets a cache keeps it empty.
     """
 
-    def __init__(
-        self,
-        maxsize: int = DEFAULT_SESSION_SIZE,
-        result_maxsize: int = DEFAULT_RESULT_SIZE,
-    ) -> None:
+    def __init__(self, maxsize: int = DEFAULT_SESSION_SIZE) -> None:
         if maxsize < 1:
             raise ValueError("session maxsize must be >= 1")
         self.maxsize = maxsize
-        self.result_maxsize = result_maxsize
         self._records: OrderedDict[str, SessionFnRecord] = OrderedDict()
-        self._results: OrderedDict[tuple, SessionResult] = OrderedDict()
         #: Per-declaration replays served / live lowers recorded.
         self.hits = 0
         self.misses = 0
         self.evictions = 0
         #: Reuse attempts that fell back to a fully live run.
         self.aborts = 0
-        #: Whole-compile replays (same text, same options).
-        self.result_hits = 0
         #: Parent compiles issued by :meth:`Compiler.compile_batch` to warm
         #: the step's shared clean functions.
         self.materializations = 0
@@ -293,22 +279,15 @@ class CompileSession:
             self._records.popitem(last=False)
             self.evictions += 1
 
-    # -- whole-result memo -------------------------------------------------
+    def release(self, entry) -> None:
+        """Drop the records compiles of ``entry`` created for changed decls.
 
-    def result_for(self, key: tuple) -> SessionResult | None:
-        memo = self._results.get(key)
-        if memo is not None:
-            self._results.move_to_end(key)
-        return memo
-
-    def store_result(self, key: tuple, memo: SessionResult) -> None:
-        self._results[key] = memo
-        self._results.move_to_end(key)
-        while len(self._results) > self.result_maxsize:
-            self._results.popitem(last=False)
-
-    def has_result(self, options_key: str, text: str) -> bool:
-        return (options_key, source_digest(text)) in self._results
+        ``entry`` is the :class:`~repro.cast.cache.FrontendEntry` of a text
+        the caller no longer needs.  Records its compiles made for
+        declarations shared with the parent are kept.
+        """
+        for key in entry.memo.pop("session_keys", ()):
+            self._records.pop(key, None)
 
     # -- introspection -----------------------------------------------------
 
@@ -323,7 +302,6 @@ class CompileSession:
             "middle_session_misses": self.misses,
             "middle_session_evictions": self.evictions,
             "middle_session_aborts": self.aborts,
-            "middle_session_result_hits": self.result_hits,
             "middle_session_hit_rate": self.hit_rate,
             "middle_session_size": len(self._records),
             "middle_session_materializations": self.materializations,
@@ -342,15 +320,19 @@ class _Pending:
     """Mutable capture state for one live-lowered declaration."""
 
     __slots__ = (
-        "key", "kind", "name", "irgen_events", "irgen_stats", "globals_added",
-        "str_delta", "static_delta", "phase_events", "backend_events",
-        "backend_stats", "asm", "snapshot",
+        "key", "kind", "name", "changed", "irgen_events", "irgen_stats",
+        "globals_added", "str_delta", "static_delta", "phase_events",
+        "backend_events", "backend_stats", "asm", "snapshot",
     )
 
-    def __init__(self, key: str, kind: str, name: str | None) -> None:
+    def __init__(
+        self, key: str, kind: str, name: str | None, changed: bool
+    ) -> None:
         self.key = key
         self.kind = kind
         self.name = name
+        #: The mutation changed this declaration (see :meth:`commit`).
+        self.changed = changed
         self.irgen_events: tuple = ()
         self.irgen_stats: tuple = ()
         self.globals_added: tuple = ()
@@ -442,6 +424,9 @@ class _SessionRun:
             self.compiler, self.opt_level, tuple(self.flags)
         )
         env_digest = _digest(header_digests)
+        # Which decls the dirty-region front end re-parsed; an entry the
+        # full front end built has no map, and all of its decls count.
+        decl_map = self.entry.memo.get("decl_map")
         globals_state = ""
         for i, decl in enumerate(self.unit.decls):
             kind, name = _decl_kind(decl)
@@ -480,7 +465,9 @@ class _SessionRun:
                 else:
                     irgen._lower_function(decl)
                 added = tuple(list(irgen.module.globals.items())[g0:])
-                pend = _Pending(key, kind, name)
+                pend = _Pending(
+                    key, kind, name, decl_map is None or decl_map[i] is None
+                )
                 pend.irgen_events = tuple(self.journal[start:])
                 pend.irgen_stats = _stats_delta(stats0, irgen.stats.counters)
                 pend.globals_added = added
@@ -606,7 +593,18 @@ class _SessionRun:
 
         Only called after a complete, successful pipeline run: partial
         records (crash, lowering failure, abort) must never seed replays.
+        The keys of records created for changed declarations are noted on
+        the entry, for :meth:`CompileSession.release`; they live and die
+        with the entry, so nothing accumulates when no one releases.
         """
+        records = self.session._records
+        created = [
+            pend.key
+            for pend in self.pending
+            if pend.changed and pend.key not in records
+        ]
+        if created:
+            self.entry.memo.setdefault("session_keys", []).extend(created)
         for pend in self.pending:
             self.session.put(
                 pend.key,
@@ -729,20 +727,11 @@ def lower_and_optimize_session(
 
     Runs against ``compiler.compile_session``.  A reuse inconsistency aborts
     to a fully live run that re-records every declaration.  The compiler
-    counts each compile whose whole result, or at least one declaration, was
-    served from the session and ran to the end (``middle_incremental_hits``),
-    and each abort (``middle_incremental_fallbacks``).
+    counts each compile with at least one declaration served from the
+    session that ran to the end (``middle_incremental_hits``), and each
+    abort (``middle_incremental_fallbacks``).
     """
     session = compiler.compile_session
-    options = middle_memo_key(compiler, opt_level, tuple(flags))
-    result_key = (options, entry.source_hash)
-    with span(compiler.tracer, "session"):
-        memo = session.result_for(result_key)
-    if memo is not None:
-        session.result_hits += 1
-        compiler.middle_incremental_hits += 1
-        _replay_session_result(memo, cov, features, result, stages)
-        return
     # Live declarations capture their events from this journal.
     journal = cov.journal = []
     try:
@@ -751,7 +740,7 @@ def lower_and_optimize_session(
             journal, plan, reuse=True,
         )
         try:
-            _run_session(run, result_key, result, stages)
+            _run_session(run, result, stages)
         except _MiddleAbort:
             compiler.middle_incremental_fallbacks += 1
             session.aborts += 1
@@ -762,7 +751,7 @@ def lower_and_optimize_session(
                 compiler, session, entry, opt_level, flags, cov, features,
                 journal, plan, reuse=False,
             )
-            _run_session(run, result_key, result, stages)
+            _run_session(run, result, stages)
         else:
             if run.reused:
                 compiler.middle_incremental_hits += 1
@@ -770,38 +759,10 @@ def lower_and_optimize_session(
         cov.journal = None
 
 
-def _run_session(run, result_key, result, stages: list) -> None:
-    lowered = _run_stages(run, result, stages)
-    with span(run.compiler.tracer, "session"):
-        if lowered:
+def _run_session(run, result, stages: list) -> None:
+    if _run_stages(run, result, stages):
+        with span(run.compiler.tracer, "session"):
             run.commit(result.module)
-        run.session.store_result(
-            result_key,
-            SessionResult(
-                ok=result.ok,
-                diagnostics=tuple(result.diagnostics),
-                asm=result.asm,
-                module=result.module,
-                features=dict(run.features),
-                edges=frozenset(run.cov.edges),
-                stages=tuple(stages),
-            ),
-        )
-
-
-def _replay_session_result(
-    memo: SessionResult, cov, features, result, stages
-) -> None:
-    """Re-apply a memoized compile outcome (same text, same options)."""
-    cov.edges.update(memo.edges)
-    result.diagnostics.extend(memo.diagnostics)
-    features.update(memo.features)
-    result.ok = memo.ok
-    result.asm = memo.asm
-    result.module = memo.module
-    for stage in memo.stages:
-        if stage not in stages:
-            stages.append(stage)
 
 
 def assert_results_equal(inc, full) -> None:

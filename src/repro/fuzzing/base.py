@@ -163,3 +163,21 @@ class CoverageGuidedFuzzer(Fuzzer):
             )
         )
         return True
+
+    def release_unpooled(self, texts) -> None:
+        """Forget what this step built for ``texts`` outside the pool.
+
+        Called at the end of a step with every text the step front-ended or
+        compiled.  Each one that is not a pool member loses its entry in
+        the fuzzer's front-end cache (``self.cache``) and the
+        compile-session records its compiles made for the declarations its
+        mutation changed.  Both stores are pure caches, so no outcome
+        changes; what stays is what the pool reuses.
+        """
+        session = self.compiler.compile_session
+        for text in texts:
+            if text in self.pool:
+                continue
+            entry = self.cache.release(text)
+            if entry is not None:
+                session.release(entry)

@@ -37,23 +37,28 @@ class GrayCSim(CoverageGuidedFuzzer):
         super().__init__(compiler, rng, seeds)
         #: Each text is front-ended once: the parent through the cache, the
         #: mutant by the dirty-region front end from the parent's entry
-        #: (its validation), and the compile is then a cache hit.
+        #: (its validation), and the compile is then a cache hit.  The
+        #: step releases the validated mutant unless the pool kept it.
         self.cache = FrontendCache()
 
     def step(self) -> StepResult:
         parent = self.pool.random_choice(self.rng)
         mutator = self.rng.choice(GRAYC_MUTATORS)
-        mutant = self._apply(parent.text, mutator)
-        if mutant is None or mutant == parent.text:
-            mutant = parent.text
+        validated = self._apply(parent.text, mutator)
+        mutant = parent.text
+        if validated is not None and validated[1]:
+            mutant = validated[0]
         result = self.compiler.compile(mutant, cache=self.cache)
         kept = self.keep_if_new_coverage(mutant, result, parent, mutator)
         self.coverage.merge(result.coverage)
+        if validated is not None:
+            self.release_unpooled((validated[0],))
         return StepResult(mutant, result, kept=kept, mutator=mutator)
 
     # ------------------------------------------------------------------
 
-    def _apply(self, text: str, mutator: str) -> str | None:
+    def _apply(self, text: str, mutator: str) -> tuple[str, bool] | None:
+        """The rewritten text and whether it compiles, or None (no rewrite)."""
         entry = self.cache.front_end(text)
         if entry.unit is None:
             return None
@@ -63,14 +68,13 @@ class GrayCSim(CoverageGuidedFuzzer):
         if not handler(entry.unit, source, rewriter):
             return None
         mutant = rewriter.rewritten_text()
-        # GrayC validates before emitting; fall back to the parent when the
-        # mutant is broken (this is what keeps its compilable ratio ~99%).
+        # GrayC validates before emitting; the step falls back to the parent
+        # when the mutant is broken (this is what keeps its compilable ratio
+        # ~99%).
         checked, _ = self.cache.front_end_from(
             mutant, (text, rewriter.edit_script())
         )
-        if not checked.compilable:
-            return None
-        return mutant
+        return mutant, checked.compilable
 
     def _mut_ConstantReplacement(self, unit, source, rewriter) -> bool:
         literals = [n for n in unit.walk() if isinstance(n, ast.IntegerLiteral)]

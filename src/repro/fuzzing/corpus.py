@@ -7,6 +7,11 @@ import random
 from dataclasses import dataclass, field
 
 
+def text_digest(text: str) -> str:
+    """The pool's identity of a program text."""
+    return hashlib.sha1(text.encode("utf-8", "replace")).hexdigest()[:16]
+
+
 @dataclass
 class ProgramEntry:
     """One test program in the pool, with its provenance."""
@@ -19,7 +24,7 @@ class ProgramEntry:
 
     @property
     def digest(self) -> str:
-        return hashlib.sha1(self.text.encode("utf-8", "replace")).hexdigest()[:16]
+        return text_digest(self.text)
 
 
 @dataclass
@@ -42,6 +47,9 @@ class Corpus:
 
     def __len__(self) -> int:
         return len(self.entries)
+
+    def __contains__(self, text: str) -> bool:
+        return text_digest(text) in self._digests
 
     @classmethod
     def from_texts(cls, texts: list[str]) -> "Corpus":

@@ -50,7 +50,8 @@ class MacroFuzzer(CoverageGuidedFuzzer):
             self.coverage = shared_coverage  # enhancement 3
         # Havoc front-ends the intermediate mutant of every round; a round
         # after the first takes the dirty-region front end from the
-        # previous round's text and edit script.
+        # previous round's text and edit script.  Each step releases its
+        # intermediates, and its final mutant unless the pool kept it.
         self.cache = FrontendCache()
         self.paranoid = paranoid
         self.quarantine = quarantine
@@ -74,6 +75,7 @@ class MacroFuzzer(CoverageGuidedFuzzer):
         # the first, and of the final compile, is the *last* intermediate
         # text (already front-ended into the cache), not the pool parent.
         edits_from: tuple[str, tuple] | None = None
+        chain: list[str] = []  # every text Havoc made, the final one last
         hits_before = self.cache.incremental_hits
         for _ in range(rounds):
             info = self.mutators[self.rng.randrange(len(self.mutators))]
@@ -85,6 +87,7 @@ class MacroFuzzer(CoverageGuidedFuzzer):
             if mutated is not None and len(mutated[0]) <= MAX_MUTANT_BYTES:
                 edits_from = (mutant, mutated[1])
                 mutant = mutated[0]
+                chain.append(mutant)
                 applied.append(info.name)
         # Dirty-region front ends of Havoc rounds (the final compile's is
         # not among them); the paranoid macro smoke gates on it.
@@ -108,6 +111,7 @@ class MacroFuzzer(CoverageGuidedFuzzer):
                 mutant, result, parent, "+".join(applied)
             )
         self.coverage.merge(result.coverage)
+        self.release_unpooled(chain)
         step = StepResult(
             mutant, result, kept=kept, mutator="+".join(applied) or None
         )

@@ -13,7 +13,9 @@ no-op round's recompile is a cache hit.  Every compile then replays each
 function the compiler's :class:`~repro.compiler.session.CompileSession` has
 already compiled (a mutant's unchanged siblings).  The object-IR reference
 compiler (``Compiler(reference=True)``) ignores the cache and compiles every
-program from scratch; only the mutators' front end still shares it.
+program from scratch; only the mutators' front end still shares it.  At the
+end of each step the mutants that did not enter the pool are released from
+the cache and the session, so both hold what the pool reuses.
 """
 
 from __future__ import annotations
@@ -130,6 +132,7 @@ class MuCFuzz(CoverageGuidedFuzzer):
         if self.scheduler is not None:
             order = self.scheduler.order(order)
         last: StepResult | None = None
+        mutants: list[str] = []
         for info in order[:MAX_TRIES_PER_ITERATION]:
             if self.quarantine is not None and not self.quarantine.allows(
                 info.name
@@ -143,6 +146,7 @@ class MuCFuzz(CoverageGuidedFuzzer):
                 self.record_mutator_yield(info.name)
                 continue
             mutant, edits = mutated
+            mutants.append(mutant)
             result = self.compiler.compile(
                 mutant,
                 cache=self.cache,
@@ -162,12 +166,12 @@ class MuCFuzz(CoverageGuidedFuzzer):
             last = StepResult(mutant, result, kept=kept, mutator=info.name)
             if kept or result.crashed:
                 return self._finish(
-                    last, attempts_before, cache_before, events_before,
-                    retired_before,
+                    last, mutants, attempts_before, cache_before,
+                    events_before, retired_before,
                 )
         if last is not None:
             return self._finish(
-                last, attempts_before, cache_before, events_before,
+                last, mutants, attempts_before, cache_before, events_before,
                 retired_before,
             )
         # Nothing mutated this round; recompile the parent (a no-op round).
@@ -177,6 +181,7 @@ class MuCFuzz(CoverageGuidedFuzzer):
         self.coverage.merge(result.coverage)
         return self._finish(
             StepResult(parent.text, result, kept=False, mutator=None),
+            mutants,
             attempts_before,
             cache_before,
             events_before,
@@ -186,11 +191,13 @@ class MuCFuzz(CoverageGuidedFuzzer):
     def _finish(
         self,
         step: StepResult,
+        mutants: list[str],
         attempts_before: int,
         cache_before: tuple[int, int],
         events_before: int = 0,
         retired_before: int = 0,
     ) -> StepResult:
+        self.release_unpooled(mutants)
         step.stats = {
             "attempts": self.stats["attempts"] - attempts_before,
             "cache_hits": self.cache.hits - cache_before[0],

@@ -24,7 +24,8 @@ Entry points:
   when given ``--output``;
 * ``paranoid-smoke`` / :func:`paranoid_main` — a paranoid-mode run where
   every default-pipeline compile is differentially checked against a
-  from-scratch reference-pipeline compile; any divergence raises.
+  from-scratch reference-pipeline compile; any divergence raises, and so
+  does a front-end cache that holds a text outside the pool after a step.
 """
 
 from __future__ import annotations
@@ -250,6 +251,26 @@ def smoke_main(argv: list[str] | None = None) -> int:
     return 0
 
 
+def _step_keeping_to_pool(fuzzer, step: int) -> None:
+    """One step; fails unless the cache then holds pool members only."""
+    fuzzer.step()  # IncrementalDivergence propagates and fails the job
+    unpooled = sum(text not in fuzzer.pool for text in fuzzer.cache.texts())
+    if unpooled:
+        raise SystemExit(
+            f"paranoid-smoke: after step {step} the front-end cache holds "
+            f"{unpooled} texts outside the pool"
+        )
+
+
+def _retained(fuzzers) -> str:
+    """What the fuzzers keep alive: cache entries, session records, heap."""
+    return (
+        f"retained: {sum(len(f.cache) for f in fuzzers)} cache entries, "
+        f"{sum(len(f.compiler.compile_session) for f in fuzzers)} session "
+        f"records, {len(gc.get_objects())} tracked objects"
+    )
+
+
 def paranoid_main(argv: list[str] | None = None) -> int:
     """Differential smoke: every cached compile is cross-checked.
 
@@ -259,9 +280,10 @@ def paranoid_main(argv: list[str] | None = None) -> int:
     compared field-for-field, so every check is also a
     flat-native-vs-reference differential; any divergence raises
     :class:`~repro.cast.incremental.IncrementalDivergence` and fails the
-    run.  Gating is on zero divergences and on both reuse paths having
-    fired, not on throughput.  ``--macro`` runs the macro fuzzer instead
-    (:func:`_paranoid_macro`).
+    run.  After every step the front-end cache must hold pool members only
+    (the fuzzer releases the rest).  Gating is on zero divergences, on that
+    invariant and on both reuse paths having fired, not on throughput.
+    ``--macro`` runs the macro fuzzer instead (:func:`_paranoid_macro`).
     """
     parser = argparse.ArgumentParser(description="paranoid-smoke")
     parser.add_argument("--steps", type=int, default=200)
@@ -281,8 +303,8 @@ def paranoid_main(argv: list[str] | None = None) -> int:
 
     seeds = generate_seeds(DEFAULT_SEEDS)
     fuzzer = _build_fuzzer("uCFuzz.s", seeds, args.seed, paranoid=True)
-    for _ in range(args.steps):
-        fuzzer.step()  # IncrementalDivergence propagates and fails the job
+    for i in range(args.steps):
+        _step_keeping_to_pool(fuzzer, i)
     stats = fuzzer.stats_snapshot()
     inc_hits = stats.get("cache_incremental_hits", 0)
     session_hits = stats.get("middle_session_hits", 0)
@@ -293,7 +315,8 @@ def paranoid_main(argv: list[str] | None = None) -> int:
         f"{inc_hits} incremental front ends, "
         f"{session_hits} session replays "
         f"({stats.get('middle_incremental_hits', 0)} compiles served, "
-        f"{stats.get('middle_incremental_fallbacks', 0)} aborts)"
+        f"{stats.get('middle_incremental_fallbacks', 0)} aborts); "
+        f"{_retained([fuzzer])}"
     )
     if inc_hits <= 0:
         raise SystemExit(
@@ -311,7 +334,8 @@ def _paranoid_macro(seeds: list[str], steps: int, seed: int) -> int:
 
     Every dirty-region front end (Havoc rounds after the first and the
     final compile) is cross-checked against a full front end, and every
-    compile against a from-scratch reference-pipeline compile.
+    compile against a from-scratch reference-pipeline compile.  After every
+    step the fuzzer's cache must hold pool members only.
     """
     import repro.mutators  # noqa: F401  (populate the registry)
     from repro.compiler.driver import CLANG_SIM, GCC_SIM, Compiler
@@ -326,13 +350,14 @@ def _paranoid_macro(seeds: list[str], steps: int, seed: int) -> int:
         for personality in (GCC_SIM, CLANG_SIM)
     ]
     for i in range(steps):
-        fuzzers[i % 2].step()  # IncrementalDivergence fails the job
+        _step_keeping_to_pool(fuzzers[i % 2], i)
     checks = sum(f.cache.paranoid_checks for f in fuzzers)
     havoc_hits = sum(f.stats.get("havoc_incremental_hits", 0) for f in fuzzers)
     print(
         f"paranoid-smoke[macro]: {steps} steps, 0 divergences, "
         f"{checks} front-end checks, "
-        f"{havoc_hits} Havoc-round incremental front ends"
+        f"{havoc_hits} Havoc-round incremental front ends; "
+        f"{_retained(fuzzers)}"
     )
     if havoc_hits <= 0:
         raise SystemExit(

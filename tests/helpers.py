@@ -29,3 +29,15 @@ def full_front_end(fuzzer):
 
     cache.front_end_from = front_end_from
     return fuzzer
+
+
+def keep_everything(fuzzer):
+    """Turn off ``fuzzer``'s end-of-step release; returns it.
+
+    The fuzzer then keeps every text it front-ended or compiled in its
+    cache, and every record its compiles made in the compile session, up
+    to their LRU bounds.  The parity tests run such a fuzzer step for step
+    beside a default one: any difference is the release's.
+    """
+    fuzzer.release_unpooled = lambda texts: None
+    return fuzzer

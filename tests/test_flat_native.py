@@ -392,7 +392,7 @@ class TestOneIRPerPipeline:
     """Each pipeline has one IR, and nothing converts between the two."""
 
     @pytest.mark.parametrize(
-        "arm", ["plain", "cached", "session-replayed", "result-replayed"]
+        "arm", ["plain", "cached", "session-replayed", "recompiled"]
     )
     def test_default_compiles_are_buffer_only(self, arm):
         compiler = Compiler(*GCC_SIM)
@@ -402,9 +402,9 @@ class TestOneIRPerPipeline:
         if arm == "session-replayed":
             compiler.compile(_PROGRAM, cache=cache)
             text, _ = _mutate_tiny(_PROGRAM)
-        elif arm == "result-replayed":
+        elif arm == "recompiled":
             compiler.compile(_PROGRAM, cache=cache)
-        hits, result_hits = session.hits, session.result_hits
+        hits, misses = session.hits, session.misses
         served = compiler.middle_incremental_hits
         result = compiler.compile(text, cache=cache)
         assert result.ok
@@ -412,10 +412,13 @@ class TestOneIRPerPipeline:
         if arm == "session-replayed":
             # helper and main replayed from their records, tiny ran live.
             assert session.hits > hits
+            assert session.misses == misses + 1
             assert compiler.middle_incremental_hits == served + 1
-            assert session.result_hits == result_hits
-        elif arm == "result-replayed":
-            assert session.result_hits == result_hits + 1
+        elif arm == "recompiled":
+            # The same text again: both globals and all three functions
+            # replay from their records, and nothing is lowered live.
+            assert (session.hits, session.misses) == (hits + 5, misses)
+            assert compiler.middle_incremental_hits == served + 1
 
     def test_running_a_cached_module_leaves_session_records_alone(self):
         compiler = Compiler(*GCC_SIM)

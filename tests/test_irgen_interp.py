@@ -6,7 +6,7 @@ from repro.cast.parser import parse
 from repro.cast.sema import Sema
 from repro.compiler.coverage import CoverageMap
 from repro.compiler.irgen import IRGen
-from repro.compiler.interp import execute
+from repro.compiler.interp import MAX_CALL_DEPTH, Interpreter, execute
 
 
 def run(text, fuel=400_000):
@@ -103,3 +103,44 @@ class TestRuntimeBehaviour:
     def test_wild_pointer_traps(self):
         result = run("int main(void) { int *p = 0; return *p; }")
         assert result.status == "trap"
+
+
+def _deeper(frames, fn, *args):
+    """``fn(*args)`` called ``frames`` Python frames deeper."""
+    if frames == 0:
+        return fn(*args)
+    return _deeper(frames - 1, fn, *args)
+
+
+class TestCallDepthBound:
+    """Whether a program overflows its stack depends on the program, not on
+    how deep the interpreter's caller already is."""
+
+    _COUNT_DOWN = (
+        "int f(int n) { if (n == 0) return 0; return 1 + f(n - 1); }\n"
+        "int main(void) { return f(3); }\n"
+    )
+
+    def _module(self):
+        unit = parse(self._COUNT_DOWN)
+        sema = Sema()
+        sema.analyze(unit)
+        return IRGen(sema, CoverageMap()).lower(unit)
+
+    def test_outcome_independent_of_stack_depth(self):
+        module = self._module()
+
+        def count_down(n):
+            return Interpreter(module, fuel=10_000_000).run("f", [n]).observable
+
+        for n in range(1, 2 * MAX_CALL_DEPTH + 1):
+            assert count_down(n) == _deeper(300, count_down, n), n
+
+    def test_past_the_bound_is_a_stack_overflow(self):
+        module = self._module()
+        # f(n) makes n nested calls below itself.
+        inside = Interpreter(module).run("f", [MAX_CALL_DEPTH])
+        assert inside.observable == ("ok", MAX_CALL_DEPTH & 0xFF, "")
+        past = Interpreter(module).run("f", [MAX_CALL_DEPTH + 1])
+        assert past.observable == ("trap", 139, "")
+        assert past.reason == "stack overflow"

@@ -3,8 +3,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.cast import source
 from repro.cast.lexer import KEYWORDS, Lexer, LexError, TokenKind, tokenize
-from repro.cast.source import SourceFile
+from repro.cast.source import SourceFile, SourceRange
 
 
 def kinds(text):
@@ -66,6 +67,21 @@ class TestBasicTokens:
 
     def test_ellipsis(self):
         assert texts("(...)") == ["(", "...", ")"]
+
+
+class TestRangeIntern:
+    def test_table_starts_over_at_its_bound(self, monkeypatch):
+        monkeypatch.setattr(source, "_RANGE_INTERN", {})
+        first = SourceRange.of(0, 1)
+        assert SourceRange.of(0, 1) is first  # interned below the bound
+        for i in range(source.RANGE_INTERN_BOUND + 10):
+            SourceRange.of(i, i + 7)
+            assert len(source._RANGE_INTERN) <= source.RANGE_INTERN_BOUND
+        # The table started over, so the range is a new object, yet ranges
+        # compare (and hash) by value, which is all any caller relies on.
+        again = SourceRange.of(0, 1)
+        assert again is not first
+        assert again == first and hash(again) == hash(first)
 
 
 class TestTrivia:

@@ -125,18 +125,21 @@ class TestCompileSession:
             )
         assert warm.compile_session.misses > 0
 
-    def test_session_result_memo_on_recompile(self, small_seeds):
+    def test_recompile_replays_every_declaration(self, small_seeds):
         warm = Compiler(*GCC_SIM)
         session = warm.compile_session
         cache = FrontendCache()
         cold = Compiler(*GCC_SIM, reference=True)
         text = small_seeds[0]
         first = warm.compile(text, cache=cache)
-        before = session.result_hits, warm.middle_incremental_hits
+        lowered = session.misses
+        assert lowered > 0
+        before = session.hits, warm.middle_incremental_hits
         second = warm.compile(text, cache=cache)
-        assert (session.result_hits, warm.middle_incremental_hits) == (
-            before[0] + 1, before[1] + 1
-        )
+        # Every declaration the first compile lowered replays from its
+        # record, and none is lowered again.
+        assert (session.hits, session.misses) == (before[0] + lowered, lowered)
+        assert warm.middle_incremental_hits == before[1] + 1
         for result in (first, second):
             assert_results_equal(result, cold.compile(text))
 
@@ -175,7 +178,7 @@ class TestCompileSession:
             assert compiler.compile(text).ok
         session = compiler.compile_session
         assert (session.hits, session.misses, len(session)) == (0, 0, 0)
-        assert session.result_hits == 0 and not session.summary_intern
+        assert not session.summary_intern
         assert compiler.middle_incremental_hits == 0
 
     def test_stats_keys(self):
@@ -218,8 +221,16 @@ class TestCompileBatch:
             (parent.replace("int", "long", 1), (parent, ((0, 0, ""),))),
         ]
         compiler = Compiler(*GCC_SIM)
-        compiler.compile_batch(requests, cache=FrontendCache())
-        assert compiler.compile_session.materializations == 1
+        session = compiler.compile_session
+        cache = FrontendCache()
+        compiler.compile_batch(requests, cache=cache)
+        assert session.materializations == 1
+        # Once per batch: a second batch compiles the parent again, and
+        # that compile replays every declaration from the session.
+        misses = session.misses
+        compiler.compile_batch(requests, cache=cache)
+        assert session.materializations == 2
+        assert session.misses == misses
 
     def test_batch_until_early_exit_is_lazy(self, small_seeds):
         parent = small_seeds[6]
@@ -293,8 +304,11 @@ class TestSessionFuzzing:
         first = run_campaign(self._fuzzer(compiler, seeds, registry), steps=25)
         second = run_campaign(self._fuzzer(compiler, seeds, registry), steps=25)
         assert self._comparable(first) == self._comparable(second)
-        # The warm rerun replayed entire results from the session memo.
-        assert second.stats["middle_session_result_hits"] > 0
+        # The warm rerun replayed the functions the first run's pool kept
+        # from the session: it lowered fewer declarations live.
+        first_misses = first.stats["middle_session_misses"]
+        rerun_misses = second.stats["middle_session_misses"] - first_misses
+        assert rerun_misses < first_misses
 
     def test_paranoid_session_fuzzing(self, registry, small_seeds):
         fuzzer = self._fuzzer(
@@ -313,7 +327,7 @@ class TestSessionFuzzing:
         for _ in range(20):
             fuzzer.step()
         session = fuzzer.compiler.compile_session
-        assert len(session) == 0 and not session._results
+        assert len(session) == 0
         assert session.misses == 0 and not session.summary_intern
 
     def test_grayc_compiles_hit_the_session(self, small_seeds):
