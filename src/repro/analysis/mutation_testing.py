@@ -17,8 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from repro.cast.parser import ParseError, parse
-from repro.cast.sema import Sema
+from repro.cast.cache import analyze_front_end
 from repro.compiler.coverage import CoverageMap
 from repro.compiler.irgen import IRGen, LoweringError
 from repro.compiler.interp import execute
@@ -65,15 +64,11 @@ class MutationScore:
 
 
 def _behaviour(text: str, entry: str, fuel: int):
-    try:
-        unit = parse(text)
-    except (ParseError, RecursionError):
-        return None
-    sema = Sema()
-    if [d for d in sema.analyze(unit) if d.severity == "error"]:
+    front_end = analyze_front_end(text)
+    if not front_end.compilable:
         return None
     try:
-        module = IRGen(sema, CoverageMap()).lower(unit)
+        module = IRGen(front_end.sema, CoverageMap()).lower(front_end.unit)
     except (LoweringError, RecursionError):
         return None
     return execute(module, entry=entry, fuel=fuel).observable

@@ -16,12 +16,16 @@ stored source and raises :class:`CacheInvariantError` if it no longer
 matches the key it was stored under.
 
 Consumers attach derived, per-text front-end artifacts (the driver's
-coverage/feature summary and per-decl summaries, declaration digests, μAST
-mutation contexts) to ``FrontendEntry.memo`` so higher layers can cache
-without this module importing them.  Middle-end records do not live here:
-they are keyed by content in the compiler's
-:class:`~repro.compiler.session.CompileSession`, and an entry's memo dies
-with the entry.
+coverage/feature summary, the declaration digest tuples, μAST mutation
+contexts) to ``FrontendEntry.memo`` so higher layers can cache without this
+module importing them; an entry's memo dies with the entry.  What derives
+from one declaration's text lives on its node instead (its digest pair and
+its coverage/feature summary; see
+:data:`repro.cast.incremental._MEMO_ATTRS`): the dirty-region front end
+shares or clones every declaration a mutation left alone, and the node
+carries its artifacts into the mutant.  Middle-end records do not live
+here: they are keyed by content in the compiler's
+:class:`~repro.compiler.session.CompileSession`.
 
 The cache holds what its fuzzer can reuse, not every text it has seen: at
 the end of each step the coverage-guided fuzzers :meth:`~FrontendCache.release`
@@ -40,11 +44,7 @@ from typing import Any
 from repro.telemetry.spans import Tracer, span
 
 from repro.cast import ast_nodes as ast
-from repro.cast.incremental import (
-    IncrementalPlan,
-    assert_entries_equal,
-    incremental_front_end,
-)
+from repro.cast.incremental import assert_entries_equal, incremental_front_end
 from repro.cast.lexer import Lexer, LexError, Token
 from repro.cast.parser import ParseError, Parser
 from repro.cast.sema import Diagnostic, Sema
@@ -147,63 +147,34 @@ def analyze_front_end(
     )
 
 
-def decl_digests(
-    entry: FrontendEntry,
-    plan: "IncrementalPlan | None" = None,
-    memo_stats: dict | None = None,
-) -> tuple:
-    """Per-declaration content digests for cross-compile artifact interning.
+def decl_digests(entry: FrontendEntry) -> tuple:
+    """Per-declaration content digests for the compile session's keys.
 
     Returns ``(full_digests, header_digests)``, one entry per top-level decl:
     ``full_digests[i]`` hashes the decl's complete source text;
     ``header_digests[i]`` hashes only the text *before* the body for function
     definitions (the part other decls can observe — signature, name, types)
-    and the full text otherwise.  The compile session keys middle-end records
-    on these.  Memoized on ``entry.memo``; with an incremental ``plan``,
-    unchanged decls copy their parent's digests instead of re-hashing
-    (decl text is offset-shift invariant under the dirty-region front end).
-
-    Each decl node additionally carries its digest pair as ``_digest_memo``:
-    a node grafted into a child entry keeps the attribute even when the
-    parent's entry-level memo is gone (evicted, or the parent was never
-    digested), so re-hashing is content-keyed at node granularity too.  The
-    attribute is sound because grafting only reuses a node when its source
-    text is unchanged up to an offset shift.  ``memo_stats``, when given,
-    has its ``"decl_digest_memo_hits"`` entry bumped per node-memo hit.
+    and the full text otherwise.  Memoized on ``entry.memo``, and each decl
+    node keeps its pair as ``_digest_memo``: a node the dirty-region front
+    end shares with or clones into a mutant has the same text up to an
+    offset shift, so it keeps its pair too.
     """
     cached = entry.memo.get("decl_digests")
     if cached is not None:
         return cached
-    parent = (
-        plan.parent.memo.get("decl_digests") if plan is not None else None
-    )
     text = entry.source.text
     full: list[str] = []
     header: list[str] = []
-    for i, decl in enumerate(entry.unit.decls):
-        parent_index = plan.decl_map[i] if parent is not None else None
-        if parent_index is not None:
-            full.append(parent[0][parent_index])
-            header.append(parent[1][parent_index])
-            decl._digest_memo = (full[-1], header[-1])
-            continue
-        memo = decl.__dict__.get("_digest_memo")
-        if memo is not None:
-            if memo_stats is not None:
-                memo_stats["decl_digest_memo_hits"] = (
-                    memo_stats.get("decl_digest_memo_hits", 0) + 1
-                )
-            full.append(memo[0])
-            header.append(memo[1])
-            continue
-        lo, hi = decl.range.begin.offset, decl.range.end.offset
-        digest = source_digest(text[lo:hi])
-        if isinstance(decl, ast.FunctionDecl) and decl.body is not None:
-            header.append(source_digest(text[lo : decl.body.range.begin.offset]))
-        else:
-            header.append(digest)
-        full.append(digest)
-        decl._digest_memo = (digest, header[-1])
+    for decl in entry.unit.decls:
+        pair = decl.__dict__.get("_digest_memo")
+        if pair is None:
+            lo, hi = decl.range.begin.offset, decl.range.end.offset
+            digest = head = source_digest(text[lo:hi])
+            if isinstance(decl, ast.FunctionDecl) and decl.body is not None:
+                head = source_digest(text[lo : decl.body.range.begin.offset])
+            pair = decl._digest_memo = (digest, head)
+        full.append(pair[0])
+        header.append(pair[1])
     cached = (tuple(full), tuple(header))
     entry.memo["decl_digests"] = cached
     return cached
@@ -283,15 +254,14 @@ class FrontendCache:
         *,
         paranoid: bool = False,
         tracer: "Tracer | None" = None,
-    ) -> "tuple[FrontendEntry, IncrementalPlan | None]":
+    ) -> FrontendEntry:
         """Front-end ``text``, incrementally when its parent is cached.
 
         ``edits_from=(parent_text, edit_script)`` names the program ``text``
         was rewritten from.  When that parent is still cached this is
         :meth:`front_end_incremental` from the parent's entry, otherwise
-        :meth:`front_end`; the plan is ``None`` on the latter path.  Every
-        caller that holds an edit script goes through here, so the choice
-        is made in one place.
+        :meth:`front_end`.  Every caller that holds an edit script goes
+        through here, so the choice is made in one place.
         """
         if edits_from is not None:
             parent_text, edits = edits_from
@@ -300,7 +270,7 @@ class FrontendCache:
                 return self.front_end_incremental(
                     text, parent, edits, paranoid=paranoid, tracer=tracer
                 )
-        return self.front_end(text, tracer=tracer), None
+        return self.front_end(text, tracer=tracer)
 
     def front_end_incremental(
         self,
@@ -310,21 +280,23 @@ class FrontendCache:
         *,
         paranoid: bool = False,
         tracer: "Tracer | None" = None,
-    ) -> "tuple[FrontendEntry, IncrementalPlan | None]":
+    ) -> FrontendEntry:
         """Front-end a mutant, reusing ``parent``'s entry where possible.
 
         ``edits`` is the mutant's :meth:`Rewriter.edit_script` in parent
-        coordinates.  Returns the entry plus the :class:`IncrementalPlan`
-        describing which decls were reused (``None`` on a plain cache hit or
-        when the full front end ran).  With ``paranoid=True`` every
-        incremental result is cross-checked against a full re-front-ending
-        and :class:`IncrementalDivergence` raised on any mismatch.
+        coordinates.  An entry the dirty-region front end built keeps its
+        ``decl_map`` (see :func:`~repro.cast.incremental.incremental_front_end`)
+        on its memo: a later compile of the text may be a plain cache hit,
+        and the compile session still needs to know which declarations the
+        mutation changed.  With ``paranoid=True`` every incremental result
+        is cross-checked against a full re-front-ending and
+        :class:`IncrementalDivergence` raised on any mismatch.
         """
         key = source_digest(text)
         entry = self._lookup(key)
         if entry is not None:
             self.hits += 1
-            return entry, None
+            return entry
         self.misses += 1
         built = None
         if parent is not None and edits:
@@ -337,21 +309,17 @@ class FrontendCache:
             self.incremental_fallbacks += 1
             entry = analyze_front_end(text, source_hash=key, tracer=tracer)
             self._store(key, entry)
-            return entry, None
-        fields, plan = built
+            return entry
+        fields, decl_map = built
         entry = FrontendEntry(source_hash=key, **fields)
-        if plan is not None:
-            # The tuple, not the plan: the plan references the parent entry
-            # and would keep it alive.  A later compile of this text is a
-            # cache hit without a plan, and the compile session still needs
-            # to know which declarations the mutation changed.
-            entry.memo["decl_map"] = plan.decl_map
+        if decl_map is not None:
+            entry.memo["decl_map"] = decl_map
         self.incremental_hits += 1
         if paranoid:
             self.paranoid_checks += 1
             assert_entries_equal(entry, analyze_front_end(text, source_hash=key))
         self._store(key, entry)
-        return entry, plan
+        return entry
 
     # -- introspection -----------------------------------------------------
 

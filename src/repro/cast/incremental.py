@@ -22,7 +22,10 @@ parent's instead of re-running the full front end:
 4. **AST grafting** — prefix decls are *shared* with the parent unit (their
    re-analysis is idempotent); suffix decls are cloned with all source
    ranges shifted by the delta, and ``DeclRefExpr.decl`` pointers into the
-   dirty region are remapped onto the freshly parsed decls.
+   dirty region are remapped onto the freshly parsed decls.  Either way a
+   reused decl keeps the per-node memos (:data:`_MEMO_ATTRS`) its text
+   derived: what derives from one declaration's text lives on its node, so
+   only the re-parsed decls compute theirs again.
 5. **Scoped Sema** — dirty decls run real semantic analysis; clean
    ``FunctionDecl`` bodies are skipped by replaying the parent's recorded
    per-decl diagnostics and cross-declaration effect log
@@ -39,7 +42,6 @@ the full front end by construction, and ``paranoid`` mode
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any
 
 from repro.cast import ast_nodes as ast
@@ -56,24 +58,6 @@ EditScript = tuple[tuple[int, int, str], ...]
 
 class IncrementalDivergence(AssertionError):
     """Paranoid mode: an incremental result differs from the full pipeline."""
-
-
-@dataclass(frozen=True)
-class IncrementalPlan:
-    """What the incremental front end reused, for the middle end to consume.
-
-    ``decl_map[i]`` is the parent decl index the mutant's ``unit.decls[i]``
-    corresponds to (its analysis was reused), or ``None`` when the decl lies
-    in the dirty region and was freshly parsed/analyzed.
-    """
-
-    parent: Any  # FrontendEntry (duck-typed; cache.py imports this module)
-    decl_map: tuple["int | None", ...]
-    delta: int
-
-    @property
-    def dirty_indices(self) -> tuple[int, ...]:
-        return tuple(i for i, m in enumerate(self.decl_map) if m is None)
 
 
 # ---------------------------------------------------------------------------
@@ -137,13 +121,16 @@ def _group_for_edit(spans: list[tuple[int, int]], eb: int, ee: int) -> int:
 
 def incremental_front_end(
     text: str, parent: Any, edits: EditScript
-) -> "tuple[dict, IncrementalPlan | None] | None":
+) -> "tuple[dict, tuple[int | None, ...] | None] | None":
     """Front-end ``text`` (the mutant) by reusing ``parent``'s entry.
 
-    Returns ``(fields, plan)`` where ``fields`` holds the
+    Returns ``(fields, decl_map)`` where ``fields`` holds the
     ``FrontendEntry`` constructor arguments (minus ``source_hash``), or
     ``None`` when ineligible — the caller then runs the full front end.
-    ``plan`` is ``None`` when the mutant failed to parse (no reuse downstream).
+    ``decl_map[i]`` is the index of the parent decl the mutant's
+    ``unit.decls[i]`` was shared or cloned from, or ``None`` for a decl
+    re-parsed in the dirty region; ``decl_map`` is ``None`` when the mutant
+    failed to parse.
     """
     if parent is None or not edits:
         return None
@@ -408,9 +395,6 @@ def incremental_front_end(
         tuple(journal[:jm_prefix]) + tuple(parser._journal) + tuple(journal[jm_hi:])
     )
 
-    plan = IncrementalPlan(
-        parent=parent, decl_map=tuple(decl_map), delta=delta
-    )
     return (
         dict(
             source=msource,
@@ -422,7 +406,7 @@ def incremental_front_end(
             sema=sema,
             sema_diags=sema.diagnostics,
         ),
-        plan,
+        tuple(decl_map),
     )
 
 
@@ -451,9 +435,12 @@ def _diag_key(diags: list[Diagnostic]) -> list[tuple]:
     ]
 
 
-#: Node attributes that cache derived data rather than structure: a node
-#: that carries one is still structurally equal to a node that doesn't.
-_MEMO_ATTRS = frozenset({"_digest_memo"})
+#: Node attributes that cache what derives from one declaration's text (its
+#: digest pair, :func:`repro.cast.cache.decl_digests`; its coverage/feature
+#: summary, :func:`repro.compiler.driver._decl_summaries`) rather than
+#: structure: a node that carries one is still structurally equal to a node
+#: that doesn't.
+_MEMO_ATTRS = frozenset({"_digest_memo", "_summary_memo"})
 
 
 def ast_equal(a: ast.Node, b: ast.Node) -> bool:
@@ -462,7 +449,7 @@ def ast_equal(a: ast.Node, b: ast.Node) -> bool:
     ``DeclRefExpr.decl`` pointers are compared by positional correspondence
     (pre-order registration), so a grafted unit sharing subtrees with its
     parent compares equal to an independently parsed one.  Memo attributes
-    (:data:`_MEMO_ATTRS`) are ignored: digest caching must not make a
+    (:data:`_MEMO_ATTRS`) are ignored: per-node caching must not make a
     grafted unit compare unequal to a fresh parse.
     """
     pairs: dict[int, ast.Node] = {}

@@ -12,12 +12,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.cast import ast_nodes as ast
-from repro.cast.cache import (
-    FrontendCache,
-    FrontendEntry,
-    analyze_front_end,
-    decl_digests,
-)
+from repro.cast.cache import FrontendCache, FrontendEntry, analyze_front_end
 from repro.compiler import features as feat
 from repro.compiler.bugs import BugRegistry
 from repro.compiler.coverage import CoverageMap
@@ -249,13 +244,11 @@ class Compiler:
         # because they depend on opt_level/flags.
         if cache is None:
             entry = analyze_front_end(source_text, tracer=self.tracer)
-            plan = session = None
         else:
-            entry, plan = cache.front_end_from(
+            entry = cache.front_end_from(
                 source_text, edits_from, paranoid=paranoid, tracer=self.tracer
             )
-            session = self.compile_session
-        summary = _frontend_summary(entry, plan, session)
+        summary = _frontend_summary(entry)
         cov.merge(summary.edges)
         features.update(summary.features)
         result.diagnostics.extend(summary.diagnostics)
@@ -267,7 +260,7 @@ class Compiler:
 
         # ---- Middle + back end: the session with a cache, else plain. ----
         stages.append("middle")
-        if session is None:
+        if cache is None:
             lower_and_optimize(
                 self, entry, opt_level, flags, cov, features, result,
                 stages=stages,
@@ -275,7 +268,7 @@ class Compiler:
         else:
             lower_and_optimize_session(
                 self, entry, opt_level, flags, cov, features, result,
-                plan=plan, stages=stages,
+                stages=stages,
             )
 
     def _personality_flags(self, flags: tuple[str, ...]) -> tuple[str, ...]:
@@ -295,19 +288,13 @@ class _FrontendSummary:
     diagnostics: tuple[str, ...]
 
 
-def _frontend_summary(
-    entry: FrontendEntry, plan=None, session=None
-) -> _FrontendSummary:
+def _frontend_summary(entry: FrontendEntry) -> _FrontendSummary:
     """Coverage edges, features, and diagnostics for one front-end result.
 
     Deterministic per source text, so it is memoized on the cache entry; the
     caller merges it into per-call state.  The summary dict/edge set are
-    treated as immutable after construction.  With an incremental ``plan``,
-    the per-declaration AST work (coverage walk + feature extraction) is
-    grafted from the parent entry for every unchanged declaration.  With a
-    ``session``, per-decl summaries are additionally interned across entries
-    by content digest, so a decl shared between unrelated lineages is only
-    walked once per session.
+    treated as immutable after construction.  The per-declaration AST work
+    (coverage walk + feature extraction) comes from :func:`_decl_summaries`.
     """
     summary = entry.memo.get("driver_summary")
     if summary is not None:
@@ -338,7 +325,7 @@ def _frontend_summary(
                 diagnostics.append(d.message)
         if diagnostics:
             features["sema_failed"] = 1
-        decl_summaries = _decl_summaries(entry, plan, session)
+        decl_summaries = _decl_summaries(entry)
         features.update(
             feat.merge_ast_features(f for _, f in decl_summaries)
         )
@@ -352,50 +339,24 @@ def _frontend_summary(
     return summary
 
 
-def _decl_summaries(entry: FrontendEntry, plan, session=None) -> list:
-    """Per-decl (coverage edges, feature vector) pairs, grafted when clean.
+def _decl_summaries(entry: FrontendEntry) -> list:
+    """Per-decl (coverage edges, feature vector) pairs.
 
-    Both halves are pure over the decl subtree (offset-shift invariant), so
-    an unchanged declaration reuses its parent's pair; only the dirty decls
-    are walked.  Memoized on the entry for this text's future compiles.
-    With a ``session``, freshly-walked pairs are also interned in the
-    session's summary store keyed by ``(header digests, decl digest)`` — the
-    header tuple pins the declaration environment (typedefs change how a
-    decl's text parses), the decl digest pins its own text — so a decl
-    reappearing in an unrelated lineage replays instead of re-walking.
+    Both halves are pure over the decl subtree and invariant under an offset
+    shift (see :func:`repro.compiler.features.decl_ast_features`), so each
+    pair is memoized on its declaration node as ``_summary_memo``.  The
+    dirty-region front end shares or clones every declaration a mutation left
+    alone, so a mutant of a compiled parent walks only its re-parsed
+    declarations, and a chain of mutants never compiled in between (Havoc
+    rounds) carries the pairs of its last compiled ancestor along.
     """
-    cached = entry.memo.get("decl_summaries")
-    if cached is not None:
-        return cached
-    parent_sums = (
-        plan.parent.memo.get("decl_summaries") if plan is not None else None
-    )
-    intern = session.summary_intern if session is not None else None
-    if intern is not None:
-        full_digests, header_digests = decl_digests(
-            entry, plan, memo_stats=session.digest_stats
-        )
+    text = entry.source.text
     summaries = []
-    for i, decl in enumerate(entry.unit.decls):
-        parent_index = plan.decl_map[i] if parent_sums is not None else None
-        if parent_index is not None:
-            summaries.append(parent_sums[parent_index])
-            continue
-        if intern is None:
-            summaries.append(_decl_summary(decl, entry.source.text))
-            continue
-        ikey = (header_digests, full_digests[i])
-        pair = intern.get(ikey)
-        if pair is not None:
-            intern.move_to_end(ikey)
-            session.summary_hits += 1
-        else:
-            pair = _decl_summary(decl, entry.source.text)
-            intern[ikey] = pair
-            while len(intern) > session.maxsize:
-                intern.popitem(last=False)
+    for decl in entry.unit.decls:
+        pair = decl.__dict__.get("_summary_memo")
+        if pair is None:
+            pair = decl._summary_memo = _decl_summary(decl, text)
         summaries.append(pair)
-    entry.memo["decl_summaries"] = summaries
     return summaries
 
 

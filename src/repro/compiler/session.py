@@ -255,14 +255,6 @@ class CompileSession:
         #: the step's shared clean functions.
         self.materializations = 0
         self.paranoid_checks = 0
-        #: Front-end decl summaries interned across cache entries, keyed by
-        #: ``(header digest tuple, decl digest)`` — see
-        #: :func:`repro.compiler.driver._decl_summaries`.
-        self.summary_intern: OrderedDict[tuple, tuple] = OrderedDict()
-        self.summary_hits = 0
-        #: Mutable sink for :func:`repro.cast.cache.decl_digests` node-memo
-        #: hit counting; merged into :meth:`stats`.
-        self.digest_stats: dict = {"decl_digest_memo_hits": 0}
 
     # -- record store ------------------------------------------------------
 
@@ -306,10 +298,6 @@ class CompileSession:
             "middle_session_size": len(self._records),
             "middle_session_materializations": self.materializations,
             "middle_session_paranoid_checks": self.paranoid_checks,
-            "middle_session_summary_hits": self.summary_hits,
-            "decl_digest_memo_hits": self.digest_stats[
-                "decl_digest_memo_hits"
-            ],
         }
 
     def __len__(self) -> int:
@@ -358,7 +346,6 @@ class _SessionRun:
         cov,
         features: dict,
         journal: list,
-        plan,
         reuse: bool,
     ) -> None:
         self.compiler = compiler
@@ -370,7 +357,6 @@ class _SessionRun:
         self.cov = cov
         self.features = features
         self.journal = journal
-        self.plan = plan
         self.reuse = reuse
         #: decl index -> reused record; fn name -> record for fn records.
         self.reused: dict[int, SessionFnRecord] = {}
@@ -417,9 +403,7 @@ class _SessionRun:
         irgen = new_irgen(self.compiler, self.entry, self.cov)
         irgen._collect_enums(self.unit)
         enum_digest = _digest(tuple(irgen._enum_values.items()))
-        full_digests, header_digests = decl_digests(
-            self.entry, self.plan, memo_stats=self.session.digest_stats
-        )
+        full_digests, header_digests = decl_digests(self.entry)
         options = middle_memo_key(
             self.compiler, self.opt_level, tuple(self.flags)
         )
@@ -721,7 +705,7 @@ def lower_and_optimize(
 
 def lower_and_optimize_session(
     compiler, entry, opt_level: int, flags: tuple, cov, features: dict,
-    result, *, plan=None, stages: list,
+    result, *, stages: list,
 ) -> None:
     """The middle end + back end of a cached compile, through the session.
 
@@ -737,7 +721,7 @@ def lower_and_optimize_session(
     try:
         run = _SessionRun(
             compiler, session, entry, opt_level, flags, cov, features,
-            journal, plan, reuse=True,
+            journal, reuse=True,
         )
         try:
             _run_session(run, result, stages)
@@ -749,7 +733,7 @@ def lower_and_optimize_session(
             journal.clear()
             run = _SessionRun(
                 compiler, session, entry, opt_level, flags, cov, features,
-                journal, plan, reuse=False,
+                journal, reuse=False,
             )
             _run_session(run, result, stages)
         else:

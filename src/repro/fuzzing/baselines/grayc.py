@@ -71,7 +71,7 @@ class GrayCSim(CoverageGuidedFuzzer):
         # GrayC validates before emitting; the step falls back to the parent
         # when the mutant is broken (this is what keeps its compilable ratio
         # ~99%).
-        checked, _ = self.cache.front_end_from(
+        checked = self.cache.front_end_from(
             mutant, (text, rewriter.edit_script())
         )
         return mutant, checked.compilable

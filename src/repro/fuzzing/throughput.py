@@ -25,7 +25,8 @@ Entry points:
 * ``paranoid-smoke`` / :func:`paranoid_main` — a paranoid-mode run where
   every default-pipeline compile is differentially checked against a
   from-scratch reference-pipeline compile; any divergence raises, and so
-  does a front-end cache that holds a text outside the pool after a step.
+  do a front-end cache that holds a text outside the pool after a step and
+  a run that made no compile or no front-end check.
 """
 
 from __future__ import annotations
@@ -271,6 +272,26 @@ def _retained(fuzzers) -> str:
     )
 
 
+def _cross_checks(fuzzers) -> tuple[int, int]:
+    """Compile and front-end paranoid checks, summed over ``fuzzers``.
+
+    What ``middle_session_paranoid_checks`` and ``cache_paranoid_checks``
+    report.  A smoke that ran no check of one kind verified nothing of that
+    kind, so :func:`paranoid_main` fails it.
+    """
+    return (
+        sum(f.compiler.compile_session.paranoid_checks for f in fuzzers),
+        sum(f.cache.paranoid_checks for f in fuzzers),
+    )
+
+
+def _require_cross_checks(compile_checks: int, front_end_checks: int) -> None:
+    if compile_checks <= 0:
+        raise SystemExit("paranoid-smoke: no compile was cross-checked")
+    if front_end_checks <= 0:
+        raise SystemExit("paranoid-smoke: no front end was cross-checked")
+
+
 def paranoid_main(argv: list[str] | None = None) -> int:
     """Differential smoke: every cached compile is cross-checked.
 
@@ -282,7 +303,8 @@ def paranoid_main(argv: list[str] | None = None) -> int:
     :class:`~repro.cast.incremental.IncrementalDivergence` and fails the
     run.  After every step the front-end cache must hold pool members only
     (the fuzzer releases the rest).  Gating is on zero divergences, on that
-    invariant and on both reuse paths having fired, not on throughput.
+    invariant, on both reuse paths having fired and on both kinds of
+    cross-check having run (:func:`_cross_checks`), not on throughput.
     ``--macro`` runs the macro fuzzer instead (:func:`_paranoid_macro`).
     """
     parser = argparse.ArgumentParser(description="paranoid-smoke")
@@ -308,10 +330,11 @@ def paranoid_main(argv: list[str] | None = None) -> int:
     stats = fuzzer.stats_snapshot()
     inc_hits = stats.get("cache_incremental_hits", 0)
     session_hits = stats.get("middle_session_hits", 0)
+    compile_checks, front_end_checks = _cross_checks([fuzzer])
     print(
         f"paranoid-smoke: {args.steps} steps, 0 divergences, "
-        f"{stats.get('middle_session_paranoid_checks', 0)} compile checks, "
-        f"{stats.get('cache_paranoid_checks', 0)} front-end checks, "
+        f"{compile_checks} compile checks, "
+        f"{front_end_checks} front-end checks, "
         f"{inc_hits} incremental front ends, "
         f"{session_hits} session replays "
         f"({stats.get('middle_incremental_hits', 0)} compiles served, "
@@ -326,6 +349,7 @@ def paranoid_main(argv: list[str] | None = None) -> int:
         raise SystemExit(
             "paranoid-smoke: the compile session was never exercised"
         )
+    _require_cross_checks(compile_checks, front_end_checks)
     return 0
 
 
@@ -335,7 +359,8 @@ def _paranoid_macro(seeds: list[str], steps: int, seed: int) -> int:
     Every dirty-region front end (Havoc rounds after the first and the
     final compile) is cross-checked against a full front end, and every
     compile against a from-scratch reference-pipeline compile.  After every
-    step the fuzzer's cache must hold pool members only.
+    step the fuzzer's cache must hold pool members only, and both kinds of
+    cross-check must have run.
     """
     import repro.mutators  # noqa: F401  (populate the registry)
     from repro.compiler.driver import CLANG_SIM, GCC_SIM, Compiler
@@ -351,11 +376,12 @@ def _paranoid_macro(seeds: list[str], steps: int, seed: int) -> int:
     ]
     for i in range(steps):
         _step_keeping_to_pool(fuzzers[i % 2], i)
-    checks = sum(f.cache.paranoid_checks for f in fuzzers)
+    compile_checks, front_end_checks = _cross_checks(fuzzers)
     havoc_hits = sum(f.stats.get("havoc_incremental_hits", 0) for f in fuzzers)
     print(
         f"paranoid-smoke[macro]: {steps} steps, 0 divergences, "
-        f"{checks} front-end checks, "
+        f"{compile_checks} compile checks, "
+        f"{front_end_checks} front-end checks, "
         f"{havoc_hits} Havoc-round incremental front ends; "
         f"{_retained(fuzzers)}"
     )
@@ -363,6 +389,7 @@ def _paranoid_macro(seeds: list[str], steps: int, seed: int) -> int:
         raise SystemExit(
             "paranoid-smoke: no Havoc round took the incremental front end"
         )
+    _require_cross_checks(compile_checks, front_end_checks)
     return 0
 
 

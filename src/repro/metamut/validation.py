@@ -15,8 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from repro.cast.parser import ParseError, parse
-from repro.cast.sema import Sema
+from repro.cast.cache import analyze_front_end
 from repro.llm.model import Implementation
 from repro.muast.mutator import MutatorHang, apply_mutator
 
@@ -43,11 +42,10 @@ class ValidationReport:
 
 def _mutant_compiles(text: str) -> str | None:
     """None if the mutant compiles, else the first diagnostic."""
-    try:
-        unit = parse(text)
-    except (ParseError, RecursionError) as exc:
-        return f"error: {exc}"
-    errors = [d for d in Sema().analyze(unit) if d.severity == "error"]
+    entry = analyze_front_end(text)
+    if entry.unit is None:
+        return f"error: {entry.parse_error}"
+    errors = entry.error_diagnostics
     return errors[0].message if errors else None
 
 

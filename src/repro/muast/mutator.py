@@ -20,8 +20,7 @@ from typing import Iterable, Sequence, TypeVar
 
 from repro.cast import ast_nodes as ast
 from repro.cast import types as ct
-from repro.cast.cache import FrontendCache, FrontendEntry
-from repro.cast.parser import ParseError, parse
+from repro.cast.cache import FrontendCache, FrontendEntry, analyze_front_end
 from repro.cast.rewriter import Rewriter
 from repro.cast.sema import Sema
 from repro.cast.source import SourceFile, SourceLocation, SourceRange
@@ -338,8 +337,6 @@ def apply_mutator(
     mutator: Mutator,
     program_text: str,
     *,
-    require_parse: bool = True,
-    ctx: ASTContext | None = None,
     cache: FrontendCache | None = None,
     edits_from: tuple[str, tuple] | None = None,
     paranoid: bool = False,
@@ -352,43 +349,26 @@ def apply_mutator(
     fuzzers interpret :class:`MutatorHang`/other exceptions as goal #2/#3
     violations.
 
-    With ``cache``, the front end of ``program_text`` is looked up in (or
-    inserted into) the shared :class:`FrontendCache` and all attempts on the
-    same text share one parsed unit.  ``edits_from`` and ``paranoid`` mean
-    what they mean for ``Compiler.compile``: ``(parent_text, edit_script)``
-    lets a cache miss take the dirty-region front end from the cached
-    parent, and ``paranoid=True`` cross-checks that against a full front
-    end.  With ``ctx``, the caller supplies a ready-made context and the
-    front end is skipped entirely; the caller vouches that
-    ``ctx.source.text == program_text`` and that it compiles.
+    Without ``cache`` the text is front-ended from scratch
+    (:func:`~repro.cast.cache.analyze_front_end`).  With one, its front end
+    is looked up in (or inserted into) the shared :class:`FrontendCache` and
+    all attempts on the same text share one parsed unit.  ``edits_from`` and
+    ``paranoid`` mean what they mean for ``Compiler.compile``:
+    ``(parent_text, edit_script)`` lets a cache miss take the dirty-region
+    front end from the cached parent, and ``paranoid=True`` cross-checks
+    that against a full front end.
     """
-    if ctx is None and cache is not None:
-        entry, _ = cache.front_end_from(
+    if cache is None:
+        entry = analyze_front_end(program_text)
+    else:
+        entry = cache.front_end_from(
             program_text, edits_from, paranoid=paranoid
         )
-        if entry.unit is None:
-            if require_parse:
-                return MutationOutcome(False, None, error="input does not parse")
-            if entry.parse_recursion:
-                raise RecursionError(entry.parse_error)
-            raise ParseError(entry.parse_error or "input does not parse")
-        if entry.error_diagnostics:
-            return MutationOutcome(False, None, error="input does not compile")
-        ctx = context_for_entry(entry)
-    if ctx is None:
-        source = SourceFile(program_text)
-        try:
-            unit = parse(program_text)
-        except (ParseError, RecursionError):
-            if require_parse:
-                return MutationOutcome(False, None, error="input does not parse")
-            raise
-        sema = Sema()
-        diags = sema.analyze(unit)
-        if any(d.severity == "error" for d in diags):
-            return MutationOutcome(False, None, error="input does not compile")
-        ctx = ASTContext(unit, source, sema)
-    mutator.bind(ctx)
+    if entry.unit is None:
+        return MutationOutcome(False, None, error="input does not parse")
+    if entry.error_diagnostics:
+        return MutationOutcome(False, None, error="input does not compile")
+    mutator.bind(context_for_entry(entry))
     changed = mutator.mutate()
     if not changed:
         return MutationOutcome(False, None)

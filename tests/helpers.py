@@ -1,4 +1,5 @@
-"""Helpers shared by the flat-IR differential tests."""
+"""Test-only helpers: flat copies for the flat-IR differentials, and fakes
+that turn off one reuse path of a fuzzer for the parity tests."""
 
 from repro.compiler.flatir import FlatFunction, from_nodes
 
@@ -25,7 +26,7 @@ def full_front_end(fuzzer):
     cache = fuzzer.cache
 
     def front_end_from(text, edits_from=None, *, paranoid=False, tracer=None):
-        return cache.front_end(text, tracer=tracer), None
+        return cache.front_end(text, tracer=tracer)
 
     cache.front_end_from = front_end_from
     return fuzzer

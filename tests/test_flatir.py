@@ -13,7 +13,13 @@ import time
 
 import pytest
 
-from repro.cast.cache import FrontendCache, analyze_front_end, decl_digests
+import repro.cast.cache as cache_mod
+from repro.cast.cache import (
+    FrontendCache,
+    analyze_front_end,
+    decl_digests,
+    source_digest,
+)
 from repro.cast.parser import parse
 from repro.cast.sema import Sema
 from repro.compiler.coverage import CoverageMap
@@ -207,25 +213,49 @@ class TestFlatCompileEquivalence:
                 assert_results_equal(a, b)
 
 
+def _no_hashing(text):
+    raise AssertionError("a memoized declaration was hashed again")
+
+
 class TestDeclDigestMemo:
-    def test_node_memo_serves_rehash(self):
+    def test_node_memo_serves_rehash(self, monkeypatch):
         text = "int f(int a) { return a + 1; }\nint main(void) { return f(41); }"
         entry = analyze_front_end(text)
         first = decl_digests(entry)
         # Drop the entry-level memo: the per-node attribute must now serve
-        # every decl without re-hashing, and must count its hits.
+        # every decl without hashing.
         entry.memo.pop("decl_digests")
-        stats = {"decl_digest_memo_hits": 0}
-        second = decl_digests(entry, memo_stats=stats)
-        assert second == first
-        assert stats["decl_digest_memo_hits"] == len(entry.unit.decls)
+        monkeypatch.setattr(cache_mod, "source_digest", _no_hashing)
+        assert decl_digests(entry) == first
 
-    def test_session_surfaces_counter(self):
-        comp = Compiler(*GCC_SIM)
-        session = comp.compile_session
-        assert session.stats()["decl_digest_memo_hits"] == 0
-        comp.compile("int main(void) { return 3; }", cache=FrontendCache())
-        assert "decl_digest_memo_hits" in session.stats()
+    def test_dirty_region_decls_carry_their_memo(self, monkeypatch):
+        parent_text = (
+            "int f(int a) { return a + 1; }\n"
+            "int h(int b) { return b * 2; }\n"
+            "int main(void) { return f(41) + h(1); }\n"
+        )
+        cache = FrontendCache()
+        parent_digests = decl_digests(cache.front_end(parent_text))
+        begin = parent_text.index("b * 2")
+        mutant = parent_text[:begin] + "b * 3" + parent_text[begin + 5:]
+        entry = cache.front_end_from(
+            mutant, (parent_text, ((begin, begin + 5, "b * 3"),))
+        )
+        # f is shared with the parent, main cloned from it, h re-parsed.
+        assert entry.memo["decl_map"] == (0, None, 2)
+        hashed = []
+
+        def counting(text):
+            hashed.append(text)
+            return source_digest(text)
+
+        monkeypatch.setattr(cache_mod, "source_digest", counting)
+        full, header = decl_digests(entry)
+        monkeypatch.undo()
+        assert len(hashed) == 2  # h's full text and its header, nothing else
+        assert (full, header) == decl_digests(analyze_front_end(mutant))
+        assert full[0] == parent_digests[0][0] and full[2] == parent_digests[0][2]
+        assert full[1] != parent_digests[0][1]
 
 
 class TestSpanBinding:

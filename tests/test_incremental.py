@@ -1,9 +1,10 @@
 """Incremental pipeline correctness: grafted front ends and replayed IR.
 
-The incremental machinery (dirty-region re-front-ending, per-decl summary
-grafting, function-granular middle-end replay) is pure performance — every
-test here pins down the invariant it rests on: an incremental compile is
-observably identical to a from-scratch one.
+The incremental machinery (dirty-region re-front-ending, per-declaration
+artifacts carried on the declaration nodes, function-granular middle-end
+replay) is pure performance — every test here pins down the invariant it
+rests on, an incremental compile is observably identical to a from-scratch
+one, or the reuse it exists for.
 """
 
 import random
@@ -15,11 +16,12 @@ from repro.cast.incremental import assert_entries_equal
 from repro.cast.rewriter import Rewriter
 from repro.cast.source import SourceFile, SourceLocation, SourceRange
 from repro.compiler import CLANG_SIM, GCC_SIM, Compiler
+from repro.compiler import driver
 from repro.fuzzing.baselines import AFLPlusPlus
 from repro.fuzzing.campaign import run_campaign
 from repro.fuzzing.macro import MacroFuzzer
 from repro.fuzzing.mucfuzz import MuCFuzz
-from repro.muast.mutator import apply_mutator
+from repro.muast.mutator import MutatorCrash, MutatorHang, apply_mutator
 from repro.fuzzing.seedgen import generate_seeds
 from tests.helpers import full_front_end
 
@@ -121,10 +123,11 @@ class TestGraftInvariant:
                     continue
                 if not outcome.changed or not outcome.edits:
                     continue
-                entry, plan = cache.front_end_incremental(
+                hits = cache.incremental_hits
+                entry = cache.front_end_incremental(
                     outcome.mutant_text, parent, outcome.edits
                 )
-                if plan is None:
+                if cache.incremental_hits == hits:
                     continue  # cache hit or ineligible edit → full path ran
                 assert_entries_equal(
                     entry, analyze_front_end(outcome.mutant_text)
@@ -277,6 +280,19 @@ def _one_span_script(parent: str, child: str) -> tuple:
     return ((prefix, len(parent) - suffix, child[prefix : len(child) - suffix]),)
 
 
+def _havoc_variants(seed: str, havoc, n: int = 4):
+    """``n`` AFL++ byte-havoc variants of ``seed``, each with the one-span
+    edit script that rewrites ``seed`` into it."""
+    for _ in range(n):
+        data = bytearray(seed.encode("latin-1", "replace"))
+        for _ in range(1 << havoc.rng.randint(0, 4)):
+            havoc._havoc_once(data)
+        variant = bytes(data).decode("latin-1")
+        script = _one_span_script(seed, variant)
+        assert _apply_script(seed, script) == variant
+        yield variant, script
+
+
 class TestAdversarialBytes:
     """The facade's never-raise contract on the cached, incremental path:
     AFL++ byte-havoc variants of cached seeds, front-ended from their
@@ -292,13 +308,7 @@ class TestAdversarialBytes:
         options = ((2, ()), (3, ("-fno-inline",)), (0, ()))
         for seed in generate_seeds(60):
             compiler.compile(seed, cache=cache)
-            for _ in range(4):
-                data = bytearray(seed.encode("latin-1", "replace"))
-                for _ in range(1 << havoc.rng.randint(0, 4)):
-                    havoc._havoc_once(data)
-                variant = bytes(data).decode("latin-1")
-                script = _one_span_script(seed, variant)
-                assert _apply_script(seed, script) == variant
+            for variant, script in _havoc_variants(seed, havoc):
                 for opt_level, flags in options:
                     # Any exception, IncrementalDivergence included, fails.
                     compiler.compile(
@@ -306,3 +316,149 @@ class TestAdversarialBytes:
                         edits_from=(seed, script), paranoid=True,
                     )
         assert cache.incremental_hits > 0
+
+    def test_havoc_variants_through_the_mutators_front_end(self, registry):
+        """The same variants handed to ``apply_mutator`` with the seed as
+        their parent: it raises nothing the fuzzers would not catch
+        (``IncrementalDivergence`` included), and an input that does not
+        parse or compile comes back unchanged with its error set."""
+        cache = FrontendCache()
+        havoc = AFLPlusPlus(Compiler(*GCC_SIM), random.Random(7), ["int x;"])
+        rng = random.Random(11)
+        mutators = list(registry)
+        rejected = {"input does not parse": 0, "input does not compile": 0}
+        for seed in generate_seeds(60):
+            cache.front_end(seed)
+            for variant, script in _havoc_variants(seed, havoc):
+                mutator = mutators[rng.randrange(len(mutators))].create(
+                    random.Random(rng.randrange(1 << 62))
+                )
+                try:
+                    outcome = apply_mutator(
+                        mutator, variant, cache=cache,
+                        edits_from=(seed, script), paranoid=True,
+                    )
+                except (MutatorCrash, MutatorHang, RecursionError):
+                    continue  # what the fuzzers catch
+                full = analyze_front_end(variant)
+                if full.compilable:
+                    assert outcome.error is None
+                    continue
+                error = (
+                    "input does not parse" if full.unit is None
+                    else "input does not compile"
+                )
+                assert (outcome.changed, outcome.mutant_text) == (False, None)
+                assert outcome.error == error
+                rejected[error] += 1
+        assert all(rejected.values())
+        assert cache.incremental_hits > 0
+
+
+_FOUR_FUNCTIONS = """
+int a(int x) { return x + 1; }
+int b(int x) { return x * 2; }
+int c(int x) { return x - 3; }
+int d(int x) { return a(x) + b(x) + c(x); }
+"""
+
+
+def _edit(text: str, old: str, new: str) -> tuple[str, tuple]:
+    """``text`` with its one ``old`` replaced by ``new``, plus the script."""
+    begin = text.index(old)
+    return (
+        text[:begin] + new + text[begin + len(old):],
+        ((begin, begin + len(old), new),),
+    )
+
+
+@pytest.fixture
+def walked(monkeypatch):
+    """The declaration nodes the driver walks for their summaries."""
+    nodes = []
+    walk = driver._decl_summary
+
+    def recording(decl, source_text):
+        nodes.append(decl)
+        return walk(decl, source_text)
+
+    monkeypatch.setattr(driver, "_decl_summary", recording)
+    return nodes
+
+
+class TestPerDeclarationReuse:
+    """Each declaration node carries its digests and its coverage/feature
+    summary: a declaration the dirty-region front end shares or clones is
+    not walked again, however many uncompiled mutants lie in between."""
+
+    def test_mutant_walks_exactly_its_reparsed_declarations(
+        self, walked, registry, small_seeds
+    ):
+        gcc = Compiler(*GCC_SIM)
+        cache = FrontendCache()
+        rng = random.Random(31)
+        cloned = 0
+        for seed in small_seeds[:12]:
+            if not gcc.compile(seed, cache=cache).ok:
+                continue
+            for _ in range(4):
+                info = rng.choice(registry.supervised())
+                try:
+                    outcome = apply_mutator(info.create(rng), seed, cache=cache)
+                except Exception:
+                    continue
+                if not outcome.changed or not outcome.edits:
+                    continue
+                if outcome.mutant_text in cache:
+                    continue  # compiled before: nothing left to walk
+                walked.clear()
+                gcc.compile(
+                    outcome.mutant_text, cache=cache,
+                    edits_from=(seed, outcome.edits),
+                )
+                entry = cache.peek(outcome.mutant_text)
+                decl_map = entry.memo.get("decl_map")
+                if decl_map is None:
+                    continue  # the full front end ran
+                reparsed = [
+                    decl for decl, parent_index
+                    in zip(entry.unit.decls, decl_map) if parent_index is None
+                ]
+                assert list(map(id, walked)) == list(map(id, reparsed))
+                cloned += decl_map[-1] is not None
+        assert cloned >= 5, "too few mutants with a cloned suffix"
+
+    def test_uncompiled_havoc_intermediate_passes_its_memos_on(self, walked):
+        gcc = Compiler(*GCC_SIM)
+        cache = FrontendCache()
+        gcc.compile(_FOUR_FUNCTIONS, cache=cache)
+        # Two Havoc rounds: b changes in the intermediate, which is only
+        # front-ended, then c changes in the final mutant, which compiles.
+        middle, first = _edit(_FOUR_FUNCTIONS, "x * 2", "x * 4")
+        final, second = _edit(middle, "x - 3", "x - 5")
+        cache.front_end_from(middle, (_FOUR_FUNCTIONS, first))
+        walked.clear()
+        gcc.compile(final, cache=cache, edits_from=(middle, second))
+        entry = cache.peek(final)
+        assert cache.incremental_hits == 2
+        assert entry.memo["decl_map"] == (0, 1, None, 3)
+        # b was re-parsed in the intermediate, c in the final mutant; a and
+        # d carry the pairs the compile of the parent walked.
+        assert [decl.name for decl in walked] == ["b", "c"]
+        assert walked == entry.unit.decls[1:3]
+
+    def test_inherited_summaries_equal_a_full_front_end(self, walked):
+        gcc = Compiler(*GCC_SIM)
+        cache = FrontendCache()
+        gcc.compile(_FOUR_FUNCTIONS, cache=cache)
+        text = _FOUR_FUNCTIONS
+        for old, new in (("x * 2", "x * 4"), ("x + 1", "x + 7"), ("x - 3", "3")):
+            mutant, edits = _edit(text, old, new)
+            cache.front_end_from(mutant, (text, edits))
+            text = mutant
+        entry = cache.peek(text)
+        assert cache.incremental_hits == 3
+        walked.clear()
+        inherited = driver._decl_summaries(entry)
+        assert len(walked) == 3  # a, b and c changed along the chain
+        assert inherited == driver._decl_summaries(analyze_front_end(text))

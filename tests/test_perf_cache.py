@@ -214,7 +214,6 @@ class TestStats:
                 key
                 for key in snap
                 if key.startswith(("middle_session_", "middle_incremental_"))
-                or key == "decl_digest_memo_hits"
             }
 
         default, reference = (
@@ -230,9 +229,8 @@ class TestStats:
         snap = reference.stats_snapshot()
         assert snap["cache_hits"] > 0  # the mutators still share the cache
         assert not session_keys(snap)
-        # Nine session counters, the digest memo hits and the two
-        # middle_incremental_* counts.
-        assert len(session_keys(default.stats_snapshot())) == 12
+        # Eight session counters and the two middle_incremental_* counts.
+        assert len(session_keys(default.stats_snapshot())) == 10
 
     def test_campaign_result_reports_stats(self, gcc, registry, small_seeds):
         fuzzer = MuCFuzz(

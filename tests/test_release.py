@@ -53,10 +53,10 @@ class TestFrontendCacheRelease:
         cache = FrontendCache()
         cache.front_end(_PROGRAM)
         mutant, edits = _mutate_tiny(_PROGRAM)
-        entry, plan = cache.front_end_from(mutant, (_PROGRAM, edits))
-        assert plan is not None
-        assert entry.memo["decl_map"] == plan.decl_map
-        assert entry.memo["decl_map"].count(None) == 1  # only tiny changed
+        entry = cache.front_end_from(mutant, (_PROGRAM, edits))
+        assert cache.incremental_hits == 1
+        # g, helper and main map to their parent decls; tiny changed.
+        assert entry.memo["decl_map"] == (0, 1, None, 3)
 
 
 class TestCompileSessionRelease:
@@ -83,8 +83,9 @@ class TestCompileSessionRelease:
         assert "session_keys" not in entry.memo
 
     def test_recompile_of_a_cache_hit_uses_the_stored_decl_map(self):
-        """GrayC's compile of its validated mutant is a cache hit without a
-        plan: the records it creates are still only the changed decl's."""
+        """GrayC's compile of its validated mutant is a cache hit without an
+        edit script: the records it creates are still only the changed
+        decl's."""
         compiler = Compiler(*GCC_SIM)
         cache = FrontendCache()
         compiler.compile(_PROGRAM, cache=cache)
