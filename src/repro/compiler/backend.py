@@ -79,13 +79,14 @@ def _allocate(intervals: dict[int, tuple[int, int]]) -> tuple[dict[int, str], in
 def lower_to_asm(
     module: IRModule, ctx: OptContext, fn_lowerer=None
 ) -> BackendResult:
-    """Emit the whole module.
+    """Emit the whole module: globals, then each function in order.
 
-    ``fn_lowerer(fn, ctx) -> BackendResult`` overrides per-function lowering
-    (the compile session replays the functions it already holds through
-    it; the plain middle end passes none); the cumulative statistics and
-    the module/function checkpoints always run live, because they depend on
-    the preceding functions' totals.
+    This loop is the back end's for every compile.  ``fn_lowerer(fn, ctx)
+    -> BackendResult`` is its per-function step (default: the back end's
+    own lowering); the compile session's replays the functions it already
+    holds.  The cumulative statistics and the module/function checkpoints
+    always run here, live, because they fold the preceding functions'
+    totals.
     """
     lines: list[str] = []
     cov = ctx.cov

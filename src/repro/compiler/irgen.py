@@ -56,6 +56,11 @@ class _FunctionCtx:
         self.label_blocks: dict[str, str] = {}
 
 
+def lower_decl(index: int, decl, kind: str, lower) -> None:
+    """IR generation's own per-declaration step: lower ``decl`` live."""
+    lower(decl)
+
+
 class IRGen:
     """Lowers one translation unit to an IR module."""
 
@@ -71,13 +76,26 @@ class IRGen:
 
     # ------------------------------------------------------------------ API
 
-    def lower(self, unit: ast.TranslationUnit) -> IRModule:
+    def lower(
+        self, unit: ast.TranslationUnit, decl_step=lower_decl
+    ) -> IRModule:
+        """Lower ``unit``'s declarations, in order, into :attr:`module`.
+
+        This loop decides which declarations reach the middle end: a
+        ``VarDecl`` becomes a global (kind ``"var"``) and a ``FunctionDecl``
+        with a body a function (``"fn"``).  Enums, records, typedefs and
+        prototypes only inform Sema and the enum table, collected first.
+        ``decl_step(index, decl, kind, lower)`` handles one declaration;
+        ``lower`` is this generator's lowerer for its kind.  The default
+        step calls it; the compile session's replays the declarations it
+        already holds instead.
+        """
         self._collect_enums(unit)
-        for decl in unit.decls:
+        for index, decl in enumerate(unit.decls):
             if isinstance(decl, ast.VarDecl):
-                self._lower_global(decl)
+                decl_step(index, decl, "var", self._lower_global)
             elif isinstance(decl, ast.FunctionDecl) and decl.body is not None:
-                self._lower_function(decl)
+                decl_step(index, decl, "fn", self._lower_function)
         return self.module
 
     # ------------------------------------------------------------- helpers

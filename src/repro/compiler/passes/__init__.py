@@ -17,9 +17,8 @@ from repro.compiler.passes.inline import (
     _inlinable,
     inline_candidates,
     inline_into_caller,
-    inline_small_functions,
 )
-from repro.compiler.passes.strlen_opt import strlen_opt, strlen_opt_fn
+from repro.compiler.passes.strlen_opt import strlen_opt_fn
 from repro.compiler.passes.loop_vectorize import loop_vectorize
 from repro.compiler.passes.flat import flat_cleanup_opt, flat_local_opt
 from repro.compiler.passes.flat_inline import (
@@ -39,8 +38,6 @@ __all__ = [
     "forward_store",
     "inline_candidates",
     "inline_into_caller",
-    "inline_small_functions",
-    "strlen_opt",
     "strlen_opt_fn",
     "loop_vectorize",
     "flat_local_opt",
@@ -51,9 +48,9 @@ __all__ = [
     "flat_loop_vectorize",
     "local_opt",
     "cleanup_opt",
-    "stage_passes",
     "is_inlinable",
     "candidate_map",
+    "run_phase",
     "run_pipeline",
 ]
 
@@ -93,17 +90,6 @@ def cleanup_opt(fn, ctx: OptContext) -> None:
     dce(fn, ctx)
 
 
-def stage_passes(ctx: OptContext):
-    """The per-function (inline, strlen, vectorize) entry points for ``ctx``.
-
-    Flat runs splice and scan the buffers directly; the object entry points
-    are the reference pipeline's.
-    """
-    if ctx.flat:
-        return flat_inline_into_caller, flat_strlen_opt_fn, flat_loop_vectorize
-    return inline_into_caller, strlen_opt_fn, loop_vectorize
-
-
 def is_inlinable(fn, ctx: OptContext) -> bool:
     """Inline candidacy of one (post-local-opt) function."""
     return flat_inlinable(fn.buf) if ctx.flat else _inlinable(fn)
@@ -120,31 +106,47 @@ def candidate_map(module, ctx: OptContext) -> dict:
     return inline_candidates(module)
 
 
-def run_pipeline(module, ctx: OptContext) -> None:
+def run_phase(phase: str, fn, pass_, *args) -> None:
+    """The optimizer's own per-function phase step: ``pass_(fn, *args)``."""
+    pass_(fn, *args)
+
+
+def run_pipeline(
+    module, ctx: OptContext, phase_step=run_phase, candidates=candidate_map
+) -> None:
     """Run the optimization pipeline at the context's -O level.
 
-    The plain middle end (every compile without a front-end cache) runs
-    this loop as is.  It is built from per-function stage entry points
-    (:func:`local_opt`, :func:`stage_passes`, :func:`cleanup_opt`) so that
-    the compile session (:mod:`repro.compiler.session`), which walks the
-    same order function by function, can replay the functions it already
-    holds and run only the others, with the exact per-function event order
-    of this loop.
+    This loop is the pass order, with its -O and flag gates, for every
+    compile.  Each phase runs function by function through
+    ``phase_step(phase, fn, pass_, *args)``, which must have the effect of
+    ``pass_(fn, *args)``; every pass takes the :class:`OptContext` last.
+    ``candidates(module, ctx)`` gives the inline candidates once the local
+    round has run.  The defaults run every pass and take every inlinable
+    function.  The compile session (:mod:`repro.compiler.session`) passes
+    a step that replays the phases of the functions it already holds, and
+    its candidate map, checked against the records it replays.
     """
     if ctx.opt_level <= 0:
         return
-    inline_fn, strlen_fn, vectorize_fn = stage_passes(ctx)
+    # Flat runs splice and scan the buffers directly; the object entry
+    # points are the reference pipeline's.
+    if ctx.flat:
+        inline_fn, strlen_fn = flat_inline_into_caller, flat_strlen_opt_fn
+        vectorize_fn = flat_loop_vectorize
+    else:
+        inline_fn, strlen_fn = inline_into_caller, strlen_opt_fn
+        vectorize_fn = loop_vectorize
     for fn in list(module.functions.values()):
-        local_opt(fn, ctx)
+        phase_step("local", fn, local_opt, ctx)
     if ctx.opt_level >= 2:
-        candidates = candidate_map(module, ctx)
-        if candidates:
+        callees = candidates(module, ctx)
+        if callees:
             for caller in module.functions.values():
-                inline_fn(caller, candidates, ctx)
+                phase_step("inline", caller, inline_fn, callees, ctx)
         for fn in module.functions.values():
-            strlen_fn(fn, module, ctx)
+            phase_step("strlen", fn, strlen_fn, module, ctx)
         for fn in list(module.functions.values()):
-            cleanup_opt(fn, ctx)
+            phase_step("cleanup", fn, cleanup_opt, ctx)
     if ctx.opt_level >= 3 or ctx.flag("-ftree-vectorize"):
         for fn in list(module.functions.values()):
-            vectorize_fn(fn, ctx)
+            phase_step("vectorize", fn, vectorize_fn, ctx)

@@ -48,16 +48,6 @@ def inline_candidates(module: IRModule) -> dict[str, IRFunction]:
     return {name: fn for name, fn in module.functions.items() if _inlinable(fn)}
 
 
-def inline_small_functions(module: IRModule, ctx: OptContext) -> bool:
-    candidates = inline_candidates(module)
-    if not candidates:
-        return False
-    changed = False
-    for caller in module.functions.values():
-        changed |= inline_into_caller(caller, candidates, ctx)
-    return changed
-
-
 def inline_into_caller(
     caller: IRFunction, candidates: dict[str, IRFunction], ctx: OptContext
 ) -> bool:

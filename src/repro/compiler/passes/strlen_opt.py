@@ -14,15 +14,11 @@ from repro.compiler.ir import Call, GlobalAddr, IRModule, IRType, Temp
 from repro.compiler.passes.common import OptContext
 
 
-def strlen_opt(module: IRModule, ctx: OptContext) -> bool:
-    changed = False
-    for fn in module.functions.values():
-        changed |= strlen_opt_fn(fn, module, ctx)
-    return changed
-
-
 def strlen_opt_fn(fn, module: IRModule, ctx: OptContext) -> bool:
-    """The per-function body of :func:`strlen_opt`."""
+    """Rewrite ``fn``'s ``sprintf(dst, "%s", src)`` calls (one per block).
+
+    ``module`` supplies the globals the format and buffer operands name.
+    """
     changed = False
     # Track which temps hold which global addresses (post-constfold IR
     # is simple enough for this to be block-local-accurate).

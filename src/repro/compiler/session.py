@@ -1,26 +1,36 @@
-"""The middle end: the plain pipeline and the compile session.
+"""The middle end: one stage driver, the plain pipeline and the session.
+
+Every compile that reaches the middle end runs the same three stage loops
+through :func:`_run_stages`: :meth:`IRGen.lower
+<repro.compiler.irgen.IRGen.lower>` decides which declarations reach the
+middle end and in what order, :func:`repro.compiler.passes.run_pipeline`
+holds the pass order with its -O and flag gates, and
+:func:`repro.compiler.backend.lower_to_asm` emits function by function.
+Each loop takes per-step hooks, and a run supplies them.
 
 A compile without a :class:`~repro.cast.cache.FrontendCache` (the program
 generators, AFL++) and every compile of the object-IR reference pipeline
 (``Compiler(reference=True)``, which ignores a cache, so paranoid mode's
 reference is built from scratch) runs the plain pipeline,
-:func:`lower_and_optimize`: whole-module IR generation,
-:func:`repro.compiler.passes.run_pipeline` and
-:func:`repro.compiler.backend.lower_to_asm`.  It records nothing.
+:func:`lower_and_optimize`, whose run supplies each stage's own step.  It
+records nothing.
 
 A default-pipeline compile that carries a cache runs
 :func:`lower_and_optimize_session` against its compiler's own
 :class:`CompileSession`, the middle end's one reuse mechanism, which
-therefore holds buffer-native artifacts only.  The session interns
-per-function middle-end artifacts (IR generation replay segments, per-phase
-optimizer segments, the final post-pipeline function, backend asm/stats)
-under a **content key** that captures everything the function's middle-end
-run can observe.  Any compile whose function hashes to a known key skips
-irgen, the optimizer, and the backend for that function entirely, whichever
-program the record was made in: a mutant's unchanged siblings, a pool
-member's functions on the next step, a mutant of a mutant.  A second compile
-of the same text and options is served the same way, declaration by
-declaration.
+therefore holds buffer-native artifacts only.  Its run supplies
+replay-or-record steps: one per declaration for IR generation, one per
+function and phase for the optimizer, one per function for the backend,
+and its consistency-checked inline-candidate map.  The session interns one
+:class:`SessionFnRecord` per declaration (IR generation replay segments,
+per-phase optimizer segments, the final post-pipeline function, backend
+asm/stats) under a **content key** that captures everything the
+declaration's middle-end run can observe.  Any compile whose function
+hashes to a known key skips irgen, the optimizer, and the backend for that
+function entirely, whichever program the record was made in: a mutant's
+unchanged siblings, a pool member's functions on the next step, a mutant of
+a mutant.  A second compile of the same text and options is served the same
+way, declaration by declaration.
 
 The session keeps what the fuzzer's pool can reuse.  A compile notes on its
 front-end entry (``memo["session_keys"]``) the records it created for the
@@ -56,14 +66,14 @@ because everything applied up to that point is a prefix of what the live run
 produces: coverage hits are idempotent set-inserts and the feature dict has
 not been merged yet.
 
-Replay is segment-compiled: each recorded journal slice (the ``("cov", ...)``,
-``("stat", ...)`` and ``("check", ...)`` events a live run appends to its
-compile's journal) is split at bug-checkpoint events into ``(coverage edge
-set, stats deltas, checkpoint)`` segments.  Coverage applies as one bulk
-set-union and stats as direct counter adds — O(unique sites), not O(events) —
-while checkpoints run live through the bug registry with the evolving
-feature dict, preserving crash identity and the exact abort point of a
-seeded crash.
+Replay is segment-compiled: each journal slice (the ``("cov", ...)``,
+``("stat", ...)`` and ``("check", ...)`` events a live step appends to its
+compile's journal) is split, as it is captured, at bug-checkpoint events
+into ``(coverage edge set, stats deltas, checkpoint)`` segments.  Coverage
+applies as one bulk set-union and stats as direct counter adds — O(unique
+sites), not O(events) — while checkpoints run live through the bug registry
+with the evolving feature dict, preserving crash identity and the exact
+abort point of a seeded crash.
 
 ``paranoid=True`` on :meth:`Compiler.compile` cross-checks every cached
 compile against a from-scratch plain compile through the object-IR reference
@@ -76,21 +86,18 @@ from collections import Counter, OrderedDict
 from dataclasses import dataclass, field
 from operator import itemgetter
 
-from repro.cast import ast_nodes as ast
 from repro.cast.cache import decl_digests, source_digest
 from repro.cast.incremental import IncrementalDivergence
 from repro.compiler.backend import BackendResult, _lower_function, lower_to_asm
 from repro.compiler.flatir import FlatFunction, IRBuffer
 from repro.compiler.ir import IRModule
-from repro.compiler.irgen import FlatIRGen, IRGen, LoweringError
+from repro.compiler.irgen import FlatIRGen, IRGen, LoweringError, lower_decl
 from repro.compiler.passes import (
     OptContext,
     candidate_map,
-    cleanup_opt,
     is_inlinable,
-    local_opt,
+    run_phase,
     run_pipeline,
-    stage_passes,
 )
 from repro.telemetry.spans import span
 
@@ -148,14 +155,6 @@ def _stats_delta(before: Counter, after: Counter) -> tuple:
     )
 
 
-def _decl_kind(decl) -> tuple[str, str | None]:
-    if isinstance(decl, ast.FunctionDecl) and decl.body is not None:
-        return "fn", decl.name
-    if isinstance(decl, ast.VarDecl):
-        return "var", decl.name
-    return "other", getattr(decl, "name", None)
-
-
 def _digest(*parts) -> str:
     """A stable digest over repr-serializable parts."""
     return source_digest("\x1f".join(repr(p) for p in parts))
@@ -175,7 +174,7 @@ def _global_sig(name: str, g) -> str:
     )
 
 
-def _segments(events: tuple) -> tuple:
+def _segments(events) -> tuple:
     """Compile a journal slice into bulk-applicable replay segments.
 
     Each segment is ``(edges, stats, check)``: the coverage edges and stats
@@ -184,9 +183,9 @@ def _segments(events: tuple) -> tuple:
     order because it can raise a seeded crash.  A crash truncates the event
     stream exactly where the original run stopped.
 
-    Every live declaration is compiled at commit, replayed or not, so the
-    common slice — coverage only, as IR generation's always is — takes a
-    loop-free path.
+    Every slice a live step captures is compiled, whether or not it is ever
+    replayed, so the common slice — coverage only, as IR generation's
+    always is — takes a loop-free path.
     """
     if set(map(_EVENT_TAG, events)) <= {"cov"}:
         return ((frozenset(map(_EVENT_EDGE, events)), (), None),)
@@ -209,12 +208,16 @@ def _segments(events: tuple) -> tuple:
     return tuple(segs)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SessionFnRecord:
-    """Everything the middle end did for one declaration, replayable."""
+    """Everything the middle end did for one declaration, replayable.
 
-    kind: str  # "fn" | "var"
-    name: str | None
+    A live run fills a record in as its declaration passes each stage (IR
+    generation, each optimizer phase, the backend), compiling each journal
+    slice into segments as it is captured; the session interns it only at
+    commit, after the whole pipeline ran.
+    """
+
     irgen_segments: tuple
     irgen_stats: tuple  # ((key, n), ...) applied to IRGenStats
     globals_added: tuple  # ((name, GlobalVar), ...) in emission order
@@ -304,37 +307,13 @@ class CompileSession:
         return len(self._records)
 
 
-class _Pending:
-    """Mutable capture state for one live-lowered declaration."""
-
-    __slots__ = (
-        "key", "kind", "name", "changed", "irgen_events", "irgen_stats",
-        "globals_added", "str_delta", "static_delta", "phase_events",
-        "backend_events", "backend_stats", "asm", "snapshot",
-    )
-
-    def __init__(
-        self, key: str, kind: str, name: str | None, changed: bool
-    ) -> None:
-        self.key = key
-        self.kind = kind
-        self.name = name
-        #: The mutation changed this declaration (see :meth:`commit`).
-        self.changed = changed
-        self.irgen_events: tuple = ()
-        self.irgen_stats: tuple = ()
-        self.globals_added: tuple = ()
-        self.str_delta = 0
-        self.static_delta = 0
-        self.phase_events: dict = {}
-        self.backend_events: tuple = ()
-        self.backend_stats: tuple = ()
-        self.asm = ""
-        self.snapshot: IRBuffer | None = None
-
-
 class _SessionRun:
-    """One session-backed middle-end run (interning and/or replaying)."""
+    """One session-backed middle-end run: each stage's replay-or-record step.
+
+    A declaration whose key the session holds replays its record at every
+    stage; any other runs live and fills in a new record, which
+    :meth:`commit` interns once the whole pipeline has run.
+    """
 
     def __init__(
         self,
@@ -358,11 +337,16 @@ class _SessionRun:
         self.features = features
         self.journal = journal
         self.reuse = reuse
-        #: decl index -> reused record; fn name -> record for fn records.
-        self.reused: dict[int, SessionFnRecord] = {}
-        self.clean_fns: dict[str, SessionFnRecord] = {}
-        self.pending: list[_Pending] = []
-        self.pending_fn: dict[str, _Pending] = {}
+        self.irgen = new_irgen(compiler, entry, cov)
+        #: Options, environment and enum digests (set by the first step).
+        self.key_base: tuple | None = None
+        self.full_digests: tuple = ()
+        self.globals_state = ""
+        #: fn name -> replayed record / record being filled in.
+        self.served: dict[str, SessionFnRecord] = {}
+        self.live_fns: dict[str, SessionFnRecord] = {}
+        #: (key, changed, record) per live-lowered declaration, in order.
+        self.live: list = []
         #: fn name -> content key, for candidate digests (both paths).
         self.fn_keys: dict[str, str] = {}
         self.candidate_names: frozenset = frozenset()
@@ -373,8 +357,6 @@ class _SessionRun:
         merged = dict(self.features)
         merged.update(extra)
         self.compiler.bugs.check(point, merged)
-
-    # -- replay ------------------------------------------------------------
 
     def _apply_segments(self, segments: tuple, counters: Counter | None) -> None:
         """Bulk-apply compiled segments; checkpoints run live, unjournaled.
@@ -397,119 +379,112 @@ class _SessionRun:
                 merged.update(dict(check[1]))
                 self.compiler.bugs.check(check[0], merged)
 
-    # -- irgen -------------------------------------------------------------
+    # -- the stage steps ---------------------------------------------------
 
-    def lower(self) -> IRModule:
-        irgen = new_irgen(self.compiler, self.entry, self.cov)
-        irgen._collect_enums(self.unit)
-        enum_digest = _digest(tuple(irgen._enum_values.items()))
-        full_digests, header_digests = decl_digests(self.entry)
-        options = middle_memo_key(
-            self.compiler, self.opt_level, tuple(self.flags)
-        )
-        env_digest = _digest(header_digests)
-        # Which decls the dirty-region front end re-parsed; an entry the
-        # full front end built has no map, and all of its decls count.
-        decl_map = self.entry.memo.get("decl_map")
-        globals_state = ""
-        for i, decl in enumerate(self.unit.decls):
-            kind, name = _decl_kind(decl)
-            if kind == "other":
-                continue  # no middle-end footprint; covered by env_digest
-            key = _digest(
-                options, env_digest, enum_digest, globals_state,
-                irgen._string_counter, irgen._static_counter,
-                kind, full_digests[i],
+    def decl_step(self, index: int, decl, kind: str, lower) -> None:
+        """IR generation's step: replay ``decl``'s record, or lower it live.
+
+        ``IRGen.lower`` calls it for globals and function definitions only.
+        The declarations it skips (enums, records, typedefs, prototypes)
+        need no record: their text reaches every key through the
+        environment digest.
+        """
+        irgen = self.irgen
+        if self.key_base is None:
+            # IRGen.lower collected the unit's enum table before this step.
+            self.full_digests, header_digests = decl_digests(self.entry)
+            self.key_base = (
+                middle_memo_key(
+                    self.compiler, self.opt_level, tuple(self.flags)
+                ),
+                _digest(header_digests),
+                _digest(tuple(irgen._enum_values.items())),
             )
+        key = _digest(
+            *self.key_base, self.globals_state,
+            irgen._string_counter, irgen._static_counter,
+            kind, self.full_digests[index],
+        )
+        if kind == "fn":
+            self.fn_keys[decl.name] = key
+        rec = self.session.get(key) if self.reuse else None
+        if rec is not None:
+            self._apply_segments(rec.irgen_segments, None)
+            for k, n in rec.irgen_stats:
+                irgen.stats.counters[k] += n
+            for gname, gvar in rec.globals_added:
+                irgen.module.globals[gname] = gvar
             if kind == "fn":
-                self.fn_keys[name] = key
-            rec = self.session.get(key) if self.reuse else None
-            if rec is not None:
-                self._apply_segments(rec.irgen_segments, None)
-                for k, n in rec.irgen_stats:
-                    irgen.stats.counters[k] += n
-                for gname, gvar in rec.globals_added:
-                    irgen.module.globals[gname] = gvar
-                if rec.fn is not None:
-                    irgen.module.functions[rec.name] = rec.fn
-                irgen._string_counter += rec.str_delta
-                irgen._static_counter += rec.static_delta
-                self.reused[i] = rec
-                if kind == "fn":
-                    self.clean_fns[name] = rec
-                self.session.hits += 1
-                added = rec.globals_added
-            else:
-                start = len(self.journal)
-                stats0 = Counter(irgen.stats.counters)
-                g0 = len(irgen.module.globals)
-                str0, static0 = irgen._string_counter, irgen._static_counter
-                if kind == "var":
-                    irgen._lower_global(decl)
-                else:
-                    irgen._lower_function(decl)
-                added = tuple(list(irgen.module.globals.items())[g0:])
-                pend = _Pending(
-                    key, kind, name, decl_map is None or decl_map[i] is None
-                )
-                pend.irgen_events = tuple(self.journal[start:])
-                pend.irgen_stats = _stats_delta(stats0, irgen.stats.counters)
-                pend.globals_added = added
-                pend.str_delta = irgen._string_counter - str0
-                pend.static_delta = irgen._static_counter - static0
-                self.pending.append(pend)
-                if kind == "fn":
-                    self.pending_fn[name] = pend
-                self.session.misses += 1
-            for gname, gvar in added:
-                globals_state = _digest(globals_state, _global_sig(gname, gvar))
-        self.irgen = irgen
-        return irgen.module
-
-    # -- optimizer ---------------------------------------------------------
-
-    def optimize(self, module: IRModule, ctx: OptContext) -> None:
-        if ctx.opt_level <= 0:
-            return
-
-        def drive(phase: str, fn, runner) -> None:
-            rec = self.clean_fns.get(fn.name)
-            if rec is not None:
-                segments = rec.phase_segments.get(phase)
-                if segments is None:  # pragma: no cover - defensive
-                    raise _MiddleAbort(f"missing session phase {phase}")
-                self._apply_segments(segments, ctx.stats.counters)
-                return
+                irgen.module.functions[decl.name] = rec.fn
+                self.served[decl.name] = rec
+            irgen._string_counter += rec.str_delta
+            irgen._static_counter += rec.static_delta
+            self.session.hits += 1
+        else:
             start = len(self.journal)
-            runner()
-            pend = self.pending_fn.get(fn.name)
-            if pend is not None:
-                pend.phase_events[phase] = tuple(self.journal[start:])
+            stats0 = Counter(irgen.stats.counters)
+            g0 = len(irgen.module.globals)
+            str0, static0 = irgen._string_counter, irgen._static_counter
+            lower(decl)
+            rec = SessionFnRecord(
+                irgen_segments=_segments(self.journal[start:]),
+                irgen_stats=_stats_delta(stats0, irgen.stats.counters),
+                globals_added=tuple(list(irgen.module.globals.items())[g0:]),
+                fn=irgen.module.functions[decl.name] if kind == "fn" else None,
+                str_delta=irgen._string_counter - str0,
+                static_delta=irgen._static_counter - static0,
+            )
+            # Which decls the dirty-region front end re-parsed; an entry
+            # the full front end built has no map, and all of its decls
+            # count.
+            decl_map = self.entry.memo.get("decl_map")
+            changed = decl_map is None or decl_map[index] is None
+            self.live.append((key, changed, rec))
+            if kind == "fn":
+                self.live_fns[decl.name] = rec
+            self.session.misses += 1
+        for gname, gvar in rec.globals_added:
+            self.globals_state = _digest(
+                self.globals_state, _global_sig(gname, gvar)
+            )
 
-        inline_fn, strlen_fn, vectorize_fn = stage_passes(ctx)
-        for fn in list(module.functions.values()):
-            drive("local", fn, lambda f=fn: local_opt(f, ctx))
-        if ctx.opt_level >= 2:
-            candidates = self._candidates(module, ctx)
-            if candidates:
-                for caller in module.functions.values():
-                    drive(
-                        "inline",
-                        caller,
-                        lambda c=caller: inline_fn(c, candidates, ctx),
-                    )
-            for fn in module.functions.values():
-                drive("strlen", fn, lambda f=fn: strlen_fn(f, module, ctx))
-            for fn in list(module.functions.values()):
-                drive("cleanup", fn, lambda f=fn: cleanup_opt(f, ctx))
-        if ctx.opt_level >= 3 or ctx.flag("-ftree-vectorize"):
-            for fn in list(module.functions.values()):
-                drive("vectorize", fn, lambda f=fn: vectorize_fn(f, ctx))
+    def phase_step(self, phase: str, fn, pass_, *args) -> None:
+        """The optimizer's step: replay a served function's phase, or run it."""
+        name = fn.name
+        rec = self.served.get(name)
+        if rec is not None:
+            segments = rec.phase_segments.get(phase)
+            if segments is None:
+                # A record made for a definition that a later one of the
+                # same name replaced ran no phase.
+                raise _MiddleAbort(f"no {phase} segments for {name}")
+            # Every pass takes the OptContext last.
+            self._apply_segments(segments, args[-1].stats.counters)
+            return
+        start = len(self.journal)
+        pass_(fn, *args)
+        self.live_fns[name].phase_segments[phase] = _segments(
+            self.journal[start:]
+        )
+
+    def fn_lowerer(self, fn, ctx: OptContext) -> BackendResult:
+        """The back end's step: replay a served function's asm, or lower it."""
+        rec = self.served.get(fn.name)
+        if rec is not None:
+            self._apply_segments(rec.backend_segments, None)
+            return BackendResult(rec.asm, dict(rec.backend_stats))
+        start = len(self.journal)
+        res = _lower_function(fn, ctx)
+        rec = self.live_fns[fn.name]
+        rec.backend_segments = _segments(self.journal[start:])
+        rec.backend_stats = tuple(res.stats.items())
+        rec.asm = res.asm
+        return res
 
     def _cand_digest(self, names: frozenset) -> str:
         return _digest(tuple(sorted((n, self.fn_keys[n]) for n in names)))
 
-    def _candidates(self, module: IRModule, ctx: OptContext) -> dict:
+    def candidates(self, module: IRModule, ctx: OptContext) -> dict:
         """The inline candidate map, consistency-checked against records.
 
         Inlined bodies cross function boundaries, so every reused record must
@@ -518,62 +493,43 @@ class _SessionRun:
         function of the candidate's irgen key).  Any disagreement aborts to
         a fully live run, which re-records everything coherently.
         """
-        if not self.clean_fns:
+        if not self.served:
             candidates = candidate_map(module, ctx)
             self.candidate_names = frozenset(candidates)
             self.candidates_digest = self._cand_digest(self.candidate_names)
             for name in candidates:
-                pend = self.pending_fn.get(name)
-                if pend is not None:
+                rec = self.live_fns.get(name)
+                if rec is not None:
                     # Callers inline the body by value: clone it at this
                     # (post-local-opt) point, before later phases mutate it.
-                    pend.snapshot = candidates[name].clone()
+                    rec.snapshot = candidates[name].clone()
             return candidates
         names = None
-        for rec in self.clean_fns.values():
+        for rec in self.served.values():
             if names is None:
                 names = rec.candidate_names
             elif rec.candidate_names != names:
                 raise _MiddleAbort("session candidate sets disagree")
-        dirty = [n for n in module.functions if n not in self.clean_fns]
+        dirty = [n for n in module.functions if n not in self.served]
         for name in dirty:
             if name in names or is_inlinable(module.functions[name], ctx):
                 raise _MiddleAbort("dirty function affects inline candidacy")
         for name in names:
-            rec = self.clean_fns.get(name)
+            rec = self.served.get(name)
             if rec is None or rec.snapshot is None:
                 raise _MiddleAbort("candidate not served from the session")
         digest = self._cand_digest(names)
-        for rec in self.clean_fns.values():
+        for rec in self.served.values():
             if rec.candidates_digest != digest:
                 raise _MiddleAbort("candidate bodies changed")
         self.candidate_names = names
         self.candidates_digest = digest
-        return {name: self.clean_fns[name].snapshot for name in names}
-
-    # -- backend -----------------------------------------------------------
-
-    def backend(self, module: IRModule, ctx: OptContext) -> BackendResult:
-        def lower_fn(fn, fn_ctx) -> BackendResult:
-            rec = self.clean_fns.get(fn.name)
-            if rec is not None:
-                self._apply_segments(rec.backend_segments, None)
-                return BackendResult(rec.asm, dict(rec.backend_stats))
-            start = len(self.journal)
-            res = _lower_function(fn, fn_ctx)
-            pend = self.pending_fn.get(fn.name)
-            if pend is not None:
-                pend.backend_events = tuple(self.journal[start:])
-                pend.backend_stats = tuple(res.stats.items())
-                pend.asm = res.asm
-            return res
-
-        return lower_to_asm(module, ctx, fn_lowerer=lower_fn)
+        return {name: self.served[name].snapshot for name in names}
 
     # -- interning ---------------------------------------------------------
 
-    def commit(self, module: IRModule) -> None:
-        """Intern records for every live-lowered declaration.
+    def commit(self) -> None:
+        """Intern the records of every live-lowered declaration.
 
         Only called after a complete, successful pipeline run: partial
         records (crash, lowering failure, abort) must never seed replays.
@@ -583,46 +539,25 @@ class _SessionRun:
         """
         records = self.session._records
         created = [
-            pend.key
-            for pend in self.pending
-            if pend.changed and pend.key not in records
+            key for key, changed, _ in self.live
+            if changed and key not in records
         ]
         if created:
             self.entry.memo.setdefault("session_keys", []).extend(created)
-        for pend in self.pending:
-            self.session.put(
-                pend.key,
-                SessionFnRecord(
-                    kind=pend.kind,
-                    name=pend.name,
-                    irgen_segments=_segments(pend.irgen_events),
-                    irgen_stats=pend.irgen_stats,
-                    globals_added=pend.globals_added,
-                    fn=(
-                        module.functions.get(pend.name)
-                        if pend.kind == "fn"
-                        else None
-                    ),
-                    str_delta=pend.str_delta,
-                    static_delta=pend.static_delta,
-                    phase_segments={
-                        phase: _segments(events)
-                        for phase, events in pend.phase_events.items()
-                    },
-                    backend_segments=_segments(pend.backend_events),
-                    backend_stats=pend.backend_stats,
-                    asm=pend.asm,
-                    candidate_names=self.candidate_names,
-                    candidates_digest=self.candidates_digest,
-                    snapshot=pend.snapshot,
-                ),
-            )
+        for key, _, rec in self.live:
+            rec.candidate_names = self.candidate_names
+            rec.candidates_digest = self.candidates_digest
+            self.session.put(key, rec)
 
 
 class _PlainRun:
-    """One plain middle-end run: the whole-module entry points, no records."""
+    """One plain middle-end run: each stage's own steps, nothing recorded."""
 
     journal = None
+    decl_step = staticmethod(lower_decl)
+    phase_step = staticmethod(run_phase)
+    candidates = staticmethod(candidate_map)
+    fn_lowerer = staticmethod(_lower_function)
 
     def __init__(
         self, compiler, entry, opt_level: int, flags: tuple, cov,
@@ -641,34 +576,27 @@ class _PlainRun:
         merged.update(extra)
         self.compiler.bugs.check(point, merged)
 
-    def lower(self) -> IRModule:
-        return self.irgen.lower(self.unit)
-
-    def optimize(self, module: IRModule, ctx: OptContext) -> None:
-        run_pipeline(module, ctx)
-
-    def backend(self, module: IRModule, ctx: OptContext) -> BackendResult:
-        return lower_to_asm(module, ctx)
-
 
 def _run_stages(run, result, stages: list) -> bool:
-    """IR generation, the optimizer and the back end through ``run``.
+    """IR generation, the optimizer and the back end, with ``run``'s steps.
 
-    ``run`` (a :class:`_PlainRun` or a :class:`_SessionRun`) supplies the
-    three stages; the spans, the feature merges and the ``ir-gen`` /
-    ``optimization`` / ``back-end`` bug checks between them are shared.
-    Returns False when lowering failed (a diagnostic, not a crash).
+    The stage loops (``IRGen.lower``, ``run_pipeline``, ``lower_to_asm``)
+    take ``run``'s per-step hooks: a :class:`_PlainRun` supplies each
+    stage's own, a :class:`_SessionRun` its replay-or-record steps.  The
+    spans, the feature merges and the ``ir-gen`` / ``optimization`` /
+    ``back-end`` bug checks between the stages are shared.  Returns False
+    when lowering failed (a diagnostic, not a crash).
     """
-    compiler, features = run.compiler, run.features
+    compiler, features, irgen = run.compiler, run.features, run.irgen
     try:
         with span(compiler.tracer, "irgen"):
-            module = run.lower()
+            module = irgen.lower(run.unit, run.decl_step)
     except (LoweringError, RecursionError) as exc:
         result.diagnostics.append(f"sorry, unimplemented: {exc}")
         features["lowering_failed"] = 1
         compiler.bugs.check("ir-gen", features)
         return False
-    features.update(run.irgen.stats.counters)
+    features.update(irgen.stats.counters)
     compiler.bugs.check("ir-gen", features)
 
     with span(compiler.tracer, "opt"):
@@ -676,12 +604,12 @@ def _run_stages(run, result, stages: list) -> bool:
             compiler, run.cov, run.opt_level, run.flags, run.checkpoint
         )
         ctx.stats.journal = run.journal
-        run.optimize(module, ctx)
+        run_pipeline(module, ctx, run.phase_step, run.candidates)
     features.update(ctx.stats.counters)
     compiler.bugs.check("optimization", features)
 
     with span(compiler.tracer, "backend"):
-        be = run.backend(module, ctx)
+        be = lower_to_asm(module, ctx, run.fn_lowerer)
     stages.append("backend")
     features.update(be.stats)
     compiler.bugs.check("back-end", features)
@@ -716,6 +644,7 @@ def lower_and_optimize_session(
     abort (``middle_incremental_fallbacks``).
     """
     session = compiler.compile_session
+    hits = session.hits
     # Live declarations capture their events from this journal.
     journal = cov.journal = []
     try:
@@ -737,7 +666,7 @@ def lower_and_optimize_session(
             )
             _run_session(run, result, stages)
         else:
-            if run.reused:
+            if session.hits > hits:
                 compiler.middle_incremental_hits += 1
     finally:
         cov.journal = None
@@ -746,7 +675,7 @@ def lower_and_optimize_session(
 def _run_session(run, result, stages: list) -> None:
     if _run_stages(run, result, stages):
         with span(run.compiler.tracer, "session"):
-            run.commit(result.module)
+            run.commit()
 
 
 def assert_results_equal(inc, full) -> None:

@@ -148,20 +148,16 @@ def run_campaign(
     steps: int,
     virtual_hours: float = 24.0,
     sample_points: int = 24,
-    *,
-    telemetry: "TelemetrySession | None" = None,
 ) -> CampaignResult:
     """Run ``steps`` fuzzing iterations mapped onto a virtual time span.
 
-    ``telemetry`` (or the fuzzer's own session, when it carries a sink)
-    receives campaign lifecycle, crash-discovery, coverage-sample, and
-    kept-step events.  Event emission consumes no randomness and never
-    touches compared state, so a telemetry-enabled run produces a
-    bit-identical :class:`CampaignResult`.
+    The fuzzer's telemetry session (adopted through ``make_fuzzer``'s
+    ``telemetry=``) receives campaign lifecycle, crash-discovery,
+    coverage-sample, and kept-step events.  Event emission consumes no
+    randomness and never touches compared state, so a telemetry-enabled
+    run produces a bit-identical :class:`CampaignResult`.
     """
-    telem = telemetry if telemetry is not None else fuzzer.telemetry
-    if telemetry is not None and fuzzer.telemetry is not telemetry:
-        fuzzer.adopt_telemetry(telemetry)
+    telem = fuzzer.telemetry
     result = CampaignResult(
         fuzzer=getattr(fuzzer, "name", type(fuzzer).__name__),
         compiler=fuzzer.compiler.name,

@@ -264,7 +264,12 @@ def _step_keeping_to_pool(fuzzer, step: int) -> None:
 
 
 def _retained(fuzzers) -> str:
-    """What the fuzzers keep alive: cache entries, session records, heap."""
+    """What the fuzzers keep alive: cache entries, session records, heap.
+
+    The heap figure counts the collector's tracked objects after a full
+    collection, so garbage awaiting the next collection is not counted.
+    """
+    gc.collect()
     return (
         f"retained: {sum(len(f.cache) for f in fuzzers)} cache entries, "
         f"{sum(len(f.compiler.compile_session) for f in fuzzers)} session "

@@ -12,8 +12,8 @@ from repro.compiler.interp import execute
 from repro.compiler.irgen import FlatIRGen, IRGen
 from repro.compiler.ir import BinOp, Call, ImmInt, Jmp, Load, Store
 from repro.compiler.passes import (
-    OptContext, const_fold, cse, dce, forward_store,
-    inline_small_functions, run_pipeline, simplify_cfg, strlen_opt,
+    OptContext, const_fold, cse, dce, forward_store, run_pipeline,
+    simplify_cfg,
 )
 from repro.fuzzing.progen import GenPolicy, ProgramGenerator
 
@@ -163,7 +163,7 @@ class TestInline:
             "int main(void) { return three(); }"
         )
         context = ctx()
-        inline_small_functions(module, context)
+        run_pipeline(module, context)
         assert context.stats.get("inlined", 0) == 0
 
 
@@ -174,8 +174,8 @@ class TestStrlenOpt:
             "int main(void) { return sprintf(buf, \"%s\", \"abcd\"); }"
         )
         context = ctx()
-        changed = strlen_opt(module, context)
-        assert changed and context.stats.get("strlen_opts") == 1
+        run_pipeline(module, context)
+        assert context.stats.get("strlen_opts") == 1
         assert execute(module).return_code == 4
 
     def test_other_formats_untouched(self):
@@ -183,7 +183,9 @@ class TestStrlenOpt:
             "static char buf[16];\n"
             "int main(void) { return sprintf(buf, \"%d\", 12); }"
         )
-        assert not strlen_opt(module, ctx())
+        context = ctx()
+        run_pipeline(module, context)
+        assert context.stats.get("strlen_opts", 0) == 0
 
 
 @settings(max_examples=30, deadline=None)

@@ -1,6 +1,6 @@
 """Compile session: fused-pass equivalence + cross-step middle-end memoization.
 
-Two contracts are under test here:
+Three contracts are under test here:
 
 * the fused three-walk -O1 round (run over the flat buffer by
   :func:`repro.compiler.passes.flat.flat_local_opt`) is bit-identical — IR
@@ -12,11 +12,16 @@ Two contracts are under test here:
   artifacts without changing any observable of ``Compiler.compile``
   (checked against from-scratch reference-pipeline compiles), a campaign
   routed twice through one warm session is bit-identical, and compiles
-  without a cache leave the session empty.
+  without a cache leave the session empty;
+* the session's steps inside the stage loops (``IRGen.lower``,
+  ``run_pipeline``, ``lower_to_asm``) run nothing live for a declaration
+  they replay, record exactly the phases the pipeline drove, and intern
+  nothing for a compile that did not finish.
 """
 
 import copy
 import random
+from collections import Counter
 
 import pytest
 
@@ -24,8 +29,10 @@ import repro.mutators  # noqa: F401 - populate the registry
 from repro.cast.cache import FrontendCache
 from repro.cast.parser import parse
 from repro.cast.sema import Sema
-from repro.compiler import GCC_SIM, Compiler
+from repro.compiler import CLANG_SIM, GCC_SIM, Compiler
+from repro.compiler import backend, passes
 from repro.compiler.coverage import CoverageMap
+from repro.compiler.crash import CompilerCrash
 from repro.compiler.irgen import IRGen, LoweringError
 from repro.compiler.passes import OptContext, local_opt
 from repro.compiler.session import CompileSession, assert_results_equal
@@ -172,6 +179,51 @@ class TestCompileSession:
         warm.compile(_mutate_body(text), cache=cache, paranoid=True)
         assert session.paranoid_checks == before + 1
 
+    def test_redefined_function_falls_back_live(self):
+        # The first ``f`` is replaced before the optimizer runs, so its
+        # record holds no phase; a mutant that replays it while the second
+        # ``f`` is live must abort to a live run, not fail.
+        compiler = Compiler(*GCC_SIM)
+        cache = FrontendCache()
+        text = (
+            "int f(void) { return 1; }\n"
+            "int f(void) { return 2; }\n"
+            "int main(void) { return f(); }\n"
+        )
+        compiler.compile(text, cache=cache)
+        mutant = text.replace("return 2", "return 3")
+        result = compiler.compile(mutant, cache=cache)
+        assert compiler.compile_session.aborts == 1
+        assert_results_equal(
+            result, Compiler(*GCC_SIM, reference=True).compile(mutant)
+        )
+
+    def test_failed_compile_interns_nothing(self, small_seeds, monkeypatch):
+        # Lowering fails on the last declaration, after ``f`` was lowered
+        # live: its half-filled record must not reach the store.
+        compiler = Compiler(*GCC_SIM)
+        session = compiler.compile_session
+        result = compiler.compile(
+            "int f(void) { return 1; }\n"
+            "struct S { int a; };\n"
+            "int g(struct S s) { return s.a; }\n",
+            cache=FrontendCache(),
+        )
+        assert result.diagnostics and session.misses == 1
+        assert len(session) == 0
+        # A crash at the back end's last checkpoint, after every stage ran.
+        check = compiler.bugs.check
+
+        def crash_at_module_end(point, features):
+            if point == "backend:module":
+                raise CompilerCrash("test", "back-end", "injected", [])
+            check(point, features)
+
+        monkeypatch.setattr(compiler.bugs, "check", crash_at_module_end)
+        result = compiler.compile(small_seeds[0], cache=FrontendCache())
+        assert result.crash is not None and session.misses > 1
+        assert len(session) == 0
+
     def test_uncached_compile_records_nothing(self, small_seeds):
         compiler = Compiler(*GCC_SIM)
         for text in small_seeds[:3]:
@@ -199,6 +251,121 @@ class TestCompileSession:
             warm.compile(text, cache=cache)
         assert session.evictions > 0
         assert len(session) <= 2
+
+
+#: A global, a string buffer, an inline candidate (``three``), a loop and a
+#: ``sprintf(dst, "%s", src)`` for the strlen pass.
+_STAGED = (
+    "int g = 3;\n"
+    "static char buf[16];\n"
+    "int three(void) { return 3; }\n"
+    "int sum(int v) { int i, s = 0; for (i = 0; i < 4; i++) s += v; "
+    "return s; }\n"
+    "int main(void) { sprintf(buf, \"%s\", \"abcd\"); "
+    "return three() + sum(g); }\n"
+)
+#: The same shape with no inline candidate: every function calls, loops or
+#: is ``noinline``.
+_NO_CANDIDATES = (
+    "int g = 3;\n"
+    "__attribute__((noinline)) int three(void) { return 3; }\n"
+    "int sum(int v) { int i, s = 0; for (i = 0; i < 4; i++) s += v; "
+    "return s; }\n"
+    "int main(void) { return three() + sum(g); }\n"
+)
+_LEVELS = [(0, ()), (1, ()), (2, ()), (3, ()), (2, ("-ftree-vectorize",))]
+_LEVEL_IDS = ["O0", "O1", "O2", "O3", "O2-vectorize"]
+_PERSONALITIES = pytest.mark.parametrize(
+    "personality", [GCC_SIM, CLANG_SIM], ids=["gcc-sim", "clang-sim"]
+)
+
+
+class TestStageSteps:
+    """The session's steps inside the stage loops do no live work on replay
+    and record exactly the phases the loops drove."""
+
+    @pytest.fixture
+    def live_calls(self, monkeypatch):
+        """Live calls per stage, counted at each stage's entry points."""
+        calls = Counter()
+
+        def count(owner, name, stage):
+            real = getattr(owner, name)
+
+            def counted(*args):
+                calls[stage] += 1
+                return real(*args)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        count(IRGen, "_lower_global", "irgen")
+        count(IRGen, "_lower_function", "irgen")
+        for name in (
+            "local_opt", "flat_inline_into_caller", "flat_strlen_opt_fn",
+            "cleanup_opt", "flat_loop_vectorize",
+        ):
+            count(passes, name, "opt")
+        count(backend, "_lower_function_flat", "backend")
+        return calls
+
+    @_PERSONALITIES
+    @pytest.mark.parametrize("opt_level,flags", _LEVELS, ids=_LEVEL_IDS)
+    def test_recompile_runs_no_live_step(
+        self, personality, opt_level, flags, live_calls
+    ):
+        compiler = Compiler(*personality)
+        session = compiler.compile_session
+        cache = FrontendCache()
+        first = compiler.compile(_STAGED, opt_level, flags, cache=cache)
+        assert first.ok
+        # The counters see the live compile's work at every stage it runs.
+        assert live_calls["irgen"] == 5 and live_calls["backend"] == 3
+        assert bool(live_calls["opt"]) == (opt_level > 0)
+        live_calls.clear()
+        hits = session.hits
+        second = compiler.compile(_STAGED, opt_level, flags, cache=cache)
+        assert not live_calls
+        assert session.hits == hits + 5
+        reference = Compiler(*personality, reference=True)
+        for result in (first, second):
+            assert_results_equal(
+                result, reference.compile(_STAGED, opt_level, flags)
+            )
+
+    @_PERSONALITIES
+    @pytest.mark.parametrize("opt_level,flags", _LEVELS, ids=_LEVEL_IDS)
+    @pytest.mark.parametrize(
+        "text,inlines", [(_STAGED, True), (_NO_CANDIDATES, False)],
+        ids=["candidates", "no-candidates"],
+    )
+    def test_record_holds_the_phases_the_pipeline_drove(
+        self, personality, opt_level, flags, text, inlines
+    ):
+        compiler = Compiler(*personality)
+        assert compiler.compile(text, opt_level, flags, cache=FrontendCache()).ok
+        # clang-sim always adds -ftree-vectorize.
+        vectorize = (
+            opt_level >= 3
+            or "-ftree-vectorize" in flags
+            or personality == CLANG_SIM
+        )
+        expected = set()
+        if opt_level >= 1:
+            expected.add("local")
+            if vectorize:
+                expected.add("vectorize")
+        if opt_level >= 2:
+            expected |= {"strlen", "cleanup"}
+            if inlines:
+                expected.add("inline")
+        records = [
+            rec for rec in compiler.compile_session._records.values()
+            if rec.fn is not None
+        ]
+        assert len(records) == 3
+        for rec in records:
+            assert set(rec.phase_segments) == expected
+            assert bool(rec.candidate_names) == (inlines and opt_level >= 2)
 
 
 class TestCompileBatch:
