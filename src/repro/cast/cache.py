@@ -15,17 +15,24 @@ compiler only reads the AST.  As a guard, every cache hit re-hashes the
 stored source and raises :class:`CacheInvariantError` if it no longer
 matches the key it was stored under.
 
-Consumers attach derived, per-text front-end artifacts (the driver's
-coverage/feature summary, the declaration digest tuples, μAST mutation
-contexts) to ``FrontendEntry.memo`` so higher layers can cache without this
-module importing them; an entry's memo dies with the entry.  What derives
-from one declaration's text lives on its node instead (its digest pair and
-its coverage/feature summary; see
-:data:`repro.cast.incremental._MEMO_ATTRS`): the dirty-region front end
-shares or clones every declaration a mutation left alone, and the node
-carries its artifacts into the mutant.  Middle-end records do not live
-here: they are keyed by content in the compiler's
+An entry's ``FrontendEntry.memo`` holds what higher layers attach to one
+text without this module importing them, and dies with the entry: the μAST
+mutation context every attempt on a parent shares (``muast_ctx``), the
+dirty-region front end's ``decl_map`` (which declarations a mutation
+re-parsed) and the compile session's ``session_keys`` (the records to drop
+with the text).  What a compile derives from the front end is not kept
+here: the part that comes from one declaration's text lives on its node
+(its digest pair and its coverage/feature summary; see
+:data:`repro.cast.incremental._MEMO_ATTRS`), which the dirty-region front
+end shares or clones into every mutant that left the declaration alone,
+and each compile recomputes the text-level rest.  Middle-end records are
+keyed by content in the compiler's
 :class:`~repro.compiler.session.CompileSession`.
+
+``FrontendCache(paranoid=True)`` cross-checks the cache's reuse against
+from-scratch work: every dirty-region front end against a full one here,
+and every compile through the cache against a from-scratch reference
+compile (:meth:`repro.compiler.driver.Compiler.compile` reads the switch).
 
 The cache holds what its fuzzer can reuse, not every text it has seen: at
 the end of each step the coverage-guided fuzzers :meth:`~FrontendCache.release`
@@ -80,9 +87,8 @@ class FrontendEntry:
     parse_recursion: bool
     sema: Sema | None
     sema_diags: list[Diagnostic]
-    #: Scratch space for derived per-text front-end artifacts owned by
-    #: higher layers (driver coverage/feature summaries, decl digests, μAST
-    #: contexts).
+    #: Per-text artifacts owned by higher layers (the μAST context, the
+    #: dirty-region ``decl_map``, the compile session's ``session_keys``).
     memo: dict[str, Any] = field(default_factory=dict)
 
     @property
@@ -154,14 +160,11 @@ def decl_digests(entry: FrontendEntry) -> tuple:
     ``full_digests[i]`` hashes the decl's complete source text;
     ``header_digests[i]`` hashes only the text *before* the body for function
     definitions (the part other decls can observe — signature, name, types)
-    and the full text otherwise.  Memoized on ``entry.memo``, and each decl
-    node keeps its pair as ``_digest_memo``: a node the dirty-region front
-    end shares with or clones into a mutant has the same text up to an
-    offset shift, so it keeps its pair too.
+    and the full text otherwise.  Each decl node keeps its pair as
+    ``_digest_memo``: a node the dirty-region front end shares with or
+    clones into a mutant has the same text up to an offset shift, so it
+    keeps its pair too.
     """
-    cached = entry.memo.get("decl_digests")
-    if cached is not None:
-        return cached
     text = entry.source.text
     full: list[str] = []
     header: list[str] = []
@@ -175,18 +178,22 @@ def decl_digests(entry: FrontendEntry) -> tuple:
             pair = decl._digest_memo = (digest, head)
         full.append(pair[0])
         header.append(pair[1])
-    cached = (tuple(full), tuple(header))
-    entry.memo["decl_digests"] = cached
-    return cached
+    return tuple(full), tuple(header)
 
 
 class FrontendCache:
     """A bounded, content-hash-keyed LRU over :class:`FrontendEntry`."""
 
-    def __init__(self, maxsize: int = DEFAULT_CACHE_SIZE) -> None:
+    def __init__(
+        self, maxsize: int = DEFAULT_CACHE_SIZE, paranoid: bool = False
+    ) -> None:
         if maxsize < 1:
             raise ValueError("cache maxsize must be >= 1")
         self.maxsize = maxsize
+        #: Cross-check every dirty-region front end against a full one, and
+        #: every compile through this cache against a from-scratch reference
+        #: compile (slow; CI and tests).
+        self.paranoid = paranoid
         self._entries: OrderedDict[str, FrontendEntry] = OrderedDict()
         self.hits = 0
         self.misses = 0
@@ -252,7 +259,6 @@ class FrontendCache:
         text: str,
         edits_from: "tuple[str, tuple] | None" = None,
         *,
-        paranoid: bool = False,
         tracer: "Tracer | None" = None,
     ) -> FrontendEntry:
         """Front-end ``text``, incrementally when its parent is cached.
@@ -268,7 +274,7 @@ class FrontendCache:
             parent = self.peek(parent_text) if edits else None
             if parent is not None:
                 return self.front_end_incremental(
-                    text, parent, edits, paranoid=paranoid, tracer=tracer
+                    text, parent, edits, tracer=tracer
                 )
         return self.front_end(text, tracer=tracer)
 
@@ -278,7 +284,6 @@ class FrontendCache:
         parent: FrontendEntry | None,
         edits,
         *,
-        paranoid: bool = False,
         tracer: "Tracer | None" = None,
     ) -> FrontendEntry:
         """Front-end a mutant, reusing ``parent``'s entry where possible.
@@ -288,9 +293,9 @@ class FrontendCache:
         ``decl_map`` (see :func:`~repro.cast.incremental.incremental_front_end`)
         on its memo: a later compile of the text may be a plain cache hit,
         and the compile session still needs to know which declarations the
-        mutation changed.  With ``paranoid=True`` every incremental result
-        is cross-checked against a full re-front-ending and
-        :class:`IncrementalDivergence` raised on any mismatch.
+        mutation changed.  A paranoid cache cross-checks every incremental
+        result against a full re-front-ending and raises
+        :class:`IncrementalDivergence` on any mismatch.
         """
         key = source_digest(text)
         entry = self._lookup(key)
@@ -315,7 +320,7 @@ class FrontendCache:
         if decl_map is not None:
             entry.memo["decl_map"] = decl_map
         self.incremental_hits += 1
-        if paranoid:
+        if self.paranoid:
             self.paranoid_checks += 1
             assert_entries_equal(entry, analyze_front_end(text, source_hash=key))
         self._store(key, entry)

@@ -113,7 +113,6 @@ class Compiler:
         flags: tuple[str, ...] = (),
         cache: FrontendCache | None = None,
         edits_from: tuple[str, tuple] | None = None,
-        paranoid: bool = False,
     ) -> CompileResult:
         """Compile ``source_text``; never raises for input-driven outcomes.
 
@@ -121,13 +120,13 @@ class Compiler:
         end runs against this compiler's :class:`CompileSession`, which
         replays every function it has already compiled in the same context;
         without one the compile runs the plain pipeline and records nothing.
-        The reference pipeline ignores ``cache`` (and with it ``edits_from``
-        and ``paranoid``).  ``edits_from=(parent_text, edit_script)`` names
-        the already-compiled program this text was mutated from, enabling
-        dirty-region front-end reuse.  ``paranoid=True`` cross-checks every
-        cached compile against a from-scratch one (no cache, object-IR
-        reference pipeline) and raises ``IncrementalDivergence`` on any
-        observable mismatch.
+        The reference pipeline ignores ``cache`` (and with it ``edits_from``).
+        ``edits_from=(parent_text, edit_script)`` names the already-compiled
+        program this text was mutated from, enabling dirty-region front-end
+        reuse.  A paranoid cache (``FrontendCache(paranoid=True)``) has every
+        compile through it cross-checked against a from-scratch one (no
+        cache, object-IR reference pipeline), raising
+        ``IncrementalDivergence`` on any observable mismatch.
         """
         if self.reference:
             cache = None
@@ -143,8 +142,7 @@ class Compiler:
         try:
             self._run_pipeline(
                 source_text, opt_level, flags, cov, features, result,
-                cache, edits_from=edits_from, paranoid=paranoid,
-                stages=stages,
+                cache, edits_from=edits_from, stages=stages,
             )
         except CompilerCrash as crash:
             result.ok = False
@@ -164,7 +162,7 @@ class Compiler:
         if "backend" in stages:
             cost += 0.01 + 0.20 * u
         result.cost = cost
-        if paranoid and cache is not None:
+        if cache is not None and cache.paranoid:
             # The from-scratch reference always runs the object pipeline, so
             # every paranoid check is also a flat-vs-object differential.
             reference_prev = self.reference
@@ -183,7 +181,6 @@ class Compiler:
         opt_level: int = 2,
         flags: tuple[str, ...] = (),
         cache: FrontendCache | None = None,
-        paranoid: bool = False,
         until=None,
     ) -> list[CompileResult]:
         """Compile one mutation attempt set against the compile session.
@@ -213,8 +210,7 @@ class Compiler:
                 self.compile_session.materializations += 1
                 materialized = True
             result = self.compile(
-                text, opt_level, flags, cache=cache, edits_from=edits_from,
-                paranoid=paranoid,
+                text, opt_level, flags, cache=cache, edits_from=edits_from
             )
             results.append(result)
             if until is not None and until(result):
@@ -234,24 +230,16 @@ class Compiler:
         cache: FrontendCache | None,
         *,
         edits_from: tuple[str, tuple] | None,
-        paranoid: bool,
         stages: list,
     ) -> None:
         # ---- Front end: lex/parse/sema, shared via the content cache. ----
-        # The per-text summary (coverage edges, feature vector, diagnostics)
-        # is deterministic, so cache hits replay identical bookkeeping into
-        # this call's CoverageMap/CompileResult; bug checks stay per-call
-        # because they depend on opt_level/flags.
         if cache is None:
             entry = analyze_front_end(source_text, tracer=self.tracer)
         else:
             entry = cache.front_end_from(
-                source_text, edits_from, paranoid=paranoid, tracer=self.tracer
+                source_text, edits_from, tracer=self.tracer
             )
-        summary = _frontend_summary(entry)
-        cov.merge(summary.edges)
-        features.update(summary.features)
-        result.diagnostics.extend(summary.diagnostics)
+        _summarize_front_end(entry, cov, features, result.diagnostics)
         # Front-end bug checks run even on malformed input: a fuzzer can
         # crash the parser without producing a valid program.
         self.bugs.check("front-end", features)
@@ -279,29 +267,17 @@ class Compiler:
         return tuple(flags) + extra
 
 
-@dataclass(frozen=True)
-class _FrontendSummary:
-    """Per-text front-end bookkeeping, replayed into each compile call."""
+def _summarize_front_end(
+    entry: FrontendEntry, cov: CoverageMap, features: dict, diagnostics: list
+) -> None:
+    """Add one front-end result's coverage, features and diagnostics.
 
-    edges: frozenset
-    features: dict
-    diagnostics: tuple[str, ...]
-
-
-def _frontend_summary(entry: FrontendEntry) -> _FrontendSummary:
-    """Coverage edges, features, and diagnostics for one front-end result.
-
-    Deterministic per source text, so it is memoized on the cache entry; the
-    caller merges it into per-call state.  The summary dict/edge set are
-    treated as immutable after construction.  The per-declaration AST work
-    (coverage walk + feature extraction) comes from :func:`_decl_summaries`.
+    They go into the compile's own map, feature dict and (empty)
+    diagnostics list.  The text-level part (token coverage, lexical
+    features, diagnostics) is computed on every compile; the
+    per-declaration AST work (coverage walk + feature extraction) comes from
+    :func:`_decl_summaries`, memoized on each declaration node.
     """
-    summary = entry.memo.get("driver_summary")
-    if summary is not None:
-        return summary
-    cov = CoverageMap()
-    features: dict = {}
-    diagnostics: list[str] = []
     if entry.lex_error is not None:
         cov.hit("fe:lex_error", entry.lex_error.message.split(" ")[0])
     features.update(feat.lexical_features(entry.source.text, entry.tokens))
@@ -333,10 +309,7 @@ def _frontend_summary(entry: FrontendEntry) -> _FrontendSummary:
         for decl in entry.unit.decls:
             cov.hit("fe:edge", ("TranslationUnit", decl.kind))
         for edges, _ in decl_summaries:
-            cov.merge(edges)
-    summary = _FrontendSummary(frozenset(cov.edges), features, tuple(diagnostics))
-    entry.memo["driver_summary"] = summary
-    return summary
+            cov.edges.update(edges)
 
 
 def _decl_summaries(entry: FrontendEntry) -> list:

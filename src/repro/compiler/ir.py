@@ -426,6 +426,11 @@ class IRModule:
     globals: dict[str, GlobalVar] = field(default_factory=dict)
 
     def dump(self) -> str:
-        parts = [f"global {g.name}: {g.size}" for g in self.globals.values()]
+        parts = [
+            f"global {g.name}: {g.size}"
+            f"{' const' if g.const else ''}{' volatile' if g.volatile else ''}"
+            f" init={g.init!r} bytes={g.bytes_init!r}"
+            for g in self.globals.values()
+        ]
         parts.extend(f.dump() for f in self.functions.values())
         return "\n\n".join(parts)

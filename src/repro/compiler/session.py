@@ -48,9 +48,9 @@ The key must cover all cross-declaration state the middle end reads:
   everything else, in declaration order (sema-visible state: typedefs,
   records, globals, prototypes);
 * the running **globals-state digest** — name and content of every global
-  emitted by earlier decls (``_intern_string`` dedups string literals by
-  content against *all* module globals, so a clean function's interned-name
-  references depend on what preceded it);
+  earlier decls wrote, a re-emitted one included (``_intern_string`` dedups
+  string literals by content against *all* module globals, so a clean
+  function's interned-name references depend on what preceded it);
 * the string/static name counters at the decl's start (interned names embed
   them);
 * the declaration's full source text.
@@ -75,9 +75,10 @@ sites), not O(events) — while checkpoints run live through the bug registry
 with the evolving feature dict, preserving crash identity and the exact
 abort point of a seeded crash.
 
-``paranoid=True`` on :meth:`Compiler.compile` cross-checks every cached
-compile against a from-scratch plain compile through the object-IR reference
-pipeline via :func:`assert_results_equal`.
+A paranoid cache (``FrontendCache(paranoid=True)``) has
+:meth:`Compiler.compile` cross-check every compile through it against a
+from-scratch plain compile through the object-IR reference pipeline via
+:func:`assert_results_equal`.
 """
 
 from __future__ import annotations
@@ -220,7 +221,10 @@ class SessionFnRecord:
 
     irgen_segments: tuple
     irgen_stats: tuple  # ((key, n), ...) applied to IRGenStats
-    globals_added: tuple  # ((name, GlobalVar), ...) in emission order
+    #: ((name, GlobalVar), ...) the declaration wrote, in module order: the
+    #: globals it appended and any earlier one it re-emitted (``int x;``
+    #: after ``int x = 2;`` replaces ``x``).
+    globals_written: tuple
     fn: FlatFunction | None  # final post-pipeline function (never mutated again)
     str_delta: int
     static_delta: int
@@ -412,7 +416,7 @@ class _SessionRun:
             self._apply_segments(rec.irgen_segments, None)
             for k, n in rec.irgen_stats:
                 irgen.stats.counters[k] += n
-            for gname, gvar in rec.globals_added:
+            for gname, gvar in rec.globals_written:
                 irgen.module.globals[gname] = gvar
             if kind == "fn":
                 irgen.module.functions[decl.name] = rec.fn
@@ -423,13 +427,17 @@ class _SessionRun:
         else:
             start = len(self.journal)
             stats0 = Counter(irgen.stats.counters)
-            g0 = len(irgen.module.globals)
+            globals0 = dict(irgen.module.globals)
             str0, static0 = irgen._string_counter, irgen._static_counter
             lower(decl)
             rec = SessionFnRecord(
                 irgen_segments=_segments(self.journal[start:]),
                 irgen_stats=_stats_delta(stats0, irgen.stats.counters),
-                globals_added=tuple(list(irgen.module.globals.items())[g0:]),
+                globals_written=tuple(
+                    (gname, gvar)
+                    for gname, gvar in irgen.module.globals.items()
+                    if globals0.get(gname) is not gvar
+                ),
                 fn=irgen.module.functions[decl.name] if kind == "fn" else None,
                 str_delta=irgen._string_counter - str0,
                 static_delta=irgen._static_counter - static0,
@@ -443,7 +451,7 @@ class _SessionRun:
             if kind == "fn":
                 self.live_fns[decl.name] = rec
             self.session.misses += 1
-        for gname, gvar in rec.globals_added:
+        for gname, gvar in rec.globals_written:
             self.globals_state = _digest(
                 self.globals_state, _global_sig(gname, gvar)
             )

@@ -23,9 +23,6 @@ class StepResult:
     #: Whether the program was added back to the pool (coverage-guided only).
     kept: bool = False
     mutator: str | None = None
-    #: Per-step execution stats (mutation attempts, cache hits/misses);
-    #: None for fuzzers that don't track them.
-    stats: dict | None = None
 
 
 class Fuzzer:
@@ -131,9 +128,6 @@ class Fuzzer:
         if spans:
             profile["spans"] = spans
         return profile
-
-    def observe(self, step: StepResult) -> None:
-        """Default coverage accounting (after the campaign recorded it)."""
 
 
 class CoverageGuidedFuzzer(Fuzzer):

@@ -32,14 +32,21 @@ class GrayCSim(CoverageGuidedFuzzer):
     step_cost = 0.088  # ≈983k programs / 24 h (Table 5)
 
     def __init__(
-        self, compiler: Compiler, rng: random.Random, seeds: list[str]
+        self,
+        compiler: Compiler,
+        rng: random.Random,
+        seeds: list[str],
+        *,
+        paranoid: bool = False,
     ) -> None:
         super().__init__(compiler, rng, seeds)
         #: Each text is front-ended once: the parent through the cache, the
         #: mutant by the dirty-region front end from the parent's entry
         #: (its validation), and the compile is then a cache hit.  The
         #: step releases the validated mutant unless the pool kept it.
-        self.cache = FrontendCache()
+        #: ``paranoid=True`` cross-checks both reuses against from-scratch
+        #: work.
+        self.cache = FrontendCache(paranoid=paranoid)
 
     def step(self) -> StepResult:
         parent = self.pool.random_choice(self.rng)

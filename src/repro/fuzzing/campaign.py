@@ -114,8 +114,9 @@ def make_fuzzer(
         if quarantine_threshold is not None
         else None
     )
-    # The generator baselines ignore the μCFuzz knobs (paranoid mode, the
-    # evolutionary scheduler).
+    # Paranoid mode reaches every fuzzer that owns a front-end cache
+    # (μCFuzz, GrayC); the quarantine and the evolutionary scheduler are
+    # μCFuzz's alone, and the generators and AFL++ take none of the three.
     if name == "uCFuzz.s":
         fuzzer: Fuzzer = MuCFuzz(
             compiler, rng, seeds, registry.supervised(), name=name,
@@ -131,7 +132,7 @@ def make_fuzzer(
     elif name == "AFL++":
         fuzzer = AFLPlusPlus(compiler, rng, seeds)
     elif name == "GrayC":
-        fuzzer = GrayCSim(compiler, rng, seeds)
+        fuzzer = GrayCSim(compiler, rng, seeds, paranoid=paranoid)
     elif name == "Csmith":
         fuzzer = CsmithSim(compiler, rng)
     elif name == "YARPGen":
@@ -191,10 +192,6 @@ def run_campaign(
                 "step", "kept", step=i + 1, mutator=step.mutator,
                 pool_size=len(getattr(fuzzer, "pool", ())),
             )
-        for name in (step.stats or {}).get("quarantined", ()):
-            telem.emit("quarantine", name, step=i + 1)
-        for name in (step.stats or {}).get("retired", ()):
-            telem.emit("quarantine", name, step=i + 1, reason="retired")
         if (i + 1) % sample_every == 0 or i + 1 == steps:
             result.coverage_trend.append((vhour, len(fuzzer.coverage)))
             telem.emit(
@@ -227,8 +224,9 @@ class Campaign:
     steps: int = 600
     base_seed: int = 2024
     quarantine_threshold: int | None = None
-    #: Check every compile against a from-scratch reference compile (slow;
-    #: CI/tests only).
+    #: Give each cell's front-end cache the paranoid switch: every fuzzer
+    #: that owns one (μCFuzz, GrayC) has its dirty-region front ends and
+    #: its compiles checked against from-scratch work (slow; CI/tests only).
     paranoid: bool = False
     #: Evolutionary mutator scheduling: give each μCFuzz cell a
     #: fitness-proportional :class:`MutatorScheduler` seeded from the cell

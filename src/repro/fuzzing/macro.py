@@ -52,9 +52,11 @@ class MacroFuzzer(CoverageGuidedFuzzer):
         # after the first takes the dirty-region front end from the
         # previous round's text and edit script.  Each step releases its
         # intermediates, and its final mutant unless the pool kept it.
-        self.cache = FrontendCache()
-        self.paranoid = paranoid
+        # ``paranoid=True`` cross-checks every dirty-region front end and
+        # every compile through the cache against from-scratch work.
+        self.cache = FrontendCache(paranoid=paranoid)
         self.quarantine = quarantine
+        self.stats["steps"] = 0
 
     def sample_options(self) -> tuple[int, tuple[str, ...]]:
         """Enhancement 1: random -O level plus a random flag subset."""
@@ -64,13 +66,11 @@ class MacroFuzzer(CoverageGuidedFuzzer):
         return opt_level, flags
 
     def step(self) -> StepResult:
+        self.stats["steps"] += 1
         parent = self.pool.random_choice(self.rng)
         mutant = parent.text
         applied: list[str] = []
         rounds = self.rng.randint(1, MAX_HAVOC_ROUNDS)  # enhancement 2
-        events_before = (
-            len(self.quarantine.events) if self.quarantine is not None else 0
-        )
         # Havoc chains mutations: the incremental parent of each round after
         # the first, and of the final compile, is the *last* intermediate
         # text (already front-ended into the cache), not the pool parent.
@@ -103,7 +103,6 @@ class MacroFuzzer(CoverageGuidedFuzzer):
             flags=flags,
             cache=self.cache,
             edits_from=edits_from,
-            paranoid=self.paranoid,
         )
         kept = False
         if applied:
@@ -112,17 +111,9 @@ class MacroFuzzer(CoverageGuidedFuzzer):
             )
         self.coverage.merge(result.coverage)
         self.release_unpooled(chain)
-        step = StepResult(
+        return StepResult(
             mutant, result, kept=kept, mutator="+".join(applied) or None
         )
-        if self.quarantine is not None:
-            step.stats = {
-                "quarantined": [
-                    event.mutator
-                    for event in self.quarantine.events[events_before:]
-                ]
-            }
-        return step
 
     def _mutate(
         self,
@@ -135,15 +126,15 @@ class MacroFuzzer(CoverageGuidedFuzzer):
         try:
             with self.telemetry.span("mutate", mutator=info.name):
                 outcome = apply_mutator(
-                    mutator, text, cache=self.cache, edits_from=edits_from,
-                    paranoid=self.paranoid,
+                    mutator, text, cache=self.cache, edits_from=edits_from
                 )
         except (MutatorCrash, MutatorHang, RecursionError) as exc:
             if self.quarantine is not None and self.quarantine.record_failure(
                 info.name, type(exc).__name__
             ):
                 self.telemetry.emit(
-                    "quarantine", info.name, reason=type(exc).__name__
+                    "quarantine", info.name, reason=type(exc).__name__,
+                    step=self.stats["steps"],
                 )
             return None
         if not outcome.changed:

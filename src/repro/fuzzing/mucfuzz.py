@@ -56,9 +56,9 @@ class MuCFuzz(CoverageGuidedFuzzer):
         super().__init__(compiler, rng, seeds)
         self.mutators = list(mutators)
         self.name = name
-        self.cache = FrontendCache()
-        #: Cross-check every compile against a from-scratch reference one.
-        self.paranoid = paranoid
+        #: ``paranoid=True`` cross-checks every dirty-region front end and
+        #: every compile through the cache against from-scratch work.
+        self.cache = FrontendCache(paranoid=paranoid)
         #: Evolutionary outer loop: a seeded fitness-proportional bandit
         #: that reorders each step's mutator try-list from the per-mutator
         #: yield stats.  ``None`` (the default) keeps the paper's uniform
@@ -68,10 +68,6 @@ class MuCFuzz(CoverageGuidedFuzzer):
             mutator_stats = scheduler is not None
         elif not mutator_stats and scheduler is not None:
             raise ValueError("a MutatorScheduler requires mutator_stats")
-        if scheduler is not None and quarantine is None:
-            # Population management (retirement) lives on the quarantine;
-            # threshold=None keeps the crash breaker itself disabled.
-            quarantine = MutatorQuarantine(threshold=None)
         self.quarantine = quarantine
         self.stats.update(
             {
@@ -100,6 +96,8 @@ class MuCFuzz(CoverageGuidedFuzzer):
             self.stats.update(self.compiler.compile_session.stats())
         snap = super().stats_snapshot()
         snap.update(self.cache.stats())
+        if self.scheduler is not None:
+            snap.update(self.scheduler.stats())
         if has_session:
             snap["middle_incremental_hits"] = (
                 self.compiler.middle_incremental_hits
@@ -113,16 +111,6 @@ class MuCFuzz(CoverageGuidedFuzzer):
 
     def step(self) -> StepResult:
         self.stats["steps"] += 1
-        cache_before = (self.cache.hits, self.cache.misses)
-        attempts_before = self.stats["attempts"]
-        events_before = (
-            len(self.quarantine.events) if self.quarantine is not None else 0
-        )
-        retired_before = (
-            len(self.quarantine.retirements)
-            if self.quarantine is not None
-            else 0
-        )
         parent = self.pool.random_choice(self.rng)
         order = list(self.mutators)
         # The uniform shuffle always runs (same fuzzer-RNG draws with the
@@ -130,8 +118,14 @@ class MuCFuzz(CoverageGuidedFuzzer):
         # list using only its own seeded RNG — RNG-neutral by construction.
         self.rng.shuffle(order)
         if self.scheduler is not None:
+            retired = len(self.scheduler.retired)
             order = self.scheduler.order(order)
-        last: StepResult | None = None
+            for name in list(self.scheduler.retired)[retired:]:
+                self.telemetry.emit(
+                    "quarantine", name, reason="retired",
+                    step=self.stats["steps"],
+                )
+        step: StepResult | None = None
         mutants: list[str] = []
         for info in order[:MAX_TRIES_PER_ITERATION]:
             if self.quarantine is not None and not self.quarantine.allows(
@@ -148,10 +142,7 @@ class MuCFuzz(CoverageGuidedFuzzer):
             mutant, edits = mutated
             mutants.append(mutant)
             result = self.compiler.compile(
-                mutant,
-                cache=self.cache,
-                edits_from=(parent.text, edits),
-                paranoid=self.paranoid,
+                mutant, cache=self.cache, edits_from=(parent.text, edits)
             )
             kept = self.keep_if_new_coverage(mutant, result, parent, info.name)
             covered_before = len(self.coverage)
@@ -163,56 +154,15 @@ class MuCFuzz(CoverageGuidedFuzzer):
                 crashed=result.crashed,
                 coverage_gain=len(self.coverage) - covered_before,
             )
-            last = StepResult(mutant, result, kept=kept, mutator=info.name)
+            step = StepResult(mutant, result, kept=kept, mutator=info.name)
             if kept or result.crashed:
-                return self._finish(
-                    last, mutants, attempts_before, cache_before,
-                    events_before, retired_before,
-                )
-        if last is not None:
-            return self._finish(
-                last, mutants, attempts_before, cache_before, events_before,
-                retired_before,
-            )
-        # Nothing mutated this round; recompile the parent (a no-op round).
-        result = self.compiler.compile(
-            parent.text, cache=self.cache, paranoid=self.paranoid
-        )
-        self.coverage.merge(result.coverage)
-        return self._finish(
-            StepResult(parent.text, result, kept=False, mutator=None),
-            mutants,
-            attempts_before,
-            cache_before,
-            events_before,
-            retired_before,
-        )
-
-    def _finish(
-        self,
-        step: StepResult,
-        mutants: list[str],
-        attempts_before: int,
-        cache_before: tuple[int, int],
-        events_before: int = 0,
-        retired_before: int = 0,
-    ) -> StepResult:
+                break
+        if step is None:
+            # Nothing mutated this round; recompile the parent (a no-op round).
+            result = self.compiler.compile(parent.text, cache=self.cache)
+            self.coverage.merge(result.coverage)
+            step = StepResult(parent.text, result, kept=False, mutator=None)
         self.release_unpooled(mutants)
-        step.stats = {
-            "attempts": self.stats["attempts"] - attempts_before,
-            "cache_hits": self.cache.hits - cache_before[0],
-            "cache_misses": self.cache.misses - cache_before[1],
-        }
-        if self.quarantine is not None:
-            step.stats["quarantined"] = [
-                event.mutator
-                for event in self.quarantine.events[events_before:]
-            ]
-            if self.scheduler is not None:
-                step.stats["retired"] = [
-                    event.mutator
-                    for event in self.quarantine.retirements[retired_before:]
-                ]
         return step
 
     def _mutate(self, text: str, info: MutatorInfo) -> tuple[str, tuple] | None:
@@ -227,7 +177,8 @@ class MuCFuzz(CoverageGuidedFuzzer):
                 info.name, type(exc).__name__
             ):
                 self.telemetry.emit(
-                    "quarantine", info.name, reason=type(exc).__name__
+                    "quarantine", info.name, reason=type(exc).__name__,
+                    step=self.stats["steps"],
                 )
             return None
         if not outcome.changed:

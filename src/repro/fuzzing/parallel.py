@@ -62,7 +62,7 @@ class CellSpec:
     #: Consecutive crash/hang threshold for the per-mutator circuit
     #: breaker; None leaves quarantine off (the historical behaviour).
     quarantine_threshold: int | None = None
-    #: Check every compile against a from-scratch reference one (CI/tests).
+    #: The paranoid switch for the cell fuzzer's front-end cache (CI/tests).
     paranoid: bool = False
     #: Compile through the object-IR reference pipeline
     #: (``Compiler(reference=True)``) instead of the default flat-native one.

@@ -18,10 +18,13 @@ fuzzer records (see :data:`MUTATOR_STAT_KEYS`):
   chance (the exploration floor plus an optimistic prior for barely-tried
   arms).
 * **Retirement** permanently removes an arm whose fitness stays below
-  ``retire_below`` after ``retire_after`` attempts and records it on the
-  attached :class:`~repro.resilience.circuit.MutatorQuarantine` (its
-  ``retirements`` stats and the campaign's ``quarantine … reason="retired"``
-  events).
+  ``retire_below`` after ``retire_after`` attempts.  The scheduler is the
+  one record of it: :attr:`MutatorScheduler.retired` keeps the arms in
+  retirement order with their reason, :meth:`MutatorScheduler.stats`
+  reports them, and the fuzzer emits one ``quarantine … reason="retired"``
+  event per retirement.  The crash breaker
+  (:class:`~repro.resilience.circuit.MutatorQuarantine`) knows nothing of
+  it; the scheduler only consults the breaker's verdicts.
 
 RNG-neutrality contract (the quarantine-consult rule): the scheduler owns
 a private :class:`random.Random` derived from the campaign cell seed and
@@ -66,8 +69,8 @@ class MutatorScheduler:
     Construct via :meth:`from_cell_seed` inside a campaign cell (the
     scheduler's RNG is derived from the cell seed, so two runs of the same
     cell schedule identically), then :meth:`attach` the fuzzer's mutator
-    stat table and quarantine.  :meth:`order` is the only per-step entry
-    point.
+    stat table and quarantine (if any).  :meth:`order` is the only per-step
+    entry point; it retires the chronic losers it meets.
     """
 
     def __init__(
@@ -98,8 +101,8 @@ class MutatorScheduler:
         self.retire_after = retire_after
         #: Fitness below which a fully-sampled arm is a chronic loser.
         self.retire_below = retire_below
-        #: Names this scheduler retired (mirrors the quarantine's set).
-        self.retired: set[str] = set()
+        #: Retired arm name -> reason, in retirement order.
+        self.retired: dict[str, str] = {}
         self._stats: dict | None = None
         self._quarantine: "MutatorQuarantine | None" = None
 
@@ -170,14 +173,19 @@ class MutatorScheduler:
     # -- population management ---------------------------------------------
 
     def retire(self, info: "MutatorInfo | str") -> bool:
-        """Retire one arm (and record it on the quarantine); True iff new."""
+        """Retire one arm for good; True iff newly retired."""
         name = info if isinstance(info, str) else info.name
         if name in self.retired:
             return False
-        self.retired.add(name)
-        if self._quarantine is not None:
-            self._quarantine.retire(name, reason="low-fitness")
+        self.retired[name] = "low-fitness"
         return True
+
+    def stats(self) -> dict:
+        """The retirement summary the fuzzer merges into its snapshot."""
+        return {
+            "retirements": len(self.retired),
+            "retired_mutators": sorted(self.retired),
+        }
 
     # -- ordering ----------------------------------------------------------
 

@@ -22,11 +22,13 @@ Entry points:
   step budget that asserts the caches are actually hitting and the default
   arm is not slower than the reference (tier-2 CI); it writes a report only
   when given ``--output``;
-* ``paranoid-smoke`` / :func:`paranoid_main` — a paranoid-mode run where
-  every default-pipeline compile is differentially checked against a
-  from-scratch reference-pipeline compile; any divergence raises, and so
-  do a front-end cache that holds a text outside the pool after a step and
-  a run that made no compile or no front-end check.
+* ``paranoid-smoke`` / :func:`paranoid_main` — a paranoid-mode run of
+  μCFuzz (or, with ``--macro`` / ``--grayc``, of the macro fuzzer or
+  GrayC) where every dirty-region front end is checked against a full one
+  and every default-pipeline compile against a from-scratch
+  reference-pipeline compile; any divergence raises, and so do a front-end
+  cache that holds a text outside the pool after a step and a run that
+  made no compile or no front-end check.
 """
 
 from __future__ import annotations
@@ -310,25 +312,31 @@ def paranoid_main(argv: list[str] | None = None) -> int:
     (the fuzzer releases the rest).  Gating is on zero divergences, on that
     invariant, on both reuse paths having fired and on both kinds of
     cross-check having run (:func:`_cross_checks`), not on throughput.
-    ``--macro`` runs the macro fuzzer instead (:func:`_paranoid_macro`).
+    ``--macro`` runs the macro fuzzer instead (:func:`_paranoid_macro`),
+    ``--grayc`` GrayC (:func:`_paranoid_grayc`).
     """
     parser = argparse.ArgumentParser(description="paranoid-smoke")
     parser.add_argument("--steps", type=int, default=200)
     parser.add_argument("--seed", type=int, default=2024)
-    parser.add_argument(
+    fuzzer_choice = parser.add_mutually_exclusive_group()
+    fuzzer_choice.add_argument(
         "--macro", action="store_true",
         help="run the macro fuzzer instead, alternating gcc-sim and "
         "clang-sim steps: Havoc rounds, sampled -O levels and flags",
     )
+    fuzzer_choice.add_argument(
+        "--grayc", action="store_true",
+        help="run GrayC instead: its validated mutants' dirty-region front "
+        "ends and its session-served compiles",
+    )
     args = parser.parse_args(argv)
     from repro.fuzzing.seedgen import generate_seeds
 
-    if args.macro:
-        return _paranoid_macro(
-            generate_seeds(DEFAULT_SEEDS), args.steps, args.seed
-        )
-
     seeds = generate_seeds(DEFAULT_SEEDS)
+    if args.macro:
+        return _paranoid_macro(seeds, args.steps, args.seed)
+    if args.grayc:
+        return _paranoid_grayc(seeds, args.steps, args.seed)
     fuzzer = _build_fuzzer("uCFuzz.s", seeds, args.seed, paranoid=True)
     for i in range(args.steps):
         _step_keeping_to_pool(fuzzer, i)
@@ -394,6 +402,35 @@ def _paranoid_macro(seeds: list[str], steps: int, seed: int) -> int:
         raise SystemExit(
             "paranoid-smoke: no Havoc round took the incremental front end"
         )
+    _require_cross_checks(compile_checks, front_end_checks)
+    return 0
+
+
+def _paranoid_grayc(seeds: list[str], steps: int, seed: int) -> int:
+    """``paranoid_main --grayc``: GrayC's two reuses checked.
+
+    Each validated mutant's dirty-region front end is cross-checked against
+    a full front end, and every compile against a from-scratch
+    reference-pipeline compile.  After every step the fuzzer's cache must
+    hold pool members only, and both kinds of cross-check must have run.
+    """
+    from repro.compiler.driver import GCC_SIM, Compiler
+    from repro.fuzzing.baselines import GrayCSim
+
+    fuzzer = GrayCSim(
+        Compiler(*GCC_SIM), random.Random(seed), seeds, paranoid=True
+    )
+    for i in range(steps):
+        _step_keeping_to_pool(fuzzer, i)
+    compile_checks, front_end_checks = _cross_checks([fuzzer])
+    print(
+        f"paranoid-smoke[grayc]: {steps} steps, 0 divergences, "
+        f"{compile_checks} compile checks, "
+        f"{front_end_checks} front-end checks, "
+        f"{fuzzer.cache.incremental_hits} incremental front ends, "
+        f"{fuzzer.compiler.compile_session.hits} session replays; "
+        f"{_retained([fuzzer])}"
+    )
     _require_cross_checks(compile_checks, front_end_checks)
     return 0
 

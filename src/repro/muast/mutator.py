@@ -339,7 +339,6 @@ def apply_mutator(
     *,
     cache: FrontendCache | None = None,
     edits_from: tuple[str, tuple] | None = None,
-    paranoid: bool = False,
 ) -> MutationOutcome:
     """Bind ``mutator`` to ``program_text``, run it, and collect the mutant.
 
@@ -352,18 +351,16 @@ def apply_mutator(
     Without ``cache`` the text is front-ended from scratch
     (:func:`~repro.cast.cache.analyze_front_end`).  With one, its front end
     is looked up in (or inserted into) the shared :class:`FrontendCache` and
-    all attempts on the same text share one parsed unit.  ``edits_from`` and
-    ``paranoid`` mean what they mean for ``Compiler.compile``:
-    ``(parent_text, edit_script)`` lets a cache miss take the dirty-region
-    front end from the cached parent, and ``paranoid=True`` cross-checks
-    that against a full front end.
+    all attempts on the same text share one parsed unit.  ``edits_from``
+    means what it means for ``Compiler.compile``: ``(parent_text,
+    edit_script)`` lets a cache miss take the dirty-region front end from
+    the cached parent, which a paranoid cache cross-checks against a full
+    front end.
     """
     if cache is None:
         entry = analyze_front_end(program_text)
     else:
-        entry = cache.front_end_from(
-            program_text, edits_from, paranoid=paranoid
-        )
+        entry = cache.front_end_from(program_text, edits_from)
     if entry.unit is None:
         return MutationOutcome(False, None, error="input does not parse")
     if entry.error_diagnostics:

@@ -1,4 +1,4 @@
-"""A per-mutator circuit breaker (quarantine) with fitness retirement.
+"""A per-mutator circuit breaker (quarantine).
 
 A generated mutator that crashes or hangs once is noise; one that fails on
 every draw burns the fuzzer's per-iteration timeslice for the whole
@@ -9,13 +9,13 @@ counts as a success — a mutator whose non-crashing draws are all no-ops
 must not dodge the breaker (the fuzzer enforces this by recording success
 after the changed check).
 
-The quarantine also tracks the scheduler's population management
-(:mod:`repro.fuzzing.schedule`): :meth:`retire` permanently removes a
-chronic low-fitness mutator and surfaces the retired set in
-:meth:`stats`.  All state transitions are pure functions of
-the observed event sequence, so quarantine and retirement decisions are
-deterministic and identical across serial, parallel, and fabric campaign
-runs.
+The breaker records each trip once, as a :class:`QuarantineEvent`; the
+fuzzer that fed it the tripping failure emits the one ``quarantine``
+telemetry event.  Retiring a low-fitness mutator is a different verdict,
+kept by the scheduler (:class:`repro.fuzzing.schedule.MutatorScheduler`).
+All state transitions are pure functions of the observed event sequence,
+so quarantine decisions are deterministic and identical across serial,
+parallel, and fabric campaign runs.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 @dataclass(frozen=True)
 class QuarantineEvent:
-    """One mutator crossing the threshold (or being retired)."""
+    """One mutator crossing the threshold."""
 
     mutator: str
     failures: int
@@ -34,24 +34,16 @@ class QuarantineEvent:
 
 @dataclass
 class MutatorQuarantine:
-    """Consecutive-failure circuit breaker over mutator names.
+    """Consecutive-failure circuit breaker over mutator names."""
 
-    ``threshold=None`` disables the breaker itself (failures are counted
-    but never trip) while keeping the retirement bookkeeping available —
-    the scheduler uses that mode when no crash-quarantine was requested.
-    """
-
-    threshold: int | None = 3
+    threshold: int = 3
     events: list[QuarantineEvent] = field(default_factory=list)
-    #: One event per retirement, in retirement order.
-    retirements: list[QuarantineEvent] = field(default_factory=list)
     _consecutive: dict[str, int] = field(default_factory=dict)
     _quarantined: set[str] = field(default_factory=set)
-    _retired: dict[str, str] = field(default_factory=dict)
 
     def allows(self, name: str) -> bool:
         """Whether the mutator may still be scheduled."""
-        return name not in self._quarantined and name not in self._retired
+        return name not in self._quarantined
 
     def record_success(self, name: str) -> None:
         """A clean *changed* application resets the consecutive count."""
@@ -59,44 +51,20 @@ class MutatorQuarantine:
 
     def record_failure(self, name: str, reason: str = "") -> bool:
         """Count one crash/hang; returns True iff this tripped the breaker."""
-        if name in self._quarantined or name in self._retired:
+        if name in self._quarantined:
             return False
         count = self._consecutive.get(name, 0) + 1
         self._consecutive[name] = count
-        if self.threshold is None or count < self.threshold:
+        if count < self.threshold:
             return False
         self._quarantined.add(name)
         self.events.append(QuarantineEvent(name, count, reason))
         return True
 
-    def retire(self, name: str, reason: str = "low-fitness") -> bool:
-        """Permanently retire a mutator; True iff newly retired.
-
-        Retirement is the scheduler's fitness verdict, not a crash verdict:
-        it is recorded separately from breaker events.
-        """
-        if name in self._retired:
-            return False
-        self._retired[name] = reason
-        self.retirements.append(
-            QuarantineEvent(name, self._consecutive.get(name, 0), reason)
-        )
-        return True
-
-    @property
-    def quarantined(self) -> set[str]:
-        return set(self._quarantined)
-
-    @property
-    def retired(self) -> set[str]:
-        return set(self._retired)
-
     def stats(self) -> dict:
-        """Summary for ``StepResult``/``CampaignResult`` stats dicts."""
+        """Summary for the fuzzer's (and so ``CampaignResult``'s) stats."""
         return {
             "quarantine_threshold": self.threshold,
             "quarantine_events": len(self.events),
             "quarantined_mutators": sorted(self._quarantined),
-            "retirements": len(self._retired),
-            "retired_mutators": sorted(self._retired),
         }

@@ -25,7 +25,7 @@ def full_front_end(fuzzer):
     """
     cache = fuzzer.cache
 
-    def front_end_from(text, edits_from=None, *, paranoid=False, tracer=None):
+    def front_end_from(text, edits_from=None, *, tracer=None):
         return cache.front_end(text, tracer=tracer)
 
     cache.front_end_from = front_end_from

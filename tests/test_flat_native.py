@@ -356,8 +356,8 @@ class TestFlatNativeCompile:
 
     def test_paranoid_differential(self):
         compiler = Compiler(*GCC_SIM)
-        cache = FrontendCache()
-        result = compiler.compile(_PROGRAM, 2, (), cache=cache, paranoid=True)
+        cache = FrontendCache(paranoid=True)
+        result = compiler.compile(_PROGRAM, 2, (), cache=cache)
         assert result.ok
         # The paranoid reference ran the object pipeline and restored the
         # compiler's own switch afterwards.

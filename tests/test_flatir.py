@@ -176,11 +176,11 @@ class TestFlatCompileEquivalence:
 
     def _compilers(self):
         """A cached default compile (the session path) and the reference."""
-        cache = FrontendCache()
+        cache = FrontendCache(paranoid=True)
         flat = Compiler(*GCC_SIM)
 
         def cached(text, **kwargs):
-            return flat.compile(text, cache=cache, paranoid=True, **kwargs)
+            return flat.compile(text, cache=cache, **kwargs)
 
         return cached, Compiler(*GCC_SIM, reference=True)
 
@@ -222,9 +222,9 @@ class TestDeclDigestMemo:
         text = "int f(int a) { return a + 1; }\nint main(void) { return f(41); }"
         entry = analyze_front_end(text)
         first = decl_digests(entry)
-        # Drop the entry-level memo: the per-node attribute must now serve
+        # The entry keeps no digest memo: the per-node attribute must serve
         # every decl without hashing.
-        entry.memo.pop("decl_digests")
+        assert not entry.memo
         monkeypatch.setattr(cache_mod, "source_digest", _no_hashing)
         assert decl_digests(entry) == first
 

@@ -9,7 +9,7 @@ import pytest
 from repro.compiler import GCC_SIM, Compiler
 from repro.compiler.coverage import CoverageMap
 from repro.fuzzing.baselines import AFLPlusPlus, CsmithSim, GrayCSim, YarpGenSim
-from repro.fuzzing.campaign import make_fuzzer, run_campaign
+from repro.fuzzing.campaign import FUZZER_NAMES, make_fuzzer, run_campaign
 from repro.fuzzing.corpus import Corpus, ProgramEntry
 from repro.fuzzing.crash import CrashLog
 from repro.fuzzing.macro import MacroFuzzer
@@ -183,3 +183,27 @@ class TestCampaignRunner:
         fuzzer = make_fuzzer(name, gcc, small_seeds[:4], registry, random.Random(1))
         step = fuzzer.step()
         assert step.program
+
+
+class TestParanoidReach:
+    """``paranoid=True`` checks every reuse a fuzzer makes: each fuzzer that
+    owns a front-end cache hands it the switch, so its dirty-region front
+    ends and its session-served compiles are all cross-checked."""
+
+    @pytest.mark.parametrize("name", FUZZER_NAMES)
+    def test_paranoid_reaches_every_reuse(self, name, registry, small_seeds):
+        fuzzer = make_fuzzer(
+            name, Compiler(*GCC_SIM), small_seeds, registry,
+            random.Random(2024), paranoid=True,
+        )
+        for _ in range(30):
+            fuzzer.step()  # an IncrementalDivergence would propagate
+        session = fuzzer.compiler.compile_session
+        cache = getattr(fuzzer, "cache", None)
+        if cache is None:
+            # AFL++ and the generators compile uncached: nothing is reused.
+            assert session.hits == 0
+            return
+        assert cache.incremental_hits > 0 and session.hits > 0
+        assert cache.paranoid_checks == cache.incremental_hits
+        assert session.paranoid_checks >= 1

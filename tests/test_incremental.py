@@ -303,7 +303,7 @@ class TestAdversarialBytes:
     )
     def test_havoc_variants_compile_incrementally(self, personality):
         compiler = Compiler(*personality)
-        cache = FrontendCache()
+        cache = FrontendCache(paranoid=True)
         havoc = AFLPlusPlus(compiler, random.Random(7), ["int x;"])
         options = ((2, ()), (3, ("-fno-inline",)), (0, ()))
         for seed in generate_seeds(60):
@@ -313,7 +313,7 @@ class TestAdversarialBytes:
                     # Any exception, IncrementalDivergence included, fails.
                     compiler.compile(
                         variant, opt_level, flags, cache=cache,
-                        edits_from=(seed, script), paranoid=True,
+                        edits_from=(seed, script),
                     )
         assert cache.incremental_hits > 0
 
@@ -322,7 +322,7 @@ class TestAdversarialBytes:
         their parent: it raises nothing the fuzzers would not catch
         (``IncrementalDivergence`` included), and an input that does not
         parse or compile comes back unchanged with its error set."""
-        cache = FrontendCache()
+        cache = FrontendCache(paranoid=True)
         havoc = AFLPlusPlus(Compiler(*GCC_SIM), random.Random(7), ["int x;"])
         rng = random.Random(11)
         mutators = list(registry)
@@ -336,7 +336,7 @@ class TestAdversarialBytes:
                 try:
                     outcome = apply_mutator(
                         mutator, variant, cache=cache,
-                        edits_from=(seed, script), paranoid=True,
+                        edits_from=(seed, script),
                     )
                 except (MutatorCrash, MutatorHang, RecursionError):
                     continue  # what the fuzzers catch

@@ -338,8 +338,8 @@ class TestNestingBound:
             # Deeper, and through the cached front end with every compile
             # checked against a from-scratch reference compile.
             deep = _deeper(
-                200, compiler.compile, text, cache=FrontendCache(),
-                paranoid=True,
+                200, compiler.compile, text,
+                cache=FrontendCache(paranoid=True),
             )
             assert _outcome(direct) == _outcome(deep), n
 

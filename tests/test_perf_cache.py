@@ -193,16 +193,17 @@ class TestRegistryQueryCache:
 
 class TestStats:
     def test_step_result_carries_stats(self, gcc, registry, small_seeds):
+        """A step's counts live in the fuzzer's snapshot, not on the step."""
         fuzzer = MuCFuzz(
             gcc, random.Random(5), small_seeds[:6], registry.supervised()
         )
         step = fuzzer.step()
-        assert step.stats is not None
-        assert step.stats["attempts"] >= 1
-        assert "cache_hits" in step.stats and "cache_misses" in step.stats
+        assert not hasattr(step, "stats")
         snap = fuzzer.stats_snapshot()
         assert snap["steps"] == 1
-        assert snap["attempts_per_step"] == step.stats["attempts"]
+        assert snap["attempts"] >= 1
+        assert snap["attempts_per_step"] == snap["attempts"]
+        assert snap["cache_hits"] + snap["cache_misses"] > 0
         assert 0.0 <= snap["cache_hit_rate"] <= 1.0
 
     def test_reference_fuzzer_reports_no_session(self, registry, small_seeds):

@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import repro.mutators  # noqa: F401
 from repro.cast.parser import ParseError, parse
@@ -63,19 +63,36 @@ def test_coverage_merge_is_monotone(seed):
     assert sizes == sorted(sizes)
 
 
+#: Interpreter fuel per run of the -O3 property below.
+_FUEL = 250_000
+
+
 @settings(max_examples=15, deadline=None)
 @given(st.integers(0, 1 << 30))
+@example(15393)  # the unoptimized lowering needs more than _FUEL steps
 def test_optimized_execution_matches_interpreted_source(seed):
     """The whole truth: generated program → -O3 compile → interp equals
-    the unoptimized lowering's behaviour."""
+    the unoptimized lowering's behaviour.
+
+    The unoptimized lowering can need more steps than the -O3 module, so
+    when either run times out both run again at ten times the fuel and
+    those two are compared; a run that still times out fails as before.
+    """
     program = _gen(seed, max_stmts=5)
     unit = parse(program)
     sema = Sema()
     assert not [d for d in sema.analyze(unit) if d.severity == "error"]
-    baseline = execute(IRGen(sema, CoverageMap()).lower(unit), fuel=250_000)
+    baseline_module = IRGen(sema, CoverageMap()).lower(unit)
     optimized = _GCC.compile(program, opt_level=3)
     assert optimized.ok
-    assert execute(optimized.module, fuel=250_000).observable == baseline.observable
+    runs = [execute(m, fuel=_FUEL) for m in (baseline_module, optimized.module)]
+    if any(run.status == "timeout" for run in runs):
+        runs = [
+            execute(m, fuel=10 * _FUEL)
+            for m in (baseline_module, optimized.module)
+        ]
+    baseline, optimized_run = runs
+    assert optimized_run.observable == baseline.observable
 
 
 @settings(max_examples=12, deadline=None)

@@ -8,8 +8,10 @@ import random
 
 import pytest
 
-from repro.fuzzing.campaign import Campaign, CampaignResult
+from repro.compiler import GCC_SIM, Compiler
+from repro.fuzzing.campaign import Campaign, CampaignResult, run_campaign
 from repro.fuzzing.mucfuzz import MuCFuzz
+from repro.fuzzing.schedule import MutatorScheduler
 from repro.fabric import JOURNAL_KEY
 from repro.fuzzing.parallel import (
     CellOutcome,
@@ -25,6 +27,7 @@ from repro.metamut.pipeline import MetaMut
 from repro.metamut.validation import validate_implementation
 from repro.muast.mutator import Mutator, MutatorCrash
 from repro.muast.registry import MutatorInfo, MutatorRegistry, register_mutator
+from repro.telemetry import TelemetrySession
 from repro.resilience import (
     CellFault,
     CheckpointStore,
@@ -235,10 +238,11 @@ def test_fuzzer_quarantines_crashing_mutator(gcc, small_seeds):
     )
     tripped_step = None
     for i in range(4):
-        step = fuzzer.step()
-        if step.stats.get("quarantined"):
+        fuzzer.step()
+        if quarantine.events and tripped_step is None:
             tripped_step = i
     assert tripped_step is not None
+    assert [e.mutator for e in quarantine.events] == ["AlwaysCrash"]
     assert not quarantine.allows("AlwaysCrash")
     snap = fuzzer.stats_snapshot()
     assert snap["quarantined_mutators"] == ["AlwaysCrash"]
@@ -246,12 +250,60 @@ def test_fuzzer_quarantines_crashing_mutator(gcc, small_seeds):
     assert snap["quarantine_skips"] >= 1
 
 
+def _quarantine_events(session_path) -> list[dict]:
+    rows = [json.loads(line) for line in session_path.read_text().splitlines()]
+    return [row for row in rows if row["kind"] == "quarantine"]
+
+
+def test_one_event_per_trip(small_seeds, tmp_path):
+    """A trip is recorded by the breaker and emitted once, at the trip."""
+    quarantine = MutatorQuarantine(threshold=2)
+    fuzzer = MuCFuzz(
+        Compiler(*GCC_SIM), random.Random(11), small_seeds, [_CRASH_INFO],
+        name="uCFuzz.q", quarantine=quarantine,
+    )
+    session = TelemetrySession.to_jsonl(tmp_path / "run.jsonl")
+    fuzzer.adopt_telemetry(session)
+    result = run_campaign(fuzzer, steps=4)
+    session.close()
+    events = _quarantine_events(tmp_path / "run.jsonl")
+    assert result.stats["quarantine_events"] == len(quarantine.events) == 1
+    assert [(e["name"], e["fields"]) for e in events] == [
+        ("AlwaysCrash", {"reason": "MutatorCrash", "step": 2})
+    ]
+
+
+def test_one_event_per_retirement(small_seeds, registry, tmp_path):
+    """A retirement is the scheduler's: one event each, and no breaker
+    appears that the caller did not ask for."""
+    fuzzer = MuCFuzz(
+        Compiler(*GCC_SIM), random.Random(2024), small_seeds,
+        registry.supervised()[:10], name="uCFuzz.s",
+        scheduler=MutatorScheduler(3, retire_after=5, retire_below=10.0),
+    )
+    session = TelemetrySession.to_jsonl(tmp_path / "run.jsonl")
+    fuzzer.adopt_telemetry(session)
+    result = run_campaign(fuzzer, steps=30)
+    session.close()
+    events = _quarantine_events(tmp_path / "run.jsonl")
+    retired = result.stats["retired_mutators"]
+    assert retired and result.stats["retirements"] == len(retired)
+    assert sorted(e["name"] for e in events) == retired
+    assert all(e["fields"]["reason"] == "retired" for e in events)
+    steps = [e["fields"]["step"] for e in events]
+    assert steps == sorted(steps) and 1 <= steps[0] and steps[-1] <= 30
+    assert fuzzer.quarantine is None
+    assert not any(key.startswith("quarantine") for key in result.stats)
+
+
 def test_quarantine_off_by_default(gcc, small_seeds, registry):
     fuzzer = MuCFuzz(gcc, random.Random(11), small_seeds, registry.supervised())
     snap = fuzzer.stats_snapshot()
     assert "quarantined_mutators" not in snap
-    step = fuzzer.step()
-    assert "quarantined" not in (step.stats or {})
+    fuzzer.step()
+    assert fuzzer.quarantine is None
+    snap = fuzzer.stats_snapshot()
+    assert not any(key.startswith("quarantine") for key in snap)
 
 
 # ---------------------------------------------------------------------------

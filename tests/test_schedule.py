@@ -229,7 +229,7 @@ def test_retired_arms_draw_no_scheduler_entropy():
     stats = zero_mutator_stats(names)
     with_retired = MutatorScheduler(99, retire_after=None)
     with_retired.attach(stats, None)
-    with_retired.retired.add("dead")
+    assert with_retired.retire("dead")
     live_only = MutatorScheduler(99, retire_after=None)
     live_only.attach(stats, None)
     for _ in range(10):
@@ -259,33 +259,22 @@ def test_chronic_loser_is_retired():
     stats = zero_mutator_stats(names)
     stats["winner"].update(attempts=20, changed=18, compiled=15, coverage_gain=40)
     stats["loser"].update(attempts=20)  # never changed anything
-    quarantine = MutatorQuarantine(threshold=None)
+    quarantine = MutatorQuarantine(threshold=3)
     scheduler = MutatorScheduler(11, retire_after=10)
     scheduler.attach(stats, quarantine)
     infos = {name: _info(name) for name in names}
     order = scheduler.order([infos["winner"], infos["loser"]])
     assert [i.name for i in order] == ["winner"]
-    assert scheduler.retired == {"loser"}
-    assert quarantine.retired == {"loser"}
-    assert not quarantine.allows("loser")
-    assert [(e.mutator, e.reason) for e in quarantine.retirements] == [
-        ("loser", "low-fitness")
-    ]
-    stats_snapshot = quarantine.stats()
-    assert stats_snapshot["retired_mutators"] == ["loser"]
-    assert stats_snapshot["retirements"] == 1
-
-
-def test_retirement_respects_threshold_none_breaker():
-    # threshold=None: the crash breaker never trips, retirement still works.
-    quarantine = MutatorQuarantine(threshold=None)
-    for _ in range(50):
-        assert not quarantine.record_failure("m", "MutatorCrash")
-    assert quarantine.allows("m")
-    assert quarantine.retire("m", reason="low-fitness")
-    assert not quarantine.retire("m")  # idempotent
-    assert not quarantine.allows("m")
-    assert not quarantine.record_failure("m")  # retired arms stay silent
+    assert scheduler.retired == {"loser": "low-fitness"}
+    assert not scheduler.retire("loser")  # idempotent
+    # Retirement is the scheduler's verdict; the crash breaker keeps none.
+    assert quarantine.allows("loser")
+    assert not quarantine.events
+    assert scheduler.stats() == {
+        "retirements": 1,
+        "retired_mutators": ["loser"],
+    }
+    assert "retirements" not in quarantine.stats()
 
 
 def test_healthy_arms_are_never_retired():
@@ -297,7 +286,8 @@ def test_healthy_arms_are_never_retired():
     scheduler.attach(stats, None)
     for _ in range(20):
         scheduler.order(list(names))
-    assert scheduler.retired == set()
+    assert scheduler.retired == {}
+    assert scheduler.stats() == {"retirements": 0, "retired_mutators": []}
 
 
 def test_scheduler_requires_mutator_stats(gcc, small_seeds, registry):

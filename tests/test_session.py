@@ -33,6 +33,7 @@ from repro.compiler import CLANG_SIM, GCC_SIM, Compiler
 from repro.compiler import backend, passes
 from repro.compiler.coverage import CoverageMap
 from repro.compiler.crash import CompilerCrash
+from repro.compiler.interp import execute
 from repro.compiler.irgen import IRGen, LoweringError
 from repro.compiler.passes import OptContext, local_opt
 from repro.compiler.session import CompileSession, assert_results_equal
@@ -172,11 +173,11 @@ class TestCompileSession:
     def test_paranoid_session_compile(self, small_seeds):
         warm = Compiler(*GCC_SIM)
         session = warm.compile_session
-        cache = FrontendCache()
+        cache = FrontendCache(paranoid=True)
         text = small_seeds[2]
         warm.compile(text, cache=cache)
         before = session.paranoid_checks
-        warm.compile(_mutate_body(text), cache=cache, paranoid=True)
+        warm.compile(_mutate_body(text), cache=cache)
         assert session.paranoid_checks == before + 1
 
     def test_redefined_function_falls_back_live(self):
@@ -197,6 +198,34 @@ class TestCompileSession:
         assert_results_equal(
             result, Compiler(*GCC_SIM, reference=True).compile(mutant)
         )
+
+    def test_redeclared_global_replays_its_rewrite(self):
+        # ``int x;`` re-emits ``x`` under its existing key: its record must
+        # carry that write, or a replay runs the earlier ``x = 2``.
+        text = "int x = 2;\nint x;\nint main(void) { return x; }\n"
+        compiler = Compiler(*GCC_SIM)
+        cache = FrontendCache()
+        live = compiler.compile(text, cache=cache)
+        hits = compiler.compile_session.hits
+        replayed = compiler.compile(text, cache=cache)
+        assert compiler.compile_session.hits == hits + 3  # every decl
+        reference = Compiler(*GCC_SIM, reference=True).compile(text)
+        assert_results_equal(replayed, reference)
+        assert (
+            execute(live.module).observable
+            == execute(replayed.module).observable
+            == execute(reference.module).observable
+        )
+
+    def test_module_dump_compares_global_contents(self):
+        # Paranoid mode compares modules by dump, so the dump must show
+        # what a global holds, not only its name and size.
+        def dump(text):
+            return Compiler(*GCC_SIM).compile(text).module.dump()
+
+        main = "int main(void) { return x; }\n"
+        assert dump("int x = 2;\n" + main) != dump("int x = 3;\n" + main)
+        assert dump("int x;\n" + main) != dump("const int x;\n" + main)
 
     def test_failed_compile_interns_nothing(self, small_seeds, monkeypatch):
         # Lowering fails on the last declaration, after ``f`` was lowered
