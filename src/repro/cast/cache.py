@@ -9,6 +9,13 @@ stream, :class:`~repro.cast.ast_nodes.TranslationUnit`, and analyzed
 :class:`~repro.cast.sema.Sema` — on a content hash of the source text, so
 each distinct text pays for lex/parse/sema exactly once.
 
+An entry keeps what later compiles and mutants read back, in the form the
+collector walks least: the token stream as
+:class:`~repro.cast.lexer.TokenColumns` (the :class:`~repro.cast.lexer.Token`
+objects the parser read die with the parse), and a unit whose locations
+are all the interned :meth:`SourceLocation.at
+<repro.cast.source.SourceLocation.at>` values.
+
 Safety contract: cached units are *never mutated in place*.  Mutators rewrite
 via the :class:`~repro.cast.rewriter.Rewriter` on source text, and the
 compiler only reads the AST.  As a guard, every cache hit re-hashes the
@@ -52,7 +59,7 @@ from repro.telemetry.spans import Tracer, span
 
 from repro.cast import ast_nodes as ast
 from repro.cast.incremental import assert_entries_equal, incremental_front_end
-from repro.cast.lexer import Lexer, LexError, Token
+from repro.cast.lexer import Lexer, LexError, TokenColumns
 from repro.cast.parser import ParseError, Parser
 from repro.cast.sema import Diagnostic, Sema
 from repro.cast.source import SourceFile
@@ -79,8 +86,10 @@ class FrontendEntry:
 
     source_hash: str
     source: SourceFile
-    #: Tokens up to the first lex error (the whole stream when none).
-    token_prefix: list[Token]
+    #: Tokens up to the first lex error (the whole stream when none), as
+    #: columns: the compile reads kinds and texts, the dirty-region front
+    #: end offsets too, and no :class:`~repro.cast.lexer.Token` is kept.
+    token_prefix: TokenColumns
     lex_error: LexError | None
     unit: ast.TranslationUnit | None
     parse_error: str | None
@@ -90,11 +99,6 @@ class FrontendEntry:
     #: Per-text artifacts owned by higher layers (the μAST context, the
     #: dirty-region ``decl_map``, the compile session's ``session_keys``).
     memo: dict[str, Any] = field(default_factory=dict)
-
-    @property
-    def tokens(self) -> list[Token] | None:
-        """The full token stream, or None when lexing failed."""
-        return None if self.lex_error is not None else self.token_prefix
 
     @property
     def error_diagnostics(self) -> list[Diagnostic]:
@@ -124,6 +128,7 @@ def analyze_front_end(
     with span(tracer, "lex"):
         source = SourceFile(text)
         prefix, lex_error = Lexer(source).tokens_best_effort()
+        columns = TokenColumns.of(prefix)
     tokens = None if lex_error is not None else prefix
     unit: ast.TranslationUnit | None = None
     parse_error: str | None = None
@@ -143,7 +148,7 @@ def analyze_front_end(
     return FrontendEntry(
         source_hash=source_hash if source_hash is not None else source_digest(text),
         source=source,
-        token_prefix=prefix,
+        token_prefix=columns,
         lex_error=lex_error,
         unit=unit,
         parse_error=parse_error,

@@ -12,13 +12,15 @@ parent's instead of re-running the full front end:
 2. **Token stitching** — only the window between the last clean prefix token
    and the first clean suffix token is re-lexed.  Lexing is position-pure
    (``_at_line_start`` inspects absolute text, not lexer state), so the
-   parent's prefix tokens are reused as-is and its suffix tokens are reused
-   with offsets shifted by the edit delta, provided the *sync token* at the
-   window's end matches the parent's in kind/text/position.
+   parent's prefix token columns are reused as-is and its suffix columns are
+   reused with offsets shifted by the edit delta, provided the *sync token*
+   at the window's end matches the parent's in kind/text/position.
 3. **Region re-parse** — a fresh :class:`~repro.cast.parser.Parser` over the
    stitched stream starts at the first dirty token with its cross-declaration
    state (typedefs, record definitions, anonymous-tag counter) seeded by
-   replaying the parent's recorded definition journal prefix.
+   replaying the parent's recorded definition journal prefix.  It reads the
+   window's freshly lexed tokens, and a :class:`~repro.cast.lexer.Token`
+   made from the columns for any other position it reaches.
 4. **AST grafting** — prefix decls are *shared* with the parent unit (their
    re-analysis is idempotent); suffix decls are cloned with all source
    ranges shifted by the delta, and ``DeclRefExpr.decl`` pointers into the
@@ -45,7 +47,14 @@ from __future__ import annotations
 from typing import Any
 
 from repro.cast import ast_nodes as ast
-from repro.cast.lexer import Lexer, LexError, Token, TokenKind
+from repro.cast.lexer import (
+    TOKEN_KINDS,
+    Lexer,
+    LexError,
+    Token,
+    TokenColumns,
+    TokenKind,
+)
 from repro.cast.parser import ParseError, Parser
 from repro.cast.sema import Diagnostic, Sema
 from repro.cast.source import SourceFile, SourceLocation, SourceRange
@@ -72,7 +81,7 @@ def _shift_value(v: Any, delta: int, remap: dict[int, ast.Node]) -> Any:
     if tv is SourceRange:
         return SourceRange.of(v.begin.offset + delta, v.end.offset + delta)
     if tv is SourceLocation:
-        return SourceLocation(v.offset + delta)
+        return SourceLocation.at(v.offset + delta)
     if isinstance(v, ast.Node):
         return _clone_shifted(v, delta, remap)
     if tv is list:
@@ -115,6 +124,33 @@ def _group_for_edit(spans: list[tuple[int, int]], eb: int, ee: int) -> int:
     return len(spans) - 1  # trailing trivia: attach to the last group
 
 
+class _RegionTokens:
+    """The mutant's token stream as the region parser reads it.
+
+    The re-lexed window's tokens are the lexer's own; a position outside it
+    that the parser reaches (the sync token, a lookahead, an overshoot into
+    the suffix) gets a :class:`Token` made from the columns on first read.
+    """
+
+    __slots__ = ("columns", "made")
+
+    def __init__(
+        self, columns: TokenColumns, start: int, window: list[Token]
+    ) -> None:
+        self.columns = columns
+        self.made: list[Token | None] = [None] * len(columns)
+        self.made[start : start + len(window)] = window
+
+    def __len__(self) -> int:
+        return len(self.made)
+
+    def __getitem__(self, i: int) -> Token:
+        tok = self.made[i]
+        if tok is None:
+            tok = self.made[i] = self.columns.token(i)
+        return tok
+
+
 # ---------------------------------------------------------------------------
 # the incremental front end
 
@@ -143,7 +179,8 @@ def incremental_front_end(
         return None
     if len(psema._decl_marks) != len(parent.unit.decls):
         return None
-    ptokens = parent.token_prefix
+    pcols = parent.token_prefix
+    pbegins, pends = pcols.begins, pcols.ends
     ptext = parent.source.text
 
     delta = sum(len(t) - (e - b) for b, e, t in edits)
@@ -154,9 +191,7 @@ def incremental_front_end(
     spans: list[tuple[int, int]] = []
     start_pos = 0
     for _n, end_pos, _jm, _am in groups:
-        spans.append(
-            (ptokens[start_pos].begin.offset, ptokens[end_pos - 1].end.offset)
-        )
+        spans.append((pbegins[start_pos], pends[end_pos - 1]))
         start_pos = end_pos
     lo = hi = None
     for eb, ee, _t in edits:
@@ -168,8 +203,8 @@ def incremental_front_end(
     # Token window boundaries (parent coordinates).
     P = 0 if lo == 0 else groups[lo - 1][1]
     S_tok = groups[hi][1]
-    W0 = ptokens[P - 1].end.offset if P > 0 else 0
-    w1 = ptokens[S_tok].begin.offset
+    W0 = pends[P - 1] if P > 0 else 0
+    w1 = pbegins[S_tok]
     if any(eb <= W0 or ee >= w1 for eb, ee, _t in edits):
         return None  # defensive: edits must fall strictly inside the window
     # Bytes outside the window must be untouched for token reuse to be sound.
@@ -185,30 +220,18 @@ def incremental_front_end(
     try:
         while True:
             tok = lexer._next_token()
-            if tok.begin.offset >= sync_target or tok.kind is TokenKind.EOF:
+            if tok.begin_offset >= sync_target or tok.kind is TokenKind.EOF:
                 break
             window.append(tok)
     except LexError:
         return None
-    parent_sync = ptokens[S_tok]
     if (
-        tok.begin.offset != sync_target
-        or tok.kind is not parent_sync.kind
-        or tok.text != parent_sync.text
+        tok.begin_offset != sync_target
+        or tok.kind is not TOKEN_KINDS[pcols.kinds[S_tok]]
+        or tok.text != pcols.texts[S_tok]
     ):
         return None
-    if delta == 0:
-        suffix_tokens = ptokens[S_tok:]
-    else:
-        suffix_tokens = [
-            Token(
-                t.kind,
-                t.text,
-                SourceRange.of(t.begin.offset + delta, t.end.offset + delta),
-            )
-            for t in ptokens[S_tok:]
-        ]
-    tokens = ptokens[:P] + window + suffix_tokens
+    columns = pcols.spliced(P, S_tok, window, delta)
 
     # 3. Re-parse the dirty region with journal-seeded parser state.
     jm_prefix = 0 if lo == 0 else groups[lo - 1][2]
@@ -217,7 +240,7 @@ def incremental_front_end(
     am_hi = groups[hi][3]
     has_suffix = hi < len(groups) - 1
 
-    parser = Parser(msource, tokens=tokens)
+    parser = Parser(msource, tokens=_RegionTokens(columns, P, window))
     parser.pos = P
     for kind, name, val in journal[:jm_prefix]:
         if kind == "record":
@@ -247,7 +270,7 @@ def incremental_front_end(
         return (
             dict(
                 source=msource,
-                token_prefix=tokens,
+                token_prefix=columns,
                 lex_error=None,
                 unit=None,
                 parse_error=str(exc),
@@ -374,9 +397,7 @@ def incremental_front_end(
             if isinstance(node, ast.DeclRefExpr) and node.decl is not None:
                 node.decl = remap.get(id(node.decl), node.decl)
 
-    unit = ast.TranslationUnit(
-        new_decls, SourceRange(SourceLocation(0), tokens[-1].end)
-    )
+    unit = ast.TranslationUnit(new_decls, SourceRange.of(0, columns.ends[-1]))
     pos_shift = S_new - S_tok
     j_shift = (jm_prefix + len(parser._journal)) - jm_hi
     a_shift = parser._anon_counter - am_hi  # 0 whenever has_suffix
@@ -398,7 +419,7 @@ def incremental_front_end(
     return (
         dict(
             source=msource,
-            token_prefix=tokens,
+            token_prefix=columns,
             lex_error=None,
             unit=unit,
             parse_error=None,
@@ -412,20 +433,6 @@ def incremental_front_end(
 
 # ---------------------------------------------------------------------------
 # paranoid comparison
-
-
-def _tokens_equal(a: list[Token] | None, b: list[Token] | None) -> bool:
-    if a is None or b is None:
-        return a is b
-    if len(a) != len(b):
-        return False
-    return all(
-        x.kind is y.kind
-        and x.text == y.text
-        and x.begin.offset == y.begin.offset
-        and x.end.offset == y.end.offset
-        for x, y in zip(a, b)
-    )
 
 
 def _diag_key(diags: list[Diagnostic]) -> list[tuple]:
@@ -504,7 +511,7 @@ def assert_entries_equal(inc: Any, full: Any) -> None:
             f"incremental front end diverged from full pipeline: {what}"
         )
 
-    if not _tokens_equal(inc.token_prefix, full.token_prefix):
+    if inc.token_prefix != full.token_prefix:
         diverge("token stream")
     if (inc.lex_error is None) != (full.lex_error is None):
         diverge("lex error")

@@ -21,6 +21,8 @@ never depends on how deep the caller's stack already is.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from repro.cast import ast_nodes as ast
 from repro.cast.lexer import Lexer, LexError, Token, TokenKind
 from repro.cast.source import SourceFile, SourceLocation, SourceRange
@@ -70,7 +72,9 @@ _BINOP_PRECEDENCE = {
 class Parser:
     """Parses a :class:`SourceFile` into a :class:`TranslationUnit`."""
 
-    def __init__(self, source: SourceFile, tokens: list[Token] | None = None) -> None:
+    def __init__(
+        self, source: SourceFile, tokens: Sequence[Token] | None = None
+    ) -> None:
         self.source = source
         if tokens is not None:
             self.tokens = tokens
@@ -173,7 +177,7 @@ class Parser:
                 (len(group), self.pos, len(self._journal), self._anon_counter)
             )
         end = self.tokens[-1].end
-        unit = ast.TranslationUnit(decls, SourceRange(SourceLocation(0), end))
+        unit = ast.TranslationUnit(decls, SourceRange(SourceLocation.at(0), end))
         unit._inc_groups = tuple(groups)
         unit._inc_journal = tuple(self._journal)
         return unit

@@ -3,6 +3,11 @@
 Locations are plain character offsets into the original text, which makes the
 rewriter (see :mod:`repro.cast.rewriter`) a simple piecewise-text substitution.
 Line/column information is derived lazily for diagnostics.
+
+Both are immutable values, and the front end makes the same ones over and
+over: :meth:`SourceLocation.at` and :meth:`SourceRange.of` intern them, so
+every unit the front end builds shares one location per offset, and the
+ranges made through :meth:`SourceRange.of` one range per span.
 """
 
 from __future__ import annotations
@@ -11,20 +16,31 @@ import bisect
 from dataclasses import dataclass, field
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class SourceLocation:
     """A position in a source file, as a 0-based character offset."""
 
     offset: int
 
+    @staticmethod
+    def at(offset: int) -> "SourceLocation":
+        """The interned location of ``offset`` (see :meth:`SourceRange.of`)."""
+        loc = _LOCATION_INTERN.get(offset)
+        if loc is None:
+            loc = SourceLocation(offset)
+            if len(_LOCATION_INTERN) >= RANGE_INTERN_BOUND:
+                _LOCATION_INTERN.clear()
+            _LOCATION_INTERN[offset] = loc
+        return loc
+
     def advanced(self, n: int) -> "SourceLocation":
-        return SourceLocation(self.offset + n)
+        return SourceLocation.at(self.offset + n)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"loc({self.offset})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SourceRange:
     """A half-open [begin, end) character range in a source file."""
 
@@ -33,15 +49,15 @@ class SourceRange:
 
     @staticmethod
     def of(begin: int, end: int) -> "SourceRange":
-        # Interned: ranges are immutable value objects and the lexer/clone
-        # hot paths construct millions of repeats.  The table starts over
+        # Interned: ranges are immutable value objects and the parser and
+        # the suffix clone construct millions of repeats.  The table starts over
         # when it reaches its bound, so a long campaign's offset spread
         # never pins memory; ranges compare by value, so a range made
         # before a reset still equals one made after it.
         key = (begin, end)
         cached = _RANGE_INTERN.get(key)
         if cached is None:
-            cached = SourceRange(SourceLocation(begin), SourceLocation(end))
+            cached = SourceRange(SourceLocation.at(begin), SourceLocation.at(end))
             if len(_RANGE_INTERN) >= RANGE_INTERN_BOUND:
                 _RANGE_INTERN.clear()
             _RANGE_INTERN[key] = cached
@@ -64,11 +80,13 @@ class SourceRange:
         return f"range({self.begin.offset},{self.end.offset})"
 
 
-#: Entries the range intern table holds before it starts over.  One
-#: 120-step benchmark round of μCFuzz or the macro fuzzer interns about
-#: 20k ranges, so no round reaches it.
+#: Entries each intern table (ranges, locations) holds before it starts
+#: over.  A 120-step benchmark round of μCFuzz interns about 16k ranges and
+#: 4k locations, a 100-step macro round about 19k and 4.5k, so no round
+#: reaches it.
 RANGE_INTERN_BOUND = 65_536
 _RANGE_INTERN: dict[tuple[int, int], SourceRange] = {}
+_LOCATION_INTERN: dict[int, SourceLocation] = {}
 
 
 @dataclass

@@ -37,10 +37,10 @@ class CoverageMap:
 
     def merge(self, other: "CoverageMap | Iterable[Edge]") -> int:
         """Merge edges in; returns how many were new."""
-        edges = other.edges if isinstance(other, CoverageMap) else set(other)
-        new = len(edges - self.edges)
-        self.edges |= edges
-        return new
+        edges = other.edges if isinstance(other, CoverageMap) else other
+        before = len(self.edges)
+        self.edges.update(edges)
+        return len(self.edges) - before
 
     def new_edges(self, other: "CoverageMap | Iterable[Edge]") -> set[Edge]:
         edges = other.edges if isinstance(other, CoverageMap) else set(other)

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 from repro.cast import ast_nodes as ast
 from repro.cast.cache import FrontendCache, FrontendEntry, analyze_front_end
+from repro.cast.lexer import TOKEN_KINDS, TokenColumns, TokenKind
 from repro.compiler import features as feat
 from repro.compiler.bugs import BugRegistry
 from repro.compiler.coverage import CoverageMap
@@ -118,8 +119,10 @@ class Compiler:
 
         With a ``cache`` the front end is shared through it and the middle
         end runs against this compiler's :class:`CompileSession`, which
-        replays every function it has already compiled in the same context;
-        without one the compile runs the plain pipeline and records nothing.
+        replays every function it has already compiled in the same context,
+        when ``opt_level`` and ``flags`` are those of the session's previous
+        compile; a compile whose options just changed, and a compile without
+        a cache, run the plain pipeline and record nothing.
         The reference pipeline ignores ``cache`` (and with it ``edits_from``).
         ``edits_from=(parent_text, edit_script)`` names the already-compiled
         program this text was mutated from, enabling dirty-region front-end
@@ -278,9 +281,15 @@ def _summarize_front_end(
     per-declaration AST work (coverage walk + feature extraction) comes from
     :func:`_decl_summaries`, memoized on each declaration node.
     """
-    if entry.lex_error is not None:
-        cov.hit("fe:lex_error", entry.lex_error.message.split(" ")[0])
-    features.update(feat.lexical_features(entry.source.text, entry.tokens))
+    lex_error = entry.lex_error
+    if lex_error is not None:
+        cov.hit("fe:lex_error", lex_error.message.split(" ")[0])
+    features.update(
+        feat.lexical_features(
+            entry.source.text,
+            entry.token_prefix if lex_error is None else lex_error,
+        )
+    )
     # Even broken inputs exercise the lexer up to the failure point.
     _cover_tokens(entry.token_prefix, cov)
     if entry.unit is None:
@@ -353,16 +362,23 @@ def _decl_summary(decl: ast.Node, source_text: str) -> tuple:
     )
 
 
-def _cover_tokens(tokens, cov: CoverageMap) -> None:
-    from repro.cast.lexer import TokenKind
+#: Per kind index (:data:`~repro.cast.lexer.TOKEN_KINDS`), the coverage key
+#: of a token: its kind's name, or None where the token's own text is the
+#: key (keywords and punctuators).
+_TOKEN_KEYS = tuple(
+    None if kind in (TokenKind.KEYWORD, TokenKind.PUNCT) else kind.name
+    for kind in TOKEN_KINDS
+)
 
+
+def _cover_tokens(tokens: TokenColumns, cov: CoverageMap) -> None:
     # These maps never carry a journal, so edges go straight into the set.
     assert cov.journal is None
     add = cov.edges.add
-    keyword_or_punct = (TokenKind.KEYWORD, TokenKind.PUNCT)
+    keys = _TOKEN_KEYS
     prev = None
-    for tok in tokens[:6000]:
-        key = tok.text if tok.kind in keyword_or_punct else tok.kind.name
+    for kind, text in zip(tokens.kinds[:6000], tokens.texts[:6000]):
+        key = keys[kind] or text
         add(("fe:token", key))
         if prev is not None:
             add(("fe:token2", (prev, key)))

@@ -13,53 +13,63 @@ from __future__ import annotations
 from collections import Counter
 
 from repro.cast import ast_nodes as ast
-from repro.cast.lexer import Lexer, LexError, TokenKind
+from repro.cast.lexer import TOKEN_KINDS, Lexer, LexError, TokenColumns, TokenKind
 from repro.cast.sema import fold_int
 from repro.cast.source import SourceFile
 
 
-def lexical_features(text: str, tokens: "list | None" = None) -> dict[str, int]:
-    """Features computable from raw text/tokens (even for garbage input)."""
+def lexical_features(
+    text: str, lexed: "TokenColumns | LexError | None" = None
+) -> dict[str, int]:
+    """Features computable from raw text/tokens (even for garbage input).
+
+    ``lexed`` is what lexing ``text`` gave, when the caller already has it:
+    the token columns, or the :class:`LexError` lexing stopped at.  With
+    None, ``text`` is lexed here.
+    """
     f: Counter = Counter()
     f["text_len"] = len(text)
     depth = brace = max_depth = max_brace = 0
-    try:
-        if tokens is None:
-            tokens = Lexer(SourceFile(text)).tokens()
-    except LexError as exc:
+    if lexed is None:
+        try:
+            lexed = TokenColumns.of(Lexer(SourceFile(text)).tokens())
+        except LexError as exc:
+            lexed = exc
+    if isinstance(lexed, LexError):
         f["lex_error"] = 1
-        if "unterminated" in exc.message:
+        if "unterminated" in lexed.message:
             f["unterminated_literal"] = 1
-        if "stray" in exc.message:
+        if "stray" in lexed.message:
             f["stray_char"] = 1
         # Fall back to character statistics.
         f["max_paren_depth"] = _char_depth(text, "(", ")")
         f["max_brace_depth"] = _char_depth(text, "{", "}")
         f["token_count"] = len(text.split())
         return dict(f)
-    f["token_count"] = len(tokens)
-    for tok in tokens:
-        if tok.kind is TokenKind.IDENT:
-            f["max_ident_len"] = max(f["max_ident_len"], len(tok.text))
-        elif tok.kind is TokenKind.INT_LITERAL:
-            f["max_number_len"] = max(f["max_number_len"], len(tok.text))
-        elif tok.kind is TokenKind.STRING_LITERAL:
+    f["token_count"] = len(lexed)
+    for index, tok_text in zip(lexed.kinds, lexed.texts):
+        kind = TOKEN_KINDS[index]
+        if kind is TokenKind.IDENT:
+            f["max_ident_len"] = max(f["max_ident_len"], len(tok_text))
+        elif kind is TokenKind.INT_LITERAL:
+            f["max_number_len"] = max(f["max_number_len"], len(tok_text))
+        elif kind is TokenKind.STRING_LITERAL:
             f["string_count"] += 1
-            f["max_string_len"] = max(f["max_string_len"], len(tok.text))
-        elif tok.kind is TokenKind.PUNCT:
-            if tok.text == "(":
+            f["max_string_len"] = max(f["max_string_len"], len(tok_text))
+        elif kind is TokenKind.PUNCT:
+            if tok_text == "(":
                 depth += 1
                 max_depth = max(max_depth, depth)
-            elif tok.text == ")":
+            elif tok_text == ")":
                 depth -= 1
-            elif tok.text == "{":
+            elif tok_text == "{":
                 brace += 1
                 max_brace = max(max_brace, brace)
-            elif tok.text == "}":
+            elif tok_text == "}":
                 brace -= 1
-            elif tok.text == "#":
+            elif tok_text == "#":
                 f["hash_tokens"] += 1
-            elif tok.text == ";":
+            elif tok_text == ";":
                 f["semicolons"] += 1
     f["max_paren_depth"] = max_depth
     f["max_brace_depth"] = max_brace

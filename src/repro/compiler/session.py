@@ -18,7 +18,12 @@ records nothing.
 A default-pipeline compile that carries a cache runs
 :func:`lower_and_optimize_session` against its compiler's own
 :class:`CompileSession`, the middle end's one reuse mechanism, which
-therefore holds buffer-native artifacts only.  Its run supplies
+therefore holds buffer-native artifacts only.  Every record is keyed by
+the compile's options, so the session serves a compile only when its
+options key is the one the session's previous compile had (or it is the
+first): a compile whose options just changed, as the macro fuzzer's
+sampled -O level and flags often do, runs the plain pipeline and records
+nothing, and the session takes its key.  The session's run supplies
 replay-or-record steps: one per declaration for IR generation, one per
 function and phase for the optimizer, one per function for the backend,
 and its consistency-checked inline-candidate map.  The session interns one
@@ -262,6 +267,9 @@ class CompileSession:
         #: the step's shared clean functions.
         self.materializations = 0
         self.paranoid_checks = 0
+        #: The options key (:func:`middle_memo_key`) of the last compile
+        #: offered to the session, None before the first.
+        self.options_key: str | None = None
 
     # -- record store ------------------------------------------------------
 
@@ -398,9 +406,8 @@ class _SessionRun:
             # IRGen.lower collected the unit's enum table before this step.
             self.full_digests, header_digests = decl_digests(self.entry)
             self.key_base = (
-                middle_memo_key(
-                    self.compiler, self.opt_level, tuple(self.flags)
-                ),
+                # This compile's: lower_and_optimize_session set it.
+                self.session.options_key,
                 _digest(header_digests),
                 _digest(tuple(irgen._enum_values.items())),
             )
@@ -645,13 +652,31 @@ def lower_and_optimize_session(
 ) -> None:
     """The middle end + back end of a cached compile, through the session.
 
-    Runs against ``compiler.compile_session``.  A reuse inconsistency aborts
-    to a fully live run that re-records every declaration.  The compiler
-    counts each compile with at least one declaration served from the
-    session that ran to the end (``middle_incremental_hits``), and each
-    abort (``middle_incremental_fallbacks``).
+    Runs against ``compiler.compile_session`` when the compile's options
+    key is the one the session's previous compile had (or it is the
+    session's first): every record is keyed by its options, so only a
+    caller that keeps its options can replay what it records.  A compile
+    whose options just changed runs the plain pipeline and records nothing;
+    the session takes its key, so the next compile with the same options
+    records again.  μCFuzz and GrayC compile everything with one set of
+    options; the macro fuzzer samples them per step.
+
+    A reuse inconsistency aborts to a fully live run that re-records every
+    declaration.  The compiler counts each compile with at least one
+    declaration served from the session that ran to the end
+    (``middle_incremental_hits``), and each abort
+    (``middle_incremental_fallbacks``).
     """
     session = compiler.compile_session
+    options_key = middle_memo_key(compiler, opt_level, tuple(flags))
+    same_options = session.options_key in (None, options_key)
+    session.options_key = options_key
+    if not same_options:
+        lower_and_optimize(
+            compiler, entry, opt_level, flags, cov, features, result,
+            stages=stages,
+        )
+        return
     hits = session.hits
     # Live declarations capture their events from this journal.
     journal = cov.journal = []

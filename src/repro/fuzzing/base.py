@@ -144,7 +144,7 @@ class CoverageGuidedFuzzer(Fuzzer):
         self, text: str, result: CompileResult, parent: ProgramEntry, mutator: str
     ) -> bool:
         """P' joins the pool iff it covers a branch nothing in P covers."""
-        if not self.coverage.new_edges(result.coverage):
+        if self.coverage.covers(result.coverage):
             return False
         self._generation += 1
         self.pool.add(

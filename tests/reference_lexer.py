@@ -11,7 +11,7 @@ lexer; a change in what the lexer accepts should fail the differential test.
 from __future__ import annotations
 
 from repro.cast.lexer import LexError, Token, TokenKind
-from repro.cast.source import SourceFile, SourceLocation, SourceRange
+from repro.cast.source import SourceFile, SourceRange
 
 KEYWORDS = frozenset(
     {
@@ -81,8 +81,7 @@ class ReferenceLexer:
     def _next_token(self) -> Token:
         self._skip_trivia()
         if self.pos >= len(self.text):
-            loc = SourceLocation(self.pos)
-            return Token(TokenKind.EOF, "", SourceRange(loc, loc))
+            return Token(TokenKind.EOF, "", self.pos, self.pos)
 
         start = self.pos
         ch = self.text[start]
@@ -145,7 +144,7 @@ class ReferenceLexer:
         self.pos = i
         text = self.text[start:i]
         kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT
-        return Token(kind, text, SourceRange.of(start, i))
+        return Token(kind, text, start, i)
 
     def _lex_number(self, start: int) -> Token:
         text = self.text
@@ -182,7 +181,7 @@ class ReferenceLexer:
             i += 1
         self.pos = i
         kind = TokenKind.FLOAT_LITERAL if is_float else TokenKind.INT_LITERAL
-        return Token(kind, text[start:i], SourceRange.of(start, i))
+        return Token(kind, text[start:i], start, i)
 
     def _lex_char(self, start: int) -> Token:
         i = start + 1
@@ -196,7 +195,8 @@ class ReferenceLexer:
                 return Token(
                     TokenKind.CHAR_LITERAL,
                     text[start : i + 1],
-                    SourceRange.of(start, i + 1),
+                    start,
+                    i + 1,
                 )
             if text[i] == "\n":
                 break
@@ -215,7 +215,8 @@ class ReferenceLexer:
                 return Token(
                     TokenKind.STRING_LITERAL,
                     text[start : i + 1],
-                    SourceRange.of(start, i + 1),
+                    start,
+                    i + 1,
                 )
             if text[i] == "\n":
                 break
@@ -226,5 +227,5 @@ class ReferenceLexer:
         for p in _PUNCT_BY_CHAR.get(self.text[start], ()):
             if len(p) == 1 or self.text.startswith(p, start):
                 self.pos = start + len(p)
-                return Token(TokenKind.PUNCT, p, SourceRange.of(start, self.pos))
+                return Token(TokenKind.PUNCT, p, start, self.pos)
         raise LexError(f"stray character {self.text[start]!r}", start)

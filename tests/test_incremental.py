@@ -7,16 +7,23 @@ rests on, an incremental compile is observably identical to a from-scratch
 one, or the reuse it exists for.
 """
 
+import dataclasses
+import gc
 import random
+from array import array
 
 import pytest
 
+from repro.cast import ast_nodes as ast
+from repro.cast import source
 from repro.cast.cache import FrontendCache, analyze_front_end
-from repro.cast.incremental import assert_entries_equal
+from repro.cast.incremental import IncrementalDivergence, assert_entries_equal
+from repro.cast.lexer import Token, TokenColumns
 from repro.cast.rewriter import Rewriter
 from repro.cast.source import SourceFile, SourceLocation, SourceRange
 from repro.compiler import CLANG_SIM, GCC_SIM, Compiler
-from repro.compiler import driver
+from repro.compiler import driver, features
+from repro.compiler.coverage import CoverageMap
 from repro.fuzzing.baselines import AFLPlusPlus
 from repro.fuzzing.campaign import run_campaign
 from repro.fuzzing.macro import MacroFuzzer
@@ -317,6 +324,29 @@ class TestAdversarialBytes:
                     )
         assert cache.incremental_hits > 0
 
+    def test_a_variant_is_lexed_once(self, monkeypatch):
+        """A compile hands the lexical features its front end's lex outcome,
+        a lex error included, instead of lexing the text again."""
+        havoc = AFLPlusPlus(Compiler(*GCC_SIM), random.Random(7), ["int x;"])
+        variants = [
+            (variant, features.lexical_features(variant))
+            for seed in generate_seeds(30)
+            for variant, _ in _havoc_variants(seed, havoc)
+        ]
+
+        def no_lexing(*args, **kwargs):
+            raise AssertionError("lexical_features lexed the text again")
+
+        monkeypatch.setattr(features, "Lexer", no_lexing)
+        lex_errors = 0
+        for variant, expected in variants:
+            entry = analyze_front_end(variant)
+            lex_errors += entry.lex_error is not None
+            got: dict = {}
+            driver._summarize_front_end(entry, CoverageMap(), got, [])
+            assert {key: got[key] for key in expected} == expected
+        assert lex_errors > 0
+
     def test_havoc_variants_through_the_mutators_front_end(self, registry):
         """The same variants handed to ``apply_mutator`` with the seed as
         their parent: it raises nothing the fuzzers would not catch
@@ -462,3 +492,115 @@ class TestPerDeclarationReuse:
         inherited = driver._decl_summaries(entry)
         assert len(walked) == 3  # a, b and c changed along the chain
         assert inherited == driver._decl_summaries(analyze_front_end(text))
+
+
+_SHIFTING = """
+typedef int T;
+int g = 1;
+int f(T x) { return x + g; }
+int h(int y) { return f(y) * 2; }
+int main(void) { return h(3); }
+"""
+
+
+def _dirty_region_entry() -> tuple:
+    """A dirty-region entry whose suffix shifted, and a full front end of
+    the same text."""
+    cache = FrontendCache()
+    cache.front_end(_SHIFTING)
+    mutant, edits = _edit(_SHIFTING, "x + g", "x + g + 40")
+    entry = cache.front_end_from(mutant, (_SHIFTING, edits))
+    assert cache.incremental_hits == 1 and entry.memo["decl_map"][-1] == 4
+    return entry, analyze_front_end(mutant)
+
+
+def _reached_from(root) -> list:
+    """Every object ``gc.get_referents`` reaches from ``root``, types and
+    what only they reach left out."""
+    seen: set = set()
+    found = []
+    stack = [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, type):
+            continue
+        seen.add(id(obj))
+        found.append(obj)
+        stack.extend(gc.get_referents(obj))
+    return found
+
+
+def _positions(unit) -> list:
+    """Every location in ``unit``'s node fields, range ends included."""
+    found = []
+    for node in unit.walk():
+        for value in node.__dict__.values():
+            values = value if isinstance(value, (list, tuple)) else (value,)
+            for v in values:
+                if isinstance(v, SourceRange):
+                    found += [v.begin, v.end]
+                elif isinstance(v, SourceLocation):
+                    found.append(v)
+    return found
+
+
+class TestEntryStorage:
+    """A cached entry keeps its tokens as columns and its positions
+    interned: the collector has no token and one location per offset to
+    walk."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_intern_tables(self, monkeypatch):
+        # No reset of a table mid-test can hand out a second location.
+        monkeypatch.setattr(source, "_RANGE_INTERN", {})
+        monkeypatch.setattr(source, "_LOCATION_INTERN", {})
+
+    def test_no_entry_keeps_token_objects(self):
+        inc, full = _dirty_region_entry()
+        for entry in (inc, full):
+            assert type(entry.token_prefix) is TokenColumns
+            reached = _reached_from(entry.token_prefix)
+            assert not [obj for obj in reached if isinstance(obj, Token)]
+            # What the collector tracks does not grow with the stream: the
+            # columns object, its two offset arrays, and the texts tuple
+            # until a collection finds it holds only strings.
+            assert len(entry.token_prefix) > 40
+            assert len([obj for obj in reached if gc.is_tracked(obj)]) <= 4
+
+    def test_unit_positions_are_interned(self):
+        inc, full = _dirty_region_entry()
+        for entry in (inc, full):
+            positions = _positions(entry.unit)
+            assert len(positions) > 50
+            for loc in positions:
+                assert loc is SourceLocation.at(loc.offset)
+            assert isinstance(entry.unit.decls[-1], ast.FunctionDecl)
+
+
+class TestParanoidSeesEveryColumn:
+    """``assert_entries_equal`` compares every token column: corrupting one
+    kind, text, begin or end offset of a dirty-region entry diverges."""
+
+    def _corrupt(self, columns: TokenColumns, column: str) -> TokenColumns:
+        kinds, texts = columns.kinds, columns.texts
+        begins, ends = array("l", columns.begins), array("l", columns.ends)
+        i = len(columns) // 2
+        if column == "kinds":
+            kinds = kinds[:i] + bytes([(kinds[i] + 1) % 8]) + kinds[i + 1 :]
+        elif column == "texts":
+            texts = texts[:i] + (texts[i] + "x",) + texts[i + 1 :]
+        elif column == "begins":
+            begins[i] += 1
+        else:
+            ends[i] += 1
+        return TokenColumns(kinds, texts, begins, ends)
+
+    @pytest.mark.parametrize("column", ["kinds", "texts", "begins", "ends"])
+    def test_a_corrupted_column_diverges(self, column):
+        inc, full = _dirty_region_entry()
+        assert_entries_equal(inc, full)
+        bad = dataclasses.replace(
+            inc, token_prefix=self._corrupt(inc.token_prefix, column)
+        )
+        with pytest.raises(IncrementalDivergence, match="token stream"):
+            assert_entries_equal(bad, full)

@@ -1,11 +1,23 @@
 """Lexer unit and property tests."""
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.cast import source
-from repro.cast.lexer import KEYWORDS, Lexer, LexError, TokenKind, tokenize
-from repro.cast.source import SourceFile, SourceRange
+from repro.cast.cache import analyze_front_end
+from repro.cast.lexer import (
+    KEYWORDS,
+    Lexer,
+    LexError,
+    Token,
+    TokenColumns,
+    TokenKind,
+    tokenize,
+)
+from repro.cast.source import SourceFile, SourceLocation, SourceRange
 
 
 def kinds(text):
@@ -82,6 +94,82 @@ class TestRangeIntern:
         again = SourceRange.of(0, 1)
         assert again is not first
         assert again == first and hash(again) == hash(first)
+
+    def test_locations_are_interned_and_bounded(self, monkeypatch):
+        monkeypatch.setattr(source, "_RANGE_INTERN", {})
+        monkeypatch.setattr(source, "_LOCATION_INTERN", {})
+        first = SourceLocation.at(5)
+        assert SourceLocation.at(5) is first
+        assert first == SourceLocation(5)  # the constructor is unchanged
+        assert first.advanced(2) is SourceLocation.at(7)
+        rng = SourceRange.of(5, 9)
+        assert rng.begin is first and rng.end is SourceLocation.at(9)
+        tok = tokenize("int x;")[1]
+        assert tok.begin is SourceLocation.at(4)
+        assert tok.range is SourceRange.of(4, 5)
+        for i in range(source.RANGE_INTERN_BOUND + 10):
+            SourceLocation.at(i)
+            assert len(source._LOCATION_INTERN) <= source.RANGE_INTERN_BOUND
+        again = SourceLocation.at(5)
+        assert again is not first
+        assert again == first and hash(again) == hash(first)
+
+
+class TestRoundTrips:
+    """Positions, tokens and token columns are values: pickling or deep
+    copying one gives back an equal one."""
+
+    TEXT = 'int f(int x) { return x + 0x1fu; } char *s = "a\\n";'
+
+    @pytest.mark.parametrize(
+        "clone",
+        [lambda v: pickle.loads(pickle.dumps(v)), copy.deepcopy],
+        ids=["pickle", "deepcopy"],
+    )
+    def test_values_come_back_equal(self, clone):
+        columns = analyze_front_end(self.TEXT).token_prefix
+        values = [
+            SourceLocation.at(3),
+            SourceRange.of(3, 8),
+            *tokenize(self.TEXT),
+            columns,
+        ]
+        for value in values:
+            back = clone(value)
+            assert type(back) is type(value)
+            assert back == value
+        assert clone(columns).texts == columns.texts
+        assert clone(SourceRange.of(3, 8)).length == 5
+
+    def test_columns_hold_the_token_stream(self):
+        tokens = tokenize(self.TEXT)
+        columns = TokenColumns.of(tokens)
+        assert len(columns) == len(tokens)
+        assert [columns.token(i) for i in range(len(tokens))] == tokens
+        assert analyze_front_end(self.TEXT).token_prefix == columns
+        with pytest.raises(TypeError):
+            hash(columns)
+
+    def test_spliced_columns_equal_a_fresh_lex(self):
+        text = "int a; int b; int c;"
+        mutant = "int a; long bb; int c;"
+        parent = TokenColumns.of(tokenize(text))
+        window = tokenize(mutant)[3:6]  # long bb ;
+        assert parent.spliced(3, 6, window, 2) == TokenColumns.of(
+            tokenize(mutant)
+        )
+
+    def test_token_equality_reads_kind_text_and_offsets(self):
+        tok = Token(TokenKind.IDENT, "x", 4, 5)
+        assert tok == Token(TokenKind.IDENT, "x", 4, 5)
+        assert hash(tok) == hash(Token(TokenKind.IDENT, "x", 4, 5))
+        for other in (
+            Token(TokenKind.KEYWORD, "x", 4, 5),
+            Token(TokenKind.IDENT, "y", 4, 5),
+            Token(TokenKind.IDENT, "x", 3, 5),
+            Token(TokenKind.IDENT, "x", 4, 6),
+        ):
+            assert tok != other
 
 
 class TestTrivia:

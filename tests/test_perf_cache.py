@@ -150,9 +150,7 @@ class TestFrontendCacheLRU:
         direct = analyze_front_end(text)
         assert entry.source_hash == source_digest(text)
         assert entry.compilable == direct.compilable
-        assert [t.text for t in entry.token_prefix] == [
-            t.text for t in direct.token_prefix
-        ]
+        assert entry.token_prefix.texts == direct.token_prefix.texts
 
     def test_invariant_check_detects_mutation(self):
         cache = FrontendCache(maxsize=4)

@@ -170,6 +170,32 @@ class TestCompileSession:
         assert session.hits > before
         assert warm.middle_incremental_hits == served + 1
 
+    def test_session_follows_the_options(self, small_seeds):
+        """A compile whose options differ from the previous compile's runs
+        the plain pipeline and records nothing; the next compile with the
+        same options records under them."""
+        warm = Compiler(*GCC_SIM)
+        session = warm.compile_session
+        cache = FrontendCache()
+        cold = Compiler(*GCC_SIM, reference=True)
+
+        def compile(text, opt_level, flags=()):
+            assert_results_equal(
+                warm.compile(text, opt_level, flags, cache=cache),
+                cold.compile(text, opt_level, flags),
+            )
+            return len(session), session.hits, session.misses
+
+        text = small_seeds[1]
+        mutant = _mutate_body(text)
+        _, hits, _ = compile(text, 2)
+        after_mutant = compile(mutant, 2)
+        assert after_mutant[1] > hits  # the clean siblings replayed
+        assert compile(mutant, 3, ("-fno-inline",)) == after_mutant
+        size, hits, misses = compile(mutant, 3, ("-fno-inline",))
+        assert size > after_mutant[0] and misses > after_mutant[2]
+        assert hits == after_mutant[1]
+
     def test_paranoid_session_compile(self, small_seeds):
         warm = Compiler(*GCC_SIM)
         session = warm.compile_session
