@@ -1,8 +1,20 @@
 """AST node classes, mirroring the Clang node taxonomy.
 
-Every node records the exact :class:`~repro.cast.source.SourceRange` it was
-parsed from so that mutators can rewrite the original text.  ``Expr`` nodes
-additionally carry the ``QualType`` computed by semantic analysis.
+Every node records the exact source range it was parsed from so that
+mutators can rewrite the original text.  ``Expr`` nodes additionally carry
+the ``QualType`` computed by semantic analysis.
+
+As in Clang, a position is a plain offset, not an object: a node holds its
+positions as ints in declared slots (``begin_offset``/``end_offset`` for
+its range; each class lists all of its own in :attr:`Node.position_slots`),
+and ``range``, ``name_range``, ``op_range``, ``lparen_loc`` and the other
+position attributes are read-only properties that build a
+:class:`~repro.cast.source.SourceRange` or
+:class:`~repro.cast.source.SourceLocation` on access.  Every node class is
+a slotted dataclass, so a parsed tree holds no position objects and no
+per-node ``__dict__``; the attributes other layers set on nodes are
+declared slots too (Sema's ``_sema_ftype``, the per-declaration memos
+``_digest_memo`` and ``_summary_memo``, the unit's incremental marks).
 
 The class names intentionally match Clang's (``IfStmt``, ``BinaryOperator``,
 ``DeclRefExpr``, ...) because the paper's [Program Structure] list — and hence
@@ -12,16 +24,31 @@ the invented mutator descriptions — are phrased in terms of them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Iterator, Optional
+from typing import Any, Iterator, Optional
 
 from repro.cast.source import SourceLocation, SourceRange
 from repro.cast.types import QualType
 
 
+def _loc(offset: int | None) -> SourceLocation | None:
+    return None if offset is None else SourceLocation(offset)
+
+
 class Node:
     """Base class of every AST node."""
 
-    range: SourceRange
+    __slots__ = ()
+
+    begin_offset: int
+    end_offset: int
+
+    #: The slots that hold source offsets: the dirty-region front end's
+    #: suffix clone shifts exactly these (an optional one may be ``None``).
+    position_slots: tuple[str, ...] = ("begin_offset", "end_offset")
+
+    @property
+    def range(self) -> SourceRange:
+        return SourceRange.of(self.begin_offset, self.end_offset)
 
     @property
     def kind(self) -> str:
@@ -57,14 +84,29 @@ def _iter(*items: Optional[Node]) -> Iterator[Node]:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(slots=True, repr=False)
 class Decl(Node):
-    """Base class for declarations."""
+    """Base class for declarations.
+
+    A top-level declaration memoizes what derives from its text alone: its
+    ``(full, header)`` digest pair (:func:`repro.cast.cache.decl_digests`)
+    and its coverage/feature summary
+    (:func:`repro.compiler.driver._decl_summaries`).
+    """
+
+    _digest_memo: Any = dc_field(default=None, init=False, compare=False)
+    _summary_memo: Any = dc_field(default=None, init=False, compare=False)
 
 
-@dataclass(repr=False)
+@dataclass(slots=True, repr=False)
 class TranslationUnit(Node):
     decls: list[Decl]
-    range: SourceRange
+    begin_offset: int
+    end_offset: int
+    #: The parser's per-group marks and definition journal, which the
+    #: dirty-region front end resumes from (see :mod:`repro.cast.incremental`).
+    _inc_groups: tuple | None = dc_field(default=None, init=False, compare=False)
+    _inc_journal: tuple | None = dc_field(default=None, init=False, compare=False)
 
     def children(self) -> Iterator[Node]:
         return iter(self.decls)
@@ -73,105 +115,152 @@ class TranslationUnit(Node):
         return [d for d in self.decls if isinstance(d, FunctionDecl)]
 
 
-@dataclass(repr=False)
+@dataclass(slots=True, repr=False)
 class VarDecl(Decl):
     name: str
     type: QualType
     init: Optional["Expr"]
-    range: SourceRange
-    name_range: SourceRange
+    begin_offset: int
+    end_offset: int
+    name_begin: int
+    name_end: int
     #: Range of the declaration-specifier tokens (e.g. ``static const int``).
-    specifier_range: SourceRange
+    specifier_begin: int
+    specifier_end: int
     storage: str | None = None  # "static", "extern", "typedef", ...
-    #: Location of the '=' introducing the initializer, if any.
-    init_eq_loc: SourceLocation | None = None
+    #: Offset of the '=' introducing the initializer, if any.
+    init_eq_offset: int | None = None
     is_global: bool = False
+
+    position_slots = (
+        "begin_offset", "end_offset", "name_begin", "name_end",
+        "specifier_begin", "specifier_end", "init_eq_offset",
+    )
 
     def children(self) -> Iterator[Node]:
         return _iter(self.init)
 
+    @property
+    def name_range(self) -> SourceRange:
+        return SourceRange.of(self.name_begin, self.name_end)
 
-@dataclass(repr=False)
+    @property
+    def specifier_range(self) -> SourceRange:
+        return SourceRange.of(self.specifier_begin, self.specifier_end)
+
+    @property
+    def init_eq_loc(self) -> SourceLocation | None:
+        return _loc(self.init_eq_offset)
+
+
+@dataclass(slots=True, repr=False)
 class ParmVarDecl(Decl):
     name: str
     type: QualType
-    range: SourceRange
-    name_range: SourceRange
+    begin_offset: int
+    end_offset: int
+    name_begin: int
+    name_end: int
+
+    position_slots = ("begin_offset", "end_offset", "name_begin", "name_end")
 
     def children(self) -> Iterator[Node]:
         return iter(())
 
+    @property
+    def name_range(self) -> SourceRange:
+        return SourceRange.of(self.name_begin, self.name_end)
 
-@dataclass(repr=False)
+
+@dataclass(slots=True, repr=False)
 class FieldDecl(Decl):
     name: str
     type: QualType
-    range: SourceRange
+    begin_offset: int
+    end_offset: int
 
     def children(self) -> Iterator[Node]:
         return iter(())
 
 
-@dataclass(repr=False)
+@dataclass(slots=True, repr=False)
 class RecordDecl(Decl):
     tag_kind: str  # "struct" | "union"
     name: str
     fields: list[FieldDecl]
-    range: SourceRange
+    begin_offset: int
+    end_offset: int
     is_definition: bool = True
 
     def children(self) -> Iterator[Node]:
         return iter(self.fields)
 
 
-@dataclass(repr=False)
+@dataclass(slots=True, repr=False)
 class EnumConstantDecl(Decl):
     name: str
     value: Optional["Expr"]
-    range: SourceRange
+    begin_offset: int
+    end_offset: int
 
     def children(self) -> Iterator[Node]:
         return _iter(self.value)
 
 
-@dataclass(repr=False)
+@dataclass(slots=True, repr=False)
 class EnumDecl(Decl):
     name: str
     constants: list[EnumConstantDecl]
-    range: SourceRange
+    begin_offset: int
+    end_offset: int
 
     def children(self) -> Iterator[Node]:
         return iter(self.constants)
 
 
-@dataclass(repr=False)
+@dataclass(slots=True, repr=False)
 class TypedefDecl(Decl):
     name: str
     underlying: QualType
-    range: SourceRange
+    begin_offset: int
+    end_offset: int
 
     def children(self) -> Iterator[Node]:
         return iter(())
 
 
-@dataclass(repr=False)
+@dataclass(slots=True, repr=False)
 class FunctionDecl(Decl):
     name: str
     return_type: QualType
     params: list[ParmVarDecl]
     body: Optional["CompoundStmt"]
-    range: SourceRange
-    name_range: SourceRange
+    begin_offset: int
+    end_offset: int
+    name_begin: int
+    name_end: int
     #: Source range of the return-type tokens (μAST getReturnTypeSourceRange).
-    return_type_range: SourceRange
-    #: Locations of the parameter-list parentheses.
-    lparen_loc: SourceLocation | None = None
-    rparen_loc: SourceLocation | None = None
+    return_type_begin: int
+    return_type_end: int
+    #: Offsets of the parameter-list parentheses.
+    lparen_offset: int | None = None
+    rparen_offset: int | None = None
     storage: str | None = None
     variadic: bool = False
     #: True for K&R-style declarations ``int f();`` (no parameter info).
     no_prototype: bool = False
     attributes: list[str] = dc_field(default_factory=list)
+    #: The function's symbol type as Sema first computed it, set when Sema
+    #: analyzes the declaration (the dirty-region front end replays it).
+    _sema_ftype: QualType | None = dc_field(
+        default=None, init=False, compare=False
+    )
+
+    position_slots = (
+        "begin_offset", "end_offset", "name_begin", "name_end",
+        "return_type_begin", "return_type_end", "lparen_offset",
+        "rparen_offset",
+    )
 
     def children(self) -> Iterator[Node]:
         yield from self.params
@@ -182,6 +271,22 @@ class FunctionDecl(Decl):
     def is_definition(self) -> bool:
         return self.body is not None
 
+    @property
+    def name_range(self) -> SourceRange:
+        return SourceRange.of(self.name_begin, self.name_end)
+
+    @property
+    def return_type_range(self) -> SourceRange:
+        return SourceRange.of(self.return_type_begin, self.return_type_end)
+
+    @property
+    def lparen_loc(self) -> SourceLocation | None:
+        return _loc(self.lparen_offset)
+
+    @property
+    def rparen_loc(self) -> SourceLocation | None:
+        return _loc(self.rparen_offset)
+
 
 # ---------------------------------------------------------------------------
 # Statements
@@ -191,89 +296,112 @@ class FunctionDecl(Decl):
 class Stmt(Node):
     """Base class for statements."""
 
+    __slots__ = ()
 
-@dataclass(repr=False)
+
+@dataclass(slots=True, repr=False)
 class CompoundStmt(Stmt):
     stmts: list[Stmt]
-    range: SourceRange
-    lbrace_loc: SourceLocation | None = None
-    rbrace_loc: SourceLocation | None = None
+    begin_offset: int
+    end_offset: int
+    lbrace_offset: int | None = None
+    rbrace_offset: int | None = None
+
+    position_slots = (
+        "begin_offset", "end_offset", "lbrace_offset", "rbrace_offset",
+    )
 
     def children(self) -> Iterator[Node]:
         return iter(self.stmts)
 
+    @property
+    def lbrace_loc(self) -> SourceLocation | None:
+        return _loc(self.lbrace_offset)
 
-@dataclass(repr=False)
+    @property
+    def rbrace_loc(self) -> SourceLocation | None:
+        return _loc(self.rbrace_offset)
+
+
+@dataclass(slots=True, repr=False)
 class DeclStmt(Stmt):
     decls: list[Decl]
-    range: SourceRange
+    begin_offset: int
+    end_offset: int
 
     def children(self) -> Iterator[Node]:
         return iter(self.decls)
 
 
-@dataclass(repr=False)
+@dataclass(slots=True, repr=False)
 class ExprStmt(Stmt):
     expr: "Expr"
-    range: SourceRange
+    begin_offset: int
+    end_offset: int
 
     def children(self) -> Iterator[Node]:
         return _iter(self.expr)
 
 
-@dataclass(repr=False)
+@dataclass(slots=True, repr=False)
 class NullStmt(Stmt):
-    range: SourceRange
+    begin_offset: int
+    end_offset: int
 
 
-@dataclass(repr=False)
+@dataclass(slots=True, repr=False)
 class IfStmt(Stmt):
     cond: "Expr"
     then_branch: Stmt
     else_branch: Optional[Stmt]
-    range: SourceRange
+    begin_offset: int
+    end_offset: int
 
     def children(self) -> Iterator[Node]:
         return _iter(self.cond, self.then_branch, self.else_branch)
 
 
-@dataclass(repr=False)
+@dataclass(slots=True, repr=False)
 class WhileStmt(Stmt):
     cond: "Expr"
     body: Stmt
-    range: SourceRange
+    begin_offset: int
+    end_offset: int
 
     def children(self) -> Iterator[Node]:
         return _iter(self.cond, self.body)
 
 
-@dataclass(repr=False)
+@dataclass(slots=True, repr=False)
 class DoStmt(Stmt):
     body: Stmt
     cond: "Expr"
-    range: SourceRange
+    begin_offset: int
+    end_offset: int
 
     def children(self) -> Iterator[Node]:
         return _iter(self.body, self.cond)
 
 
-@dataclass(repr=False)
+@dataclass(slots=True, repr=False)
 class ForStmt(Stmt):
     init: Optional[Node]  # DeclStmt, ExprStmt, or None
     cond: Optional["Expr"]
     inc: Optional["Expr"]
     body: Stmt
-    range: SourceRange
+    begin_offset: int
+    end_offset: int
 
     def children(self) -> Iterator[Node]:
         return _iter(self.init, self.cond, self.inc, self.body)
 
 
-@dataclass(repr=False)
+@dataclass(slots=True, repr=False)
 class SwitchStmt(Stmt):
     cond: "Expr"
     body: Stmt
-    range: SourceRange
+    begin_offset: int
+    end_offset: int
 
     def children(self) -> Iterator[Node]:
         return _iter(self.cond, self.body)
@@ -282,55 +410,62 @@ class SwitchStmt(Stmt):
         return [n for n in self.body.walk() if isinstance(n, (CaseStmt, DefaultStmt))]
 
 
-@dataclass(repr=False)
+@dataclass(slots=True, repr=False)
 class CaseStmt(Stmt):
     expr: "Expr"
     stmt: Optional[Stmt]
-    range: SourceRange
+    begin_offset: int
+    end_offset: int
 
     def children(self) -> Iterator[Node]:
         return _iter(self.expr, self.stmt)
 
 
-@dataclass(repr=False)
+@dataclass(slots=True, repr=False)
 class DefaultStmt(Stmt):
     stmt: Optional[Stmt]
-    range: SourceRange
+    begin_offset: int
+    end_offset: int
 
     def children(self) -> Iterator[Node]:
         return _iter(self.stmt)
 
 
-@dataclass(repr=False)
+@dataclass(slots=True, repr=False)
 class BreakStmt(Stmt):
-    range: SourceRange
+    begin_offset: int
+    end_offset: int
 
 
-@dataclass(repr=False)
+@dataclass(slots=True, repr=False)
 class ContinueStmt(Stmt):
-    range: SourceRange
+    begin_offset: int
+    end_offset: int
 
 
-@dataclass(repr=False)
+@dataclass(slots=True, repr=False)
 class ReturnStmt(Stmt):
     expr: Optional["Expr"]
-    range: SourceRange
+    begin_offset: int
+    end_offset: int
 
     def children(self) -> Iterator[Node]:
         return _iter(self.expr)
 
 
-@dataclass(repr=False)
+@dataclass(slots=True, repr=False)
 class GotoStmt(Stmt):
     label: str
-    range: SourceRange
+    begin_offset: int
+    end_offset: int
 
 
-@dataclass(repr=False)
+@dataclass(slots=True, repr=False)
 class LabelStmt(Stmt):
     name: str
     stmt: Stmt
-    range: SourceRange
+    begin_offset: int
+    end_offset: int
 
     def children(self) -> Iterator[Node]:
         return _iter(self.stmt)
@@ -344,53 +479,61 @@ class LabelStmt(Stmt):
 class Expr(Node):
     """Base class for expressions; ``type`` is filled in by sema."""
 
+    __slots__ = ()
+
     type: QualType | None = None
 
 
-@dataclass(repr=False)
+@dataclass(slots=True, repr=False)
 class IntegerLiteral(Expr):
     value: int
     text: str
-    range: SourceRange
+    begin_offset: int
+    end_offset: int
     type: QualType | None = None
 
 
-@dataclass(repr=False)
+@dataclass(slots=True, repr=False)
 class FloatingLiteral(Expr):
     value: float
     text: str
-    range: SourceRange
+    begin_offset: int
+    end_offset: int
     type: QualType | None = None
 
 
-@dataclass(repr=False)
+@dataclass(slots=True, repr=False)
 class CharacterLiteral(Expr):
     value: int
     text: str
-    range: SourceRange
+    begin_offset: int
+    end_offset: int
     type: QualType | None = None
 
 
-@dataclass(repr=False)
+@dataclass(slots=True, repr=False)
 class StringLiteral(Expr):
     value: str
     text: str
-    range: SourceRange
+    begin_offset: int
+    end_offset: int
     type: QualType | None = None
 
 
-@dataclass(repr=False)
+@dataclass(slots=True, repr=False)
 class DeclRefExpr(Expr):
     name: str
-    range: SourceRange
+    begin_offset: int
+    end_offset: int
     decl: Decl | None = None  # resolved by sema
     type: QualType | None = None
 
 
-@dataclass(repr=False)
+@dataclass(slots=True, repr=False)
 class ParenExpr(Expr):
     inner: Expr
-    range: SourceRange
+    begin_offset: int
+    end_offset: int
     type: QualType | None = None
 
     def children(self) -> Iterator[Node]:
@@ -402,12 +545,13 @@ class ParenExpr(Expr):
 UNARY_OPS = ("+", "-", "!", "~", "*", "&", "++", "--", "__imag", "__real")
 
 
-@dataclass(repr=False)
+@dataclass(slots=True, repr=False)
 class UnaryOperator(Expr):
     op: str
     operand: Expr
     prefix: bool
-    range: SourceRange
+    begin_offset: int
+    end_offset: int
     type: QualType | None = None
 
     def children(self) -> Iterator[Node]:
@@ -425,17 +569,27 @@ ARITHMETIC_OPS = ("*", "/", "%", "+", "-")
 BITWISE_OPS = ("&", "^", "|", "<<", ">>")
 
 
-@dataclass(repr=False)
+@dataclass(slots=True, repr=False)
 class BinaryOperator(Expr):
     op: str
     lhs: Expr
     rhs: Expr
-    range: SourceRange
-    op_range: SourceRange | None = None
+    begin_offset: int
+    end_offset: int
+    op_begin: int | None = None
+    op_end: int | None = None
     type: QualType | None = None
+
+    position_slots = ("begin_offset", "end_offset", "op_begin", "op_end")
 
     def children(self) -> Iterator[Node]:
         return _iter(self.lhs, self.rhs)
+
+    @property
+    def op_range(self) -> SourceRange | None:
+        if self.op_begin is None:
+            return None
+        return SourceRange.of(self.op_begin, self.op_end)
 
     @property
     def is_assignment(self) -> bool:
@@ -450,30 +604,44 @@ class BinaryOperator(Expr):
         return self.op in LOGICAL_OPS
 
 
-@dataclass(repr=False)
+@dataclass(slots=True, repr=False)
 class ConditionalOperator(Expr):
     cond: Expr
     true_expr: Expr
     false_expr: Expr
-    range: SourceRange
+    begin_offset: int
+    end_offset: int
     type: QualType | None = None
 
     def children(self) -> Iterator[Node]:
         return _iter(self.cond, self.true_expr, self.false_expr)
 
 
-@dataclass(repr=False)
+@dataclass(slots=True, repr=False)
 class CallExpr(Expr):
     callee: Expr
     args: list[Expr]
-    range: SourceRange
-    lparen_loc: SourceLocation | None = None
-    rparen_loc: SourceLocation | None = None
+    begin_offset: int
+    end_offset: int
+    lparen_offset: int | None = None
+    rparen_offset: int | None = None
     type: QualType | None = None
+
+    position_slots = (
+        "begin_offset", "end_offset", "lparen_offset", "rparen_offset",
+    )
 
     def children(self) -> Iterator[Node]:
         yield self.callee
         yield from self.args
+
+    @property
+    def lparen_loc(self) -> SourceLocation | None:
+        return _loc(self.lparen_offset)
+
+    @property
+    def rparen_loc(self) -> SourceLocation | None:
+        return _loc(self.rparen_offset)
 
     def callee_name(self) -> str | None:
         node = self.callee
@@ -484,70 +652,76 @@ class CallExpr(Expr):
         return None
 
 
-@dataclass(repr=False)
+@dataclass(slots=True, repr=False)
 class ArraySubscriptExpr(Expr):
     base: Expr
     index: Expr
-    range: SourceRange
+    begin_offset: int
+    end_offset: int
     type: QualType | None = None
 
     def children(self) -> Iterator[Node]:
         return _iter(self.base, self.index)
 
 
-@dataclass(repr=False)
+@dataclass(slots=True, repr=False)
 class MemberExpr(Expr):
     base: Expr
     member: str
     is_arrow: bool
-    range: SourceRange
+    begin_offset: int
+    end_offset: int
     type: QualType | None = None
 
     def children(self) -> Iterator[Node]:
         return _iter(self.base)
 
 
-@dataclass(repr=False)
+@dataclass(slots=True, repr=False)
 class CastExpr(Expr):
     target_type: QualType
     #: The spelled type text inside the parens, preserved for rewriting.
     type_text: str
     operand: Expr
-    range: SourceRange
+    begin_offset: int
+    end_offset: int
     type: QualType | None = None
 
     def children(self) -> Iterator[Node]:
         return _iter(self.operand)
 
 
-@dataclass(repr=False)
+@dataclass(slots=True, repr=False)
 class SizeofExpr(Expr):
     #: Either an expression operand or a type operand (exactly one is set).
     operand: Expr | None
     type_operand: QualType | None
-    range: SourceRange
+    begin_offset: int
+    end_offset: int
     type: QualType | None = None
 
     def children(self) -> Iterator[Node]:
         return _iter(self.operand)
 
 
-@dataclass(repr=False)
+@dataclass(slots=True, repr=False)
 class InitListExpr(Expr):
     inits: list[Expr]
-    range: SourceRange
+    begin_offset: int
+    end_offset: int
     type: QualType | None = None
 
     def children(self) -> Iterator[Node]:
         return iter(self.inits)
 
 
-@dataclass(repr=False)
+@dataclass(slots=True, repr=False)
 class CompoundLiteralExpr(Expr):
     target_type: QualType
     type_text: str
     init: InitListExpr
-    range: SourceRange
+    begin_offset: int
+    end_offset: int
     type: QualType | None = None
 
     def children(self) -> Iterator[Node]:

@@ -12,9 +12,10 @@ each distinct text pays for lex/parse/sema exactly once.
 An entry keeps what later compiles and mutants read back, in the form the
 collector walks least: the token stream as
 :class:`~repro.cast.lexer.TokenColumns` (the :class:`~repro.cast.lexer.Token`
-objects the parser read die with the parse), and a unit whose locations
-are all the interned :meth:`SourceLocation.at
-<repro.cast.source.SourceLocation.at>` values.
+objects the parser read die with the parse), and a unit of slotted nodes
+that hold their positions as int offsets and share the module's builtin
+types (see :mod:`repro.cast.ast_nodes` and :mod:`repro.cast.types`), so no
+position object and no per-node ``__dict__`` outlives the front end.
 
 Safety contract: cached units are *never mutated in place*.  Mutators rewrite
 via the :class:`~repro.cast.rewriter.Rewriter` on source text, and the
@@ -174,12 +175,12 @@ def decl_digests(entry: FrontendEntry) -> tuple:
     full: list[str] = []
     header: list[str] = []
     for decl in entry.unit.decls:
-        pair = decl.__dict__.get("_digest_memo")
+        pair = decl._digest_memo
         if pair is None:
-            lo, hi = decl.range.begin.offset, decl.range.end.offset
+            lo, hi = decl.begin_offset, decl.end_offset
             digest = head = source_digest(text[lo:hi])
             if isinstance(decl, ast.FunctionDecl) and decl.body is not None:
-                head = source_digest(text[lo : decl.body.range.begin.offset])
+                head = source_digest(text[lo : decl.body.begin_offset])
             pair = decl._digest_memo = (digest, head)
         full.append(pair[0])
         header.append(pair[1])

@@ -22,12 +22,14 @@ parent's instead of re-running the full front end:
    window's freshly lexed tokens, and a :class:`~repro.cast.lexer.Token`
    made from the columns for any other position it reaches.
 4. **AST grafting** — prefix decls are *shared* with the parent unit (their
-   re-analysis is idempotent); suffix decls are cloned with all source
-   ranges shifted by the delta, and ``DeclRefExpr.decl`` pointers into the
-   dirty region are remapped onto the freshly parsed decls.  Either way a
-   reused decl keeps the per-node memos (:data:`_MEMO_ATTRS`) its text
-   derived: what derives from one declaration's text lives on its node, so
-   only the re-parsed decls compute theirs again.
+   re-analysis is idempotent); suffix decls are cloned with every position
+   slot shifted by the delta (each node class lists its own in
+   ``position_slots``; no other int moves), and ``DeclRefExpr.decl``
+   pointers into the dirty region are remapped onto the freshly parsed
+   decls.  Either way a reused decl keeps the per-node memos
+   (:data:`_MEMO_ATTRS`) its text derived: what derives from one
+   declaration's text lives on its node, so only the re-parsed decls
+   compute theirs again.
 5. **Scoped Sema** — dirty decls run real semantic analysis; clean
    ``FunctionDecl`` bodies are skipped by replaying the parent's recorded
    per-decl diagnostics and cross-declaration effect log
@@ -44,6 +46,8 @@ the full front end by construction, and ``paranoid`` mode
 
 from __future__ import annotations
 
+from dataclasses import fields
+from functools import cache
 from typing import Any
 
 from repro.cast import ast_nodes as ast
@@ -57,7 +61,7 @@ from repro.cast.lexer import (
 )
 from repro.cast.parser import ParseError, Parser
 from repro.cast.sema import Diagnostic, Sema
-from repro.cast.source import SourceFile, SourceLocation, SourceRange
+from repro.cast.source import SourceFile
 from repro.cast.symbols import Symbol
 
 #: An edit script: ``(begin, end, replacement)`` spans in parent coordinates,
@@ -73,41 +77,42 @@ class IncrementalDivergence(AssertionError):
 # clone-with-shift
 
 
-def _shift_value(v: Any, delta: int, remap: dict[int, ast.Node]) -> Any:
-    # Dispatch ordered by field-value frequency: exact-type checks for the
-    # position-carrying leaves first, the (pre-subclassing) Node test next,
-    # containers last; everything else is position-free and shared.
-    tv = type(v)
-    if tv is SourceRange:
-        return SourceRange.of(v.begin.offset + delta, v.end.offset + delta)
-    if tv is SourceLocation:
-        return SourceLocation.at(v.offset + delta)
-    if isinstance(v, ast.Node):
-        return _clone_shifted(v, delta, remap)
-    if tv is list:
-        return [_shift_value(x, delta, remap) for x in v]
-    if tv is tuple:
-        return tuple(_shift_value(x, delta, remap) for x in v)
-    return v  # str/int/float/bool/None/QualType — position-free, shared
+@cache
+def _slots(cls: type) -> tuple[str, ...]:
+    """Every slot of node class ``cls``, in field order."""
+    return tuple(f.name for f in fields(cls))
 
 
 def _clone_shifted(node: ast.Node, delta: int, remap: dict[int, ast.Node]) -> ast.Node:
-    """Deep-clone ``node`` with every source range shifted by ``delta``.
+    """Deep-clone ``node`` with every position slot shifted by ``delta``.
 
+    A slot the node's class lists in ``position_slots`` is shifted (unless
+    ``None``); a child node, or a list of them, is cloned; any other value
+    (names, literal values, types, memos) is shared.
     ``DeclRefExpr.decl`` is a cross-reference, not a child: it is copied
     verbatim and fixed up by the caller via ``remap`` once all clones exist.
     Registers every original→clone pair in ``remap``.
     """
-    new = object.__new__(type(node))
+    cls = type(node)
+    new = object.__new__(cls)
     remap[id(node)] = new
-    is_ref = isinstance(node, ast.DeclRefExpr)
-    shift = _shift_value
-    new_dict = new.__dict__
-    for k, v in node.__dict__.items():
-        if is_ref and k == "decl":
-            new_dict[k] = v
-        else:
-            new_dict[k] = shift(v, delta, remap)
+    positions = cls.position_slots
+    is_ref = cls is ast.DeclRefExpr
+    node_cls = ast.Node
+    for name in _slots(cls):
+        v = getattr(node, name)
+        if name in positions:
+            if v is not None:
+                v += delta
+        elif isinstance(v, node_cls):
+            if not (is_ref and name == "decl"):
+                v = _clone_shifted(v, delta, remap)
+        elif type(v) is list:
+            v = [
+                _clone_shifted(x, delta, remap) if isinstance(x, node_cls) else x
+                for x in v
+            ]
+        setattr(new, name, v)
     return new
 
 
@@ -172,8 +177,8 @@ def incremental_front_end(
         return None
     if parent.lex_error is not None or parent.unit is None or not parent.compilable:
         return None
-    groups = getattr(parent.unit, "_inc_groups", None)
-    journal = getattr(parent.unit, "_inc_journal", None)
+    groups = parent.unit._inc_groups
+    journal = parent.unit._inc_journal
     psema = parent.sema
     if not groups or journal is None or psema is None:
         return None
@@ -322,7 +327,7 @@ def incremental_front_end(
         sema._decl_marks.append((len(sema.diagnostics), len(sema._effect_log)))
 
     def run_replay(decl: ast.FunctionDecl, idx: int, shift: int) -> None:
-        ftype = decl.__dict__["_sema_ftype"]
+        ftype = decl._sema_ftype
         sema._file_scope.define(Symbol(decl.name, ftype, decl, "func"))
         dm0, em0 = psema._decl_marks[idx - 1] if idx > 0 else (0, 0)
         dm1, em1 = psema._decl_marks[idx]
@@ -347,7 +352,7 @@ def incremental_front_end(
     for i, decl in enumerate(prefix_decls):
         new_decls.append(decl)
         decl_map.append(i)
-        if isinstance(decl, ast.FunctionDecl) and "_sema_ftype" in decl.__dict__:
+        if isinstance(decl, ast.FunctionDecl) and decl._sema_ftype is not None:
             run_replay(decl, i, 0)
         else:
             run_real(decl)
@@ -369,8 +374,8 @@ def incremental_front_end(
             return None
         for a, b in zip(parent_dirty, region_decls):
             if isinstance(a, ast.FunctionDecl):
-                fa = a.__dict__.get("_sema_ftype")
-                fb = b.__dict__.get("_sema_ftype")
+                fa = a._sema_ftype
+                fb = b._sema_ftype
                 if fa is None or fb is None or fa != fb:
                     return None
                 if (a.body is None) != (b.body is None):
@@ -379,14 +384,14 @@ def incremental_front_end(
                 if a.type != b.type:
                     return None
 
-    # Stage 2: clone the suffix with shifted ranges and replay its analysis.
+    # Stage 2: clone the suffix with shifted positions and replay its analysis.
     first_suffix = len(new_decls)
     for j, pdecl in enumerate(parent_suffix):
         clone = _clone_shifted(pdecl, delta, remap)
         new_decls.append(clone)
         pidx = n_prefix_decls + n_dirty_decls + j
         decl_map.append(pidx)
-        if isinstance(clone, ast.FunctionDecl) and "_sema_ftype" in clone.__dict__:
+        if isinstance(clone, ast.FunctionDecl) and clone._sema_ftype is not None:
             run_replay(clone, pidx, delta)
         else:
             run_real(clone)
@@ -397,7 +402,7 @@ def incremental_front_end(
             if isinstance(node, ast.DeclRefExpr) and node.decl is not None:
                 node.decl = remap.get(id(node.decl), node.decl)
 
-    unit = ast.TranslationUnit(new_decls, SourceRange.of(0, columns.ends[-1]))
+    unit = ast.TranslationUnit(new_decls, 0, columns.ends[-1])
     pos_shift = S_new - S_tok
     j_shift = (jm_prefix + len(parser._journal)) - jm_hi
     a_shift = parser._anon_counter - am_hi  # 0 whenever has_suffix
@@ -442,7 +447,7 @@ def _diag_key(diags: list[Diagnostic]) -> list[tuple]:
     ]
 
 
-#: Node attributes that cache what derives from one declaration's text (its
+#: Node slots that cache what derives from one declaration's text (its
 #: digest pair, :func:`repro.cast.cache.decl_digests`; its coverage/feature
 #: summary, :func:`repro.compiler.driver._decl_summaries`) rather than
 #: structure: a node that carries one is still structurally equal to a node
@@ -466,13 +471,10 @@ def ast_equal(a: ast.Node, b: ast.Node) -> bool:
             if type(x) is not type(y):
                 return False
             pairs[id(x)] = y
-            da, db = x.__dict__, y.__dict__
-            if da.keys() - _MEMO_ATTRS != db.keys() - _MEMO_ATTRS:
-                return False
-            for k in da:
+            for k in _slots(type(x)):
                 if k in _MEMO_ATTRS:
                     continue
-                va, vb = da[k], db[k]
+                va, vb = getattr(x, k), getattr(y, k)
                 if k == "decl" and isinstance(va, ast.Node):
                     mapped = pairs.get(id(va))
                     if mapped is None:
@@ -484,14 +486,6 @@ def ast_equal(a: ast.Node, b: ast.Node) -> bool:
                 if not eq(va, vb):
                     return False
             return True
-        if isinstance(x, SourceRange):
-            return (
-                isinstance(y, SourceRange)
-                and x.begin.offset == y.begin.offset
-                and x.end.offset == y.end.offset
-            )
-        if isinstance(x, SourceLocation):
-            return isinstance(y, SourceLocation) and x.offset == y.offset
         if isinstance(x, (list, tuple)):
             return (
                 type(x) is type(y)

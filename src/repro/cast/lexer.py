@@ -129,11 +129,11 @@ class Token:
 
     @property
     def begin(self) -> SourceLocation:
-        return SourceLocation.at(self.begin_offset)
+        return SourceLocation(self.begin_offset)
 
     @property
     def end(self) -> SourceLocation:
-        return SourceLocation.at(self.end_offset)
+        return SourceLocation(self.end_offset)
 
     @property
     def range(self) -> SourceRange:

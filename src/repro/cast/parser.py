@@ -8,7 +8,9 @@ typedefs, casts, compound literals, ``sizeof``, variadic prototypes, and the
 GNU ``__imag``/``__real``/``__attribute__``/``_Complex`` extensions used by
 the paper's GCC #111819 case.
 
-Every node carries its exact source range so the rewriter can splice text.
+Every node carries its exact source range so the rewriter can splice text:
+the parser hands each node constructor token offsets as ints, and builds no
+range or location object per node.
 
 Nesting is bounded: statements, declarators, initializer lists, record
 definitions, type names and every nested sub-expression each open one
@@ -25,7 +27,7 @@ from typing import Sequence
 
 from repro.cast import ast_nodes as ast
 from repro.cast.lexer import Lexer, LexError, Token, TokenKind
-from repro.cast.source import SourceFile, SourceLocation, SourceRange
+from repro.cast.source import SourceFile, SourceLocation
 from repro.cast import types as ct
 
 
@@ -66,6 +68,45 @@ _BINOP_PRECEDENCE = {
     "==": 6, "!=": 6,
     "&": 5, "^": 4, "|": 3,
     "&&": 2, "||": 1,
+}
+
+
+#: The builtin kind each sorted type-specifier combination spells.
+_BUILTIN_SPECIFIERS = {
+    "void": ct.BuiltinKind.VOID,
+    "_Bool": ct.BuiltinKind.BOOL,
+    "char": ct.BuiltinKind.CHAR,
+    "char signed": ct.BuiltinKind.SCHAR,
+    "char unsigned": ct.BuiltinKind.UCHAR,
+    "short": ct.BuiltinKind.SHORT,
+    "int short": ct.BuiltinKind.SHORT,
+    "short signed": ct.BuiltinKind.SHORT,
+    "int short signed": ct.BuiltinKind.SHORT,
+    "short unsigned": ct.BuiltinKind.USHORT,
+    "int short unsigned": ct.BuiltinKind.USHORT,
+    "int": ct.BuiltinKind.INT,
+    "signed": ct.BuiltinKind.INT,
+    "int signed": ct.BuiltinKind.INT,
+    "unsigned": ct.BuiltinKind.UINT,
+    "int unsigned": ct.BuiltinKind.UINT,
+    "long": ct.BuiltinKind.LONG,
+    "int long": ct.BuiltinKind.LONG,
+    "long signed": ct.BuiltinKind.LONG,
+    "int long signed": ct.BuiltinKind.LONG,
+    "long unsigned": ct.BuiltinKind.ULONG,
+    "int long unsigned": ct.BuiltinKind.ULONG,
+    "long long": ct.BuiltinKind.LONGLONG,
+    "int long long": ct.BuiltinKind.LONGLONG,
+    "long long signed": ct.BuiltinKind.LONGLONG,
+    "int long long signed": ct.BuiltinKind.LONGLONG,
+    "long long unsigned": ct.BuiltinKind.ULONGLONG,
+    "int long long unsigned": ct.BuiltinKind.ULONGLONG,
+    "float": ct.BuiltinKind.FLOAT,
+    "double": ct.BuiltinKind.DOUBLE,
+    "double long": ct.BuiltinKind.LONGDOUBLE,
+    "_Complex double": ct.BuiltinKind.COMPLEX_DOUBLE,
+    "_Complex float": ct.BuiltinKind.COMPLEX_FLOAT,
+    "_Complex": ct.BuiltinKind.COMPLEX_DOUBLE,
 }
 
 
@@ -126,12 +167,13 @@ class Parser:
         tok = self.accept(text)
         if tok is None:
             raise ParseError(
-                f"expected {text!r} but found {self.tok.text!r}", self.tok.begin
+                f"expected {text!r} but found {self.tok.text!r}",
+                SourceLocation(self.tok.begin_offset),
             )
         return tok
 
     def _error(self, message: str) -> ParseError:
-        return ParseError(message, self.tok.begin)
+        return ParseError(message, SourceLocation(self.tok.begin_offset))
 
     def _enter(self) -> None:
         """Open one nesting level; past :data:`MAX_NESTING` the parse fails.
@@ -176,8 +218,7 @@ class Parser:
             groups.append(
                 (len(group), self.pos, len(self._journal), self._anon_counter)
             )
-        end = self.tokens[-1].end
-        unit = ast.TranslationUnit(decls, SourceRange(SourceLocation.at(0), end))
+        unit = ast.TranslationUnit(decls, 0, self.tokens[-1].end_offset)
         unit._inc_groups = tuple(groups)
         unit._inc_journal = tuple(self._journal)
         return unit
@@ -187,7 +228,7 @@ class Parser:
     def parse_external_declaration(self) -> list[ast.Decl]:
         if self.accept(";"):
             return []
-        start = self.tok.begin
+        start = self.tok.begin_offset
         spec = self._parse_declaration_specifiers()
         # Tag-only declaration: ``struct S { ... };`` or ``enum E {...};``
         if self.accept(";"):
@@ -215,7 +256,8 @@ class Parser:
             self.storage: str | None = None
             self.is_inline = False
             self.tag_decls: list[ast.Decl] = []
-            self.range: SourceRange | None = None
+            #: Offsets of the specifier tokens (set once parsed).
+            self.begin = self.end = 0
             self.attributes: list[str] = []
 
     def _starts_type(self, tok: Token | None = None) -> bool:
@@ -226,7 +268,7 @@ class Parser:
 
     def _parse_declaration_specifiers(self) -> "Parser._Spec":
         spec = Parser._Spec()
-        start = self.tok.begin
+        spec.begin = self.tok.begin_offset
         parts: list[str] = []
         const = volatile = False
         seen_type = False
@@ -280,59 +322,23 @@ class Parser:
         if parts and parts[0] not in ("<record>", "<enum>", "<typedef>"):
             spec.base_type = self._builtin_from_parts(parts)
         if const or volatile:
-            spec.base_type = ct.QualType(
+            spec.base_type = ct.qualified(
                 spec.base_type.type,
                 const=const or spec.base_type.const,
                 volatile=volatile or spec.base_type.volatile,
             )
-        spec.range = SourceRange(start, self.tokens[self.pos - 1].end)
+        spec.end = self.tokens[self.pos - 1].end_offset
         return spec
 
     def _builtin_from_parts(self, parts: list[str]) -> ct.QualType:
         key = " ".join(sorted(parts))
-        table = {
-            "void": ct.BuiltinKind.VOID,
-            "_Bool": ct.BuiltinKind.BOOL,
-            "char": ct.BuiltinKind.CHAR,
-            "char signed": ct.BuiltinKind.SCHAR,
-            "char unsigned": ct.BuiltinKind.UCHAR,
-            "short": ct.BuiltinKind.SHORT,
-            "int short": ct.BuiltinKind.SHORT,
-            "short signed": ct.BuiltinKind.SHORT,
-            "int short signed": ct.BuiltinKind.SHORT,
-            "short unsigned": ct.BuiltinKind.USHORT,
-            "int short unsigned": ct.BuiltinKind.USHORT,
-            "int": ct.BuiltinKind.INT,
-            "signed": ct.BuiltinKind.INT,
-            "int signed": ct.BuiltinKind.INT,
-            "unsigned": ct.BuiltinKind.UINT,
-            "int unsigned": ct.BuiltinKind.UINT,
-            "long": ct.BuiltinKind.LONG,
-            "int long": ct.BuiltinKind.LONG,
-            "long signed": ct.BuiltinKind.LONG,
-            "int long signed": ct.BuiltinKind.LONG,
-            "long unsigned": ct.BuiltinKind.ULONG,
-            "int long unsigned": ct.BuiltinKind.ULONG,
-            "long long": ct.BuiltinKind.LONGLONG,
-            "int long long": ct.BuiltinKind.LONGLONG,
-            "long long signed": ct.BuiltinKind.LONGLONG,
-            "int long long signed": ct.BuiltinKind.LONGLONG,
-            "long long unsigned": ct.BuiltinKind.ULONGLONG,
-            "int long long unsigned": ct.BuiltinKind.ULONGLONG,
-            "float": ct.BuiltinKind.FLOAT,
-            "double": ct.BuiltinKind.DOUBLE,
-            "double long": ct.BuiltinKind.LONGDOUBLE,
-            "_Complex double": ct.BuiltinKind.COMPLEX_DOUBLE,
-            "_Complex float": ct.BuiltinKind.COMPLEX_FLOAT,
-            "_Complex": ct.BuiltinKind.COMPLEX_DOUBLE,
-        }
-        kind = table.get(key)
+        kind = _BUILTIN_SPECIFIERS.get(key)
         if kind is None:
             raise self._error(f"unsupported type specifier combination {key!r}")
-        return ct.QualType(ct.BuiltinType(kind))
+        return ct.builtin(kind)
 
     def _parse_attribute(self) -> str:
-        start = self.tok.begin
+        start = self.tok.begin_offset
         self.expect("__attribute__")
         self.expect("(")
         self.expect("(")
@@ -345,11 +351,10 @@ class Parser:
                 depth += 1
             elif tok.is_punct(")"):
                 depth -= 1
-        end = self.tokens[self.pos - 1].end
-        return self.source.slice(SourceRange(start, end))
+        return self.source.text[start : self.tokens[self.pos - 1].end_offset]
 
     def _parse_record_specifier(self, spec: "Parser._Spec") -> ct.QualType:
-        start = self.tok.begin
+        start = self.tok.begin_offset
         tag_kind = self.advance().text  # struct | union
         name = None
         if self.tok.kind is TokenKind.IDENT:
@@ -369,7 +374,7 @@ class Parser:
         while not self.tok.is_punct("}"):
             fspec = self._parse_declaration_specifiers()
             while True:
-                fstart = self.tok.begin
+                fstart = self.tok.begin_offset
                 declarator = self._parse_declarator(fspec.base_type)
                 if declarator.name is None:
                     raise self._error("unnamed struct field")
@@ -377,7 +382,8 @@ class Parser:
                     ast.FieldDecl(
                         declarator.name,
                         declarator.type,
-                        SourceRange(fstart, self.tokens[self.pos - 1].end),
+                        fstart,
+                        self.tokens[self.pos - 1].end_offset,
                     )
                 )
                 if not self.accept(","):
@@ -391,12 +397,12 @@ class Parser:
         self.record_names[name] = rec
         self._journal.append(("record", name, rec))
         spec.tag_decls.append(
-            ast.RecordDecl(tag_kind, name, fields, SourceRange(start, rbrace.end))
+            ast.RecordDecl(tag_kind, name, fields, start, rbrace.end_offset)
         )
         return ct.QualType(rec)
 
     def _parse_enum_specifier(self, spec: "Parser._Spec") -> ct.QualType:
-        start = self.tok.begin
+        start = self.tok.begin_offset
         self.expect("enum")
         name = None
         if self.tok.kind is TokenKind.IDENT:
@@ -409,7 +415,7 @@ class Parser:
         self.expect("{")
         constants: list[ast.EnumConstantDecl] = []
         while not self.tok.is_punct("}"):
-            cstart = self.tok.begin
+            cstart = self.tok.begin_offset
             if self.tok.kind is not TokenKind.IDENT:
                 raise self._error("expected enumerator name")
             cname = self.advance().text
@@ -418,28 +424,30 @@ class Parser:
                 value = self.parse_assignment_expr()
             constants.append(
                 ast.EnumConstantDecl(
-                    cname, value, SourceRange(cstart, self.tokens[self.pos - 1].end)
+                    cname, value, cstart, self.tokens[self.pos - 1].end_offset
                 )
             )
             if not self.accept(","):
                 break
         rbrace = self.expect("}")
         spec.tag_decls.append(
-            ast.EnumDecl(name, constants, SourceRange(start, rbrace.end))
+            ast.EnumDecl(name, constants, start, rbrace.end_offset)
         )
         return ct.QualType(ct.EnumType(name))
 
     class _Declarator:
         def __init__(self) -> None:
             self.name: str | None = None
-            self.name_range: SourceRange | None = None
+            #: Offsets of the name token (``None`` when unnamed).
+            self.name_begin: int | None = None
+            self.name_end: int | None = None
             self.type: ct.QualType = ct.INT
             self.params: list[ast.ParmVarDecl] = []
             self.variadic = False
             self.is_function = False
             self.prototyped = False
-            self.lparen_loc: SourceLocation | None = None
-            self.rparen_loc: SourceLocation | None = None
+            self.lparen_offset: int | None = None
+            self.rparen_offset: int | None = None
 
     def _parse_declarator(self, base: ct.QualType) -> "Parser._Declarator":
         self._enter()
@@ -460,15 +468,16 @@ class Parser:
         if self.tok.kind is TokenKind.IDENT:
             tok = self.advance()
             d.name = tok.text
-            d.name_range = tok.range
+            d.name_begin = tok.begin_offset
+            d.name_end = tok.end_offset
         # Suffixes: array dimensions then possibly a parameter list, or a
         # parameter list directly (functions returning arrays are invalid C).
         if self.tok.is_punct("("):
-            d.lparen_loc = self.tok.begin
+            d.lparen_offset = self.tok.begin_offset
             self.advance()
             d.is_function = True
             self._parse_parameter_list(d)
-            d.rparen_loc = self.tokens[self.pos - 1].begin
+            d.rparen_offset = self.tokens[self.pos - 1].begin_offset
             ty = ct.QualType(
                 ct.FunctionType(
                     ty,
@@ -529,16 +538,19 @@ class Parser:
                 d.variadic = True
                 self.expect(")")
                 return
-            pstart = self.tok.begin
+            pstart = self.tok.begin_offset
             spec = self._parse_declaration_specifiers()
             decl = self._parse_declarator(spec.base_type)
             ptype = decl.type.decayed()
+            unnamed = decl.name_begin is None
             d.params.append(
                 ast.ParmVarDecl(
                     decl.name or "",
                     ptype,
-                    SourceRange(pstart, self.tokens[self.pos - 1].end),
-                    decl.name_range or SourceRange(pstart, pstart),
+                    pstart,
+                    self.tokens[self.pos - 1].end_offset,
+                    pstart if unnamed else decl.name_begin,
+                    pstart if unnamed else decl.name_end,
                 )
             )
             if self.accept(","):
@@ -550,7 +562,7 @@ class Parser:
         self,
         spec: "Parser._Spec",
         declarator: "Parser._Declarator",
-        start: SourceLocation,
+        start: int,
     ) -> ast.Decl:
         if declarator.name is None:
             raise self._error("declaration without a name")
@@ -561,7 +573,8 @@ class Parser:
             return ast.TypedefDecl(
                 declarator.name,
                 declarator.type,
-                SourceRange(start, self.tokens[self.pos - 1].end),
+                start,
+                self.tokens[self.pos - 1].end_offset,
             )
         if declarator.is_function:
             # A function prototype declaration.
@@ -572,52 +585,62 @@ class Parser:
                 ftype.result,
                 declarator.params,
                 None,
-                SourceRange(start, self.tokens[self.pos - 1].end),
-                declarator.name_range or SourceRange(start, start),
-                spec.range or SourceRange(start, start),
-                lparen_loc=declarator.lparen_loc,
-                rparen_loc=declarator.rparen_loc,
+                start,
+                self.tokens[self.pos - 1].end_offset,
+                declarator.name_begin,
+                declarator.name_end,
+                spec.begin,
+                spec.end,
+                lparen_offset=declarator.lparen_offset,
+                rparen_offset=declarator.rparen_offset,
                 storage=spec.storage,
                 variadic=ftype.variadic,
                 no_prototype=ftype.no_prototype,
                 attributes=list(spec.attributes),
             )
         init = None
-        eq_loc = None
+        eq_offset = None
         if self.tok.is_punct("="):
-            eq_loc = self.tok.begin
+            eq_offset = self.tok.begin_offset
             self.advance()
             init = self.parse_initializer()
         return ast.VarDecl(
             declarator.name,
             declarator.type,
             init,
-            SourceRange(start, self.tokens[self.pos - 1].end),
-            declarator.name_range or SourceRange(start, start),
-            spec.range or SourceRange(start, start),
+            start,
+            self.tokens[self.pos - 1].end_offset,
+            declarator.name_begin,
+            declarator.name_end,
+            spec.begin,
+            spec.end,
             storage=spec.storage,
-            init_eq_loc=eq_loc,
+            init_eq_offset=eq_offset,
         )
 
     def _parse_function_definition(
         self,
         spec: "Parser._Spec",
         declarator: "Parser._Declarator",
-        start: SourceLocation,
+        start: int,
     ) -> ast.FunctionDecl:
         ftype = declarator.type.type
         assert isinstance(ftype, ct.FunctionType)
         body = self.parse_compound_stmt()
+        unnamed = declarator.name_begin is None
         return ast.FunctionDecl(
             declarator.name or "",
             ftype.result,
             declarator.params,
             body,
-            SourceRange(start, body.range.end),
-            declarator.name_range or SourceRange(start, start),
-            spec.range or SourceRange(start, start),
-            lparen_loc=declarator.lparen_loc,
-            rparen_loc=declarator.rparen_loc,
+            start,
+            body.end_offset,
+            start if unnamed else declarator.name_begin,
+            start if unnamed else declarator.name_end,
+            spec.begin,
+            spec.end,
+            lparen_offset=declarator.lparen_offset,
+            rparen_offset=declarator.rparen_offset,
             storage=spec.storage,
             variadic=ftype.variadic,
             no_prototype=ftype.no_prototype,
@@ -636,9 +659,10 @@ class Parser:
         rbrace = self.expect("}")
         return ast.CompoundStmt(
             stmts,
-            SourceRange(lbrace.begin, rbrace.end),
-            lbrace_loc=lbrace.begin,
-            rbrace_loc=rbrace.begin,
+            lbrace.begin_offset,
+            rbrace.end_offset,
+            lbrace_offset=lbrace.begin_offset,
+            rbrace_offset=rbrace.begin_offset,
         )
 
     def parse_stmt(self) -> ast.Stmt:
@@ -646,12 +670,12 @@ class Parser:
 
     def _parse_stmt(self) -> ast.Stmt:
         tok = self.tok
-        start = tok.begin
+        start = tok.begin_offset
         if tok.is_punct("{"):
             return self.parse_compound_stmt()
         if tok.is_punct(";"):
             self.advance()
-            return ast.NullStmt(SourceRange(start, self.tokens[self.pos - 1].end))
+            return ast.NullStmt(start, self.tokens[self.pos - 1].end_offset)
         if tok.is_keyword("if"):
             return self._parse_if(start)
         if tok.is_keyword("while"):
@@ -660,7 +684,7 @@ class Parser:
             cond = self.parse_expr()
             self.expect(")")
             body = self.parse_stmt()
-            return ast.WhileStmt(cond, body, SourceRange(start, body.range.end))
+            return ast.WhileStmt(cond, body, start, body.end_offset)
         if tok.is_keyword("do"):
             self.advance()
             body = self.parse_stmt()
@@ -669,7 +693,7 @@ class Parser:
             cond = self.parse_expr()
             self.expect(")")
             semi = self.expect(";")
-            return ast.DoStmt(body, cond, SourceRange(start, semi.end))
+            return ast.DoStmt(body, cond, start, semi.end_offset)
         if tok.is_keyword("for"):
             return self._parse_for(start)
         if tok.is_keyword("switch"):
@@ -678,55 +702,53 @@ class Parser:
             cond = self.parse_expr()
             self.expect(")")
             body = self.parse_stmt()
-            return ast.SwitchStmt(cond, body, SourceRange(start, body.range.end))
+            return ast.SwitchStmt(cond, body, start, body.end_offset)
         if tok.is_keyword("case"):
             self.advance()
             expr = self.parse_conditional_expr()
             self.expect(":")
             stmt = None if self._case_boundary() else self.parse_stmt()
-            end = stmt.range.end if stmt else self.tokens[self.pos - 1].end
-            return ast.CaseStmt(expr, stmt, SourceRange(start, end))
+            end = stmt.end_offset if stmt else self.tokens[self.pos - 1].end_offset
+            return ast.CaseStmt(expr, stmt, start, end)
         if tok.is_keyword("default"):
             self.advance()
             self.expect(":")
             stmt = None if self._case_boundary() else self.parse_stmt()
-            end = stmt.range.end if stmt else self.tokens[self.pos - 1].end
-            return ast.DefaultStmt(stmt, SourceRange(start, end))
+            end = stmt.end_offset if stmt else self.tokens[self.pos - 1].end_offset
+            return ast.DefaultStmt(stmt, start, end)
         if tok.is_keyword("break"):
             self.advance()
             semi = self.expect(";")
-            return ast.BreakStmt(SourceRange(start, semi.end))
+            return ast.BreakStmt(start, semi.end_offset)
         if tok.is_keyword("continue"):
             self.advance()
             semi = self.expect(";")
-            return ast.ContinueStmt(SourceRange(start, semi.end))
+            return ast.ContinueStmt(start, semi.end_offset)
         if tok.is_keyword("return"):
             self.advance()
             expr = None
             if not self.tok.is_punct(";"):
                 expr = self.parse_expr()
             semi = self.expect(";")
-            return ast.ReturnStmt(expr, SourceRange(start, semi.end))
+            return ast.ReturnStmt(expr, start, semi.end_offset)
         if tok.is_keyword("goto"):
             self.advance()
             if self.tok.kind is not TokenKind.IDENT:
                 raise self._error("expected label after goto")
             label = self.advance().text
             semi = self.expect(";")
-            return ast.GotoStmt(label, SourceRange(start, semi.end))
+            return ast.GotoStmt(label, start, semi.end_offset)
         if tok.kind is TokenKind.IDENT and self.peek().is_punct(":"):
             name = self.advance().text
             self.expect(":")
             stmt = self.parse_stmt()
-            return ast.LabelStmt(name, stmt, SourceRange(start, stmt.range.end))
+            return ast.LabelStmt(name, stmt, start, stmt.end_offset)
         if self._starts_type():
             decls = self._parse_local_declaration()
-            return ast.DeclStmt(
-                decls, SourceRange(start, self.tokens[self.pos - 1].end)
-            )
+            return ast.DeclStmt(decls, start, self.tokens[self.pos - 1].end_offset)
         expr = self.parse_expr()
         semi = self.expect(";")
-        return ast.ExprStmt(expr, SourceRange(start, semi.end))
+        return ast.ExprStmt(expr, start, semi.end_offset)
 
     def _case_boundary(self) -> bool:
         return (
@@ -735,7 +757,7 @@ class Parser:
             or self.tok.is_keyword("default")
         )
 
-    def _parse_if(self, start: SourceLocation) -> ast.IfStmt:
+    def _parse_if(self, start: int) -> ast.IfStmt:
         self.expect("if")
         self.expect("(")
         cond = self.parse_expr()
@@ -744,24 +766,24 @@ class Parser:
         else_branch = None
         if self.accept("else"):
             else_branch = self.parse_stmt()
-        end = (else_branch or then_branch).range.end
-        return ast.IfStmt(cond, then_branch, else_branch, SourceRange(start, end))
+        end = (else_branch or then_branch).end_offset
+        return ast.IfStmt(cond, then_branch, else_branch, start, end)
 
-    def _parse_for(self, start: SourceLocation) -> ast.ForStmt:
+    def _parse_for(self, start: int) -> ast.ForStmt:
         self.expect("for")
         self.expect("(")
         init: ast.Node | None = None
         if not self.tok.is_punct(";"):
-            istart = self.tok.begin
+            istart = self.tok.begin_offset
             if self._starts_type():
                 decls = self._parse_local_declaration()
                 init = ast.DeclStmt(
-                    decls, SourceRange(istart, self.tokens[self.pos - 1].end)
+                    decls, istart, self.tokens[self.pos - 1].end_offset
                 )
             else:
                 expr = self.parse_expr()
                 semi = self.expect(";")
-                init = ast.ExprStmt(expr, SourceRange(istart, semi.end))
+                init = ast.ExprStmt(expr, istart, semi.end_offset)
         else:
             self.expect(";")
         cond = None
@@ -773,20 +795,20 @@ class Parser:
             inc = self.parse_expr()
         self.expect(")")
         body = self.parse_stmt()
-        return ast.ForStmt(init, cond, inc, body, SourceRange(start, body.range.end))
+        return ast.ForStmt(init, cond, inc, body, start, body.end_offset)
 
     def _parse_local_declaration(self) -> list[ast.Decl]:
-        start = self.tok.begin
+        start = self.tok.begin_offset
         spec = self._parse_declaration_specifiers()
         if self.accept(";"):
             return list(spec.tag_decls)
         decls: list[ast.Decl] = list(spec.tag_decls)
         while True:
-            dstart = start if not decls or not spec.tag_decls else self.tok.begin
+            dstart = start if not decls or not spec.tag_decls else self.tok.begin_offset
             declarator = self._parse_declarator(spec.base_type)
             decls.append(self._finish_declaration(spec, declarator, dstart))
             if self.accept(","):
-                start = self.tok.begin  # subsequent declarators start later
+                start = self.tok.begin_offset  # later declarators start later
                 continue
             self.expect(";")
             return decls
@@ -808,7 +830,7 @@ class Parser:
                 break
         rbrace = self.expect("}")
         self.depth -= 1
-        return ast.InitListExpr(inits, SourceRange(lbrace.begin, rbrace.end))
+        return ast.InitListExpr(inits, lbrace.begin_offset, rbrace.end_offset)
 
     # -- expressions ------------------------------------------------------------
 
@@ -819,9 +841,8 @@ class Parser:
             op_tok = self.advance()
             rhs = self.parse_assignment_expr()
             expr = ast.BinaryOperator(
-                ",", expr, rhs,
-                SourceRange(expr.range.begin, rhs.range.end),
-                op_range=op_tok.range,
+                ",", expr, rhs, expr.begin_offset, rhs.end_offset,
+                op_tok.begin_offset, op_tok.end_offset,
             )
         return expr
 
@@ -831,9 +852,8 @@ class Parser:
             op_tok = self.advance()
             rhs = self._nested(self.parse_assignment_expr)
             return ast.BinaryOperator(
-                op_tok.text, lhs, rhs,
-                SourceRange(lhs.range.begin, rhs.range.end),
-                op_range=op_tok.range,
+                op_tok.text, lhs, rhs, lhs.begin_offset, rhs.end_offset,
+                op_tok.begin_offset, op_tok.end_offset,
             )
         return lhs
 
@@ -845,7 +865,7 @@ class Parser:
             false_expr = self._nested(self.parse_conditional_expr)
             return ast.ConditionalOperator(
                 cond, true_expr, false_expr,
-                SourceRange(cond.range.begin, false_expr.range.end),
+                cond.begin_offset, false_expr.end_offset,
             )
         return cond
 
@@ -873,29 +893,28 @@ class Parser:
                 rhs = self._parse_binop_rhs(rhs, prec + 1)
                 self.depth -= 1
             lhs = ast.BinaryOperator(
-                op_tok.text, lhs, rhs,
-                SourceRange(lhs.range.begin, rhs.range.end),
-                op_range=op_tok.range,
+                op_tok.text, lhs, rhs, lhs.begin_offset, rhs.end_offset,
+                op_tok.begin_offset, op_tok.end_offset,
             )
 
     def parse_cast_expr(self) -> ast.Expr:
         if self.tok.is_punct("(") and self._starts_type(self.peek()):
-            start = self.tok.begin
+            start = self.tok.begin_offset
             self.advance()
-            tstart = self.tok.begin
+            tstart = self.tok.begin_offset
             qtype = self._parse_type_name()
-            type_text = self.source.slice(
-                SourceRange(tstart, self.tokens[self.pos - 1].end)
-            )
+            type_text = self.source.text[
+                tstart : self.tokens[self.pos - 1].end_offset
+            ]
             self.expect(")")
             if self.tok.is_punct("{"):
                 init = self._parse_init_list()
                 return ast.CompoundLiteralExpr(
-                    qtype, type_text, init, SourceRange(start, init.range.end)
+                    qtype, type_text, init, start, init.end_offset
                 )
             operand = self._nested(self.parse_cast_expr)
             return ast.CastExpr(
-                qtype, type_text, operand, SourceRange(start, operand.range.end)
+                qtype, type_text, operand, start, operand.end_offset
             )
         return self.parse_unary_expr()
 
@@ -921,20 +940,20 @@ class Parser:
 
     def parse_unary_expr(self) -> ast.Expr:
         tok = self.tok
-        start = tok.begin
+        start = tok.begin_offset
         if tok.kind is TokenKind.PUNCT and tok.text in (
             "+", "-", "!", "~", "*", "&", "++", "--",
         ):
             self.advance()
             operand = self._nested(self.parse_cast_expr)
             return ast.UnaryOperator(
-                tok.text, operand, True, SourceRange(start, operand.range.end)
+                tok.text, operand, True, start, operand.end_offset
             )
         if tok.is_keyword("__imag") or tok.is_keyword("__real"):
             self.advance()
             operand = self._nested(self.parse_cast_expr)
             return ast.UnaryOperator(
-                tok.text, operand, True, SourceRange(start, operand.range.end)
+                tok.text, operand, True, start, operand.end_offset
             )
         if tok.is_keyword("sizeof"):
             self.advance()
@@ -942,13 +961,9 @@ class Parser:
                 self.advance()
                 qtype = self._parse_type_name()
                 rparen = self.expect(")")
-                return ast.SizeofExpr(
-                    None, qtype, SourceRange(start, rparen.end)
-                )
+                return ast.SizeofExpr(None, qtype, start, rparen.end_offset)
             operand = self._nested(self.parse_unary_expr)
-            return ast.SizeofExpr(
-                operand, None, SourceRange(start, operand.range.end)
-            )
+            return ast.SizeofExpr(operand, None, start, operand.end_offset)
         return self.parse_postfix_expr()
 
     def parse_postfix_expr(self) -> ast.Expr:
@@ -964,17 +979,16 @@ class Parser:
                         args.append(self._nested(self.parse_assignment_expr))
                 rparen = self.expect(")")
                 expr = ast.CallExpr(
-                    expr, args,
-                    SourceRange(expr.range.begin, rparen.end),
-                    lparen_loc=lparen.begin,
-                    rparen_loc=rparen.begin,
+                    expr, args, expr.begin_offset, rparen.end_offset,
+                    lparen_offset=lparen.begin_offset,
+                    rparen_offset=rparen.begin_offset,
                 )
             elif tok.is_punct("["):
                 self.advance()
                 index = self._nested(self.parse_expr)
                 rbracket = self.expect("]")
                 expr = ast.ArraySubscriptExpr(
-                    expr, index, SourceRange(expr.range.begin, rbracket.end)
+                    expr, index, expr.begin_offset, rbracket.end_offset
                 )
             elif tok.is_punct(".") or tok.is_punct("->"):
                 is_arrow = tok.text == "->"
@@ -984,12 +998,12 @@ class Parser:
                 member = self.advance()
                 expr = ast.MemberExpr(
                     expr, member.text, is_arrow,
-                    SourceRange(expr.range.begin, member.end),
+                    expr.begin_offset, member.end_offset,
                 )
             elif tok.is_punct("++") or tok.is_punct("--"):
                 self.advance()
                 expr = ast.UnaryOperator(
-                    tok.text, expr, False, SourceRange(expr.range.begin, tok.end)
+                    tok.text, expr, False, expr.begin_offset, tok.end_offset
                 )
             else:
                 return expr
@@ -999,16 +1013,21 @@ class Parser:
         if tok.kind is TokenKind.INT_LITERAL:
             self.advance()
             return ast.IntegerLiteral(
-                self._int_value(tok.text), tok.text, tok.range
+                self._int_value(tok.text), tok.text,
+                tok.begin_offset, tok.end_offset,
             )
         if tok.kind is TokenKind.FLOAT_LITERAL:
             self.advance()
             return ast.FloatingLiteral(
-                self._float_value(tok.text), tok.text, tok.range
+                self._float_value(tok.text), tok.text,
+                tok.begin_offset, tok.end_offset,
             )
         if tok.kind is TokenKind.CHAR_LITERAL:
             self.advance()
-            return ast.CharacterLiteral(self._char_value(tok.text), tok.text, tok.range)
+            return ast.CharacterLiteral(
+                self._char_value(tok.text), tok.text,
+                tok.begin_offset, tok.end_offset,
+            )
         if tok.kind is TokenKind.STRING_LITERAL:
             self.advance()
             parts = [tok]
@@ -1017,16 +1036,16 @@ class Parser:
             text = "".join(p.text for p in parts)
             value = "".join(self._string_value(p.text) for p in parts)
             return ast.StringLiteral(
-                value, text, SourceRange(tok.begin, parts[-1].end)
+                value, text, tok.begin_offset, parts[-1].end_offset
             )
         if tok.kind is TokenKind.IDENT:
             self.advance()
-            return ast.DeclRefExpr(tok.text, tok.range)
+            return ast.DeclRefExpr(tok.text, tok.begin_offset, tok.end_offset)
         if tok.is_punct("("):
             lparen = self.advance()
             inner = self._nested(self.parse_expr)
             rparen = self.expect(")")
-            return ast.ParenExpr(inner, SourceRange(lparen.begin, rparen.end))
+            return ast.ParenExpr(inner, lparen.begin_offset, rparen.end_offset)
         raise self._error(f"unexpected token {tok.text!r} in expression")
 
     # -- literal decoding ----------------------------------------------------

@@ -109,11 +109,11 @@ class Sema:
     # -- helpers -------------------------------------------------------------
 
     def _error(self, message: str, node: ast.Node | None = None) -> None:
-        loc = node.range.begin if node is not None else None
+        loc = SourceLocation(node.begin_offset) if node is not None else None
         self.diagnostics.append(Diagnostic(message, loc, "error"))
 
     def _warn(self, message: str, node: ast.Node | None = None) -> None:
-        loc = node.range.begin if node is not None else None
+        loc = SourceLocation(node.begin_offset) if node is not None else None
         self.diagnostics.append(Diagnostic(message, loc, "warning"))
 
     def _push(self, kind: str = "block") -> None:

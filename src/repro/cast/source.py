@@ -4,10 +4,10 @@ Locations are plain character offsets into the original text, which makes the
 rewriter (see :mod:`repro.cast.rewriter`) a simple piecewise-text substitution.
 Line/column information is derived lazily for diagnostics.
 
-Both are immutable values, and the front end makes the same ones over and
-over: :meth:`SourceLocation.at` and :meth:`SourceRange.of` intern them, so
-every unit the front end builds shares one location per offset, and the
-ranges made through :meth:`SourceRange.of` one range per span.
+Both are immutable values made on demand: tokens and AST nodes hold their
+positions as int offsets (:mod:`repro.cast.ast_nodes`), and build a
+location or range only when one is read, so these objects live no longer
+than the mutator or diagnostic that asked for them.
 """
 
 from __future__ import annotations
@@ -24,17 +24,11 @@ class SourceLocation:
 
     @staticmethod
     def at(offset: int) -> "SourceLocation":
-        """The interned location of ``offset`` (see :meth:`SourceRange.of`)."""
-        loc = _LOCATION_INTERN.get(offset)
-        if loc is None:
-            loc = SourceLocation(offset)
-            if len(_LOCATION_INTERN) >= RANGE_INTERN_BOUND:
-                _LOCATION_INTERN.clear()
-            _LOCATION_INTERN[offset] = loc
-        return loc
+        """The location of ``offset``."""
+        return SourceLocation(offset)
 
     def advanced(self, n: int) -> "SourceLocation":
-        return SourceLocation.at(self.offset + n)
+        return SourceLocation(self.offset + n)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"loc({self.offset})"
@@ -49,19 +43,8 @@ class SourceRange:
 
     @staticmethod
     def of(begin: int, end: int) -> "SourceRange":
-        # Interned: ranges are immutable value objects and the parser and
-        # the suffix clone construct millions of repeats.  The table starts over
-        # when it reaches its bound, so a long campaign's offset spread
-        # never pins memory; ranges compare by value, so a range made
-        # before a reset still equals one made after it.
-        key = (begin, end)
-        cached = _RANGE_INTERN.get(key)
-        if cached is None:
-            cached = SourceRange(SourceLocation.at(begin), SourceLocation.at(end))
-            if len(_RANGE_INTERN) >= RANGE_INTERN_BOUND:
-                _RANGE_INTERN.clear()
-            _RANGE_INTERN[key] = cached
-        return cached
+        """The range ``[begin, end)`` of two offsets."""
+        return SourceRange(SourceLocation(begin), SourceLocation(end))
 
     @property
     def length(self) -> int:
@@ -78,15 +61,6 @@ class SourceRange:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"range({self.begin.offset},{self.end.offset})"
-
-
-#: Entries each intern table (ranges, locations) holds before it starts
-#: over.  A 120-step benchmark round of μCFuzz interns about 16k ranges and
-#: 4k locations, a 100-step macro round about 19k and 4.5k, so no round
-#: reaches it.
-RANGE_INTERN_BOUND = 65_536
-_RANGE_INTERN: dict[tuple[int, int], SourceRange] = {}
-_LOCATION_INTERN: dict[int, SourceLocation] = {}
 
 
 @dataclass

@@ -4,6 +4,13 @@ Types are immutable value objects. ``QualType`` pairs a type with
 const/volatile qualifiers, mirroring Clang's design, which the paper's μAST
 APIs (``checkBinop``, ``checkAssignment``, ``formatAsDecl``) are written
 against.
+
+As Clang's ``ASTContext`` does, the module keeps one ``BuiltinType`` per
+kind and one ``QualType`` per builtin kind and qualifiers, and every site
+that makes a builtin type hands out that one (:func:`builtin`,
+:func:`qualified`): a parsed program shares its ``int`` with every other.
+Types still compare by value.  Record types are never shared this way,
+because a record's equality ignores its fields.
 """
 
 from __future__ import annotations
@@ -208,10 +215,12 @@ class QualType:
     # -- transformations ------------------------------------------------
 
     def unqualified(self) -> "QualType":
-        return QualType(self.type)
+        if not (self.const or self.volatile):
+            return self
+        return qualified(self.type)
 
     def with_const(self, const: bool = True) -> "QualType":
-        return QualType(self.type, const=const, volatile=self.volatile)
+        return qualified(self.type, const=const, volatile=self.volatile)
 
     def decayed(self) -> "QualType":
         """Array-to-pointer / function-to-pointer decay."""
@@ -232,20 +241,47 @@ class QualType:
         return None
 
 
+# Shared builtin types ----------------------------------------------------
+
+_BUILTIN_TYPES = {kind: BuiltinType(kind) for kind in BuiltinKind}
+#: Made on first use: a campaign meets a dozen or so of the 72.
+_BUILTIN_QUALTYPES: dict[tuple[BuiltinKind, bool, bool], QualType] = {}
+
+
+def builtin(
+    kind: BuiltinKind, const: bool = False, volatile: bool = False
+) -> QualType:
+    """The one ``QualType`` of builtin ``kind`` with these qualifiers."""
+    key = (kind, const, volatile)
+    qt = _BUILTIN_QUALTYPES.get(key)
+    if qt is None:
+        qt = _BUILTIN_QUALTYPES[key] = QualType(
+            _BUILTIN_TYPES[kind], const, volatile
+        )
+    return qt
+
+
+def qualified(ty: Type, const: bool = False, volatile: bool = False) -> QualType:
+    """``QualType(ty, const, volatile)``, the shared one when ``ty`` is builtin."""
+    if type(ty) is BuiltinType:
+        return builtin(ty.kind, const, volatile)
+    return QualType(ty, const, volatile)
+
+
 # Convenience singletons -------------------------------------------------
 
-VOID = QualType(BuiltinType(BuiltinKind.VOID))
-BOOL = QualType(BuiltinType(BuiltinKind.BOOL))
-CHAR = QualType(BuiltinType(BuiltinKind.CHAR))
-INT = QualType(BuiltinType(BuiltinKind.INT))
-UINT = QualType(BuiltinType(BuiltinKind.UINT))
-LONG = QualType(BuiltinType(BuiltinKind.LONG))
-ULONG = QualType(BuiltinType(BuiltinKind.ULONG))
-LONGLONG = QualType(BuiltinType(BuiltinKind.LONGLONG))
-ULONGLONG = QualType(BuiltinType(BuiltinKind.ULONGLONG))
-FLOAT = QualType(BuiltinType(BuiltinKind.FLOAT))
-DOUBLE = QualType(BuiltinType(BuiltinKind.DOUBLE))
-COMPLEX_DOUBLE = QualType(BuiltinType(BuiltinKind.COMPLEX_DOUBLE))
+VOID = builtin(BuiltinKind.VOID)
+BOOL = builtin(BuiltinKind.BOOL)
+CHAR = builtin(BuiltinKind.CHAR)
+INT = builtin(BuiltinKind.INT)
+UINT = builtin(BuiltinKind.UINT)
+LONG = builtin(BuiltinKind.LONG)
+ULONG = builtin(BuiltinKind.ULONG)
+LONGLONG = builtin(BuiltinKind.LONGLONG)
+ULONGLONG = builtin(BuiltinKind.ULONGLONG)
+FLOAT = builtin(BuiltinKind.FLOAT)
+DOUBLE = builtin(BuiltinKind.DOUBLE)
+COMPLEX_DOUBLE = builtin(BuiltinKind.COMPLEX_DOUBLE)
 CHAR_PTR = QualType(PointerType(CHAR))
 INT_PTR = QualType(PointerType(INT))
 VOID_PTR = QualType(PointerType(VOID))
@@ -280,7 +316,7 @@ def usual_arithmetic_conversions(lhs: QualType, rhs: QualType) -> QualType | Non
     for candidate in (BuiltinKind.LONGDOUBLE, BuiltinKind.DOUBLE, BuiltinKind.FLOAT):
         for ty in (lhs, rhs):
             if isinstance(ty.type, BuiltinType) and ty.type.kind is candidate:
-                return QualType(BuiltinType(candidate))
+                return builtin(candidate)
     lhs, rhs = integer_promote(lhs), integer_promote(rhs)
     lk = lhs.type.kind  # type: ignore[union-attr]
     rk = rhs.type.kind  # type: ignore[union-attr]

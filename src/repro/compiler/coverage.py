@@ -42,10 +42,6 @@ class CoverageMap:
         self.edges.update(edges)
         return len(self.edges) - before
 
-    def new_edges(self, other: "CoverageMap | Iterable[Edge]") -> set[Edge]:
-        edges = other.edges if isinstance(other, CoverageMap) else set(other)
-        return edges - self.edges
-
     def covers(self, other: "CoverageMap") -> bool:
         """Whether this map already covers every edge of ``other``."""
         return other.edges <= self.edges

@@ -335,7 +335,7 @@ def _decl_summaries(entry: FrontendEntry) -> list:
     text = entry.source.text
     summaries = []
     for decl in entry.unit.decls:
-        pair = decl.__dict__.get("_summary_memo")
+        pair = decl._summary_memo
         if pair is None:
             pair = decl._summary_memo = _decl_summary(decl, text)
         summaries.append(pair)

@@ -262,11 +262,11 @@ def decl_ast_features(
         for a, b in zip(node.stmts, node.stmts[1:]):
             if isinstance(a, ast.NullStmt) or a.kind != b.kind:
                 continue
-            if a.range.length != b.range.length:
+            if a.end_offset - a.begin_offset != b.end_offset - b.begin_offset:
                 continue
             if source_text is not None:
-                a_txt = source_text[a.range.begin.offset : a.range.end.offset]
-                b_txt = source_text[b.range.begin.offset : b.range.end.offset]
+                a_txt = source_text[a.begin_offset : a.end_offset]
+                b_txt = source_text[b.begin_offset : b.end_offset]
                 if a_txt != b_txt:
                     continue
             f["adjacent_twins"] += 1

@@ -979,7 +979,11 @@ class IRGen:
                 return dst
             if op == "+" and lqt.is_integer() and rqt.is_pointer():
                 return self._expr_BinaryOperator(
-                    ast.BinaryOperator(op, e.rhs, e.lhs, e.range, type=e.type), fe
+                    ast.BinaryOperator(
+                        op, e.rhs, e.lhs, e.begin_offset, e.end_offset,
+                        type=e.type,
+                    ),
+                    fe,
                 )
             if op == "-" and lqt.is_pointer() and rqt.is_pointer():
                 a = self._lower_pointer_value(e.lhs)

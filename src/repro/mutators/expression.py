@@ -199,7 +199,7 @@ class CopyExpr(Mutator, ASTVisitor):
         sources = [
             (
                 e,
-                (e.range.begin.offset, e.range.end.offset),
+                (e.begin_offset, e.end_offset),
                 dec.is_integer(),
                 _canon(dec),
             )
@@ -245,7 +245,7 @@ class CopyExpr(Mutator, ASTVisitor):
             all_ok, int_ok = _ok_sources(_canon(tgt_decayed), tgt_decayed)
             # Array subscripts must stay integers.
             candidates, positions = int_ok if id(tgt) in index_ids else all_ok
-            tgt_span = (tgt.range.begin.offset, tgt.range.end.offset)
+            tgt_span = (tgt.begin_offset, tgt.end_offset)
             rows.append((tgt, candidates, tuple(positions.get(tgt_span, ()))))
         return rows
 

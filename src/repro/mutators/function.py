@@ -420,7 +420,7 @@ class DuplicateFunction(Mutator, ASTVisitor):
         fn = self.rand_element(candidates)
         fresh = self.generate_unique_name(fn.name)
         text = self.get_source_text(fn)
-        name_off = fn.name_range.begin.offset - fn.range.begin.offset
+        name_off = fn.name_range.begin.offset - fn.begin_offset
         copied = text[:name_off] + fresh + text[name_off + len(fn.name):]
         prefix = "" if fn.storage == "static" else "static "
         return self.insert_text_before(fn.range.begin, f"{prefix}{copied}\n")

@@ -68,7 +68,7 @@ class ReduceArrayDimension(Mutator, ASTVisitor):
                 continue
             if d.range.begin != d.specifier_range.begin:
                 continue
-            if source.text[d.range.end.offset : d.range.end.offset + 1] != ";":
+            if source.text[d.end_offset : d.end_offset + 1] != ";":
                 continue
             refs = _refs_to(self, d)
             subs = []
@@ -114,7 +114,7 @@ class DecaySmallStruct(Mutator, ASTVisitor):
                 continue
             if d.range.begin != d.specifier_range.begin:
                 continue
-            if source.text[d.range.end.offset : d.range.end.offset + 1] != ";":
+            if source.text[d.end_offset : d.end_offset + 1] != ";":
                 continue
             instances.append(d)
         if not instances:

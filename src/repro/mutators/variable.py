@@ -319,7 +319,7 @@ class CombineVariable(Mutator, ASTVisitor):
                 continue
             if d.range.begin != d.specifier_range.begin:
                 continue  # shares its specifier with a previous declarator
-            after = source.text[d.range.end.offset : d.range.end.offset + 1]
+            after = source.text[d.end_offset : d.end_offset + 1]
             if after != ";":
                 continue
             instances.append(d)

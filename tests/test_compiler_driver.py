@@ -64,11 +64,6 @@ class TestCoverageMap:
         assert a.merge(b) == 1
         assert len(a) == 3
 
-    def test_new_edges(self):
-        a = CoverageMap({("s", 1)})
-        b = CoverageMap({("s", 1), ("t", 9)})
-        assert a.new_edges(b) == {("t", 9)}
-
     def test_covers(self):
         a = CoverageMap({("s", 1), ("s", 2)})
         assert a.covers(CoverageMap({("s", 1)}))

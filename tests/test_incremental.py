@@ -15,7 +15,7 @@ from array import array
 import pytest
 
 from repro.cast import ast_nodes as ast
-from repro.cast import source
+from repro.cast import types as ct
 from repro.cast.cache import FrontendCache, analyze_front_end
 from repro.cast.incremental import IncrementalDivergence, assert_entries_equal
 from repro.cast.lexer import Token, TokenColumns
@@ -530,30 +530,18 @@ def _reached_from(root) -> list:
     return found
 
 
-def _positions(unit) -> list:
-    """Every location in ``unit``'s node fields, range ends included."""
-    found = []
-    for node in unit.walk():
-        for value in node.__dict__.values():
-            values = value if isinstance(value, (list, tuple)) else (value,)
-            for v in values:
-                if isinstance(v, SourceRange):
-                    found += [v.begin, v.end]
-                elif isinstance(v, SourceLocation):
-                    found.append(v)
-    return found
+#: Every position property a node class may have.
+_POSITION_PROPERTIES = (
+    "range", "name_range", "specifier_range", "return_type_range",
+    "op_range", "init_eq_loc", "lparen_loc", "rparen_loc", "lbrace_loc",
+    "rbrace_loc",
+)
 
 
 class TestEntryStorage:
-    """A cached entry keeps its tokens as columns and its positions
-    interned: the collector has no token and one location per offset to
-    walk."""
-
-    @pytest.fixture(autouse=True)
-    def fresh_intern_tables(self, monkeypatch):
-        # No reset of a table mid-test can hand out a second location.
-        monkeypatch.setattr(source, "_RANGE_INTERN", {})
-        monkeypatch.setattr(source, "_LOCATION_INTERN", {})
+    """A cached entry keeps its tokens as columns and its unit's positions
+    as ints in node slots: the collector has no token, no position object,
+    no node dict and one object per builtin type to walk."""
 
     def test_no_entry_keeps_token_objects(self):
         inc, full = _dirty_region_entry()
@@ -567,14 +555,101 @@ class TestEntryStorage:
             assert len(entry.token_prefix) > 40
             assert len([obj for obj in reached if gc.is_tracked(obj)]) <= 4
 
-    def test_unit_positions_are_interned(self):
+    def test_units_hold_offsets_and_shared_builtin_types(self):
         inc, full = _dirty_region_entry()
         for entry in (inc, full):
-            positions = _positions(entry.unit)
-            assert len(positions) > 50
-            for loc in positions:
-                assert loc is SourceLocation.at(loc.offset)
-            assert isinstance(entry.unit.decls[-1], ast.FunctionDecl)
+            reached = _reached_from(entry.unit)
+            assert len([o for o in reached if isinstance(o, ast.Node)]) > 20
+            assert not [
+                o for o in reached
+                if isinstance(o, (SourceRange, SourceLocation, dict))
+            ]
+            builtins = [
+                o for o in reached
+                if type(o) is ct.QualType and type(o.type) is ct.BuiltinType
+            ]
+            assert builtins  # every ``int`` of the program is one object
+            for qt in builtins:
+                assert qt is ct.builtin(qt.type.kind, qt.const, qt.volatile)
+        inc_nodes, full_nodes = list(inc.unit.walk()), list(full.unit.walk())
+        assert len(inc_nodes) == len(full_nodes)
+        for a, b in zip(inc_nodes, full_nodes):
+            assert type(a) is type(b)
+            for name in _POSITION_PROPERTIES:
+                assert getattr(a, name, None) == getattr(b, name, None), name
+        assert isinstance(inc.unit.decls[-1], ast.FunctionDecl)
+
+
+#: A program whose declarations after ``f`` hold every kind of position
+#: slot: a declaration-specifier range, an ``=``, parameter names,
+#: parentheses, braces and operators.
+_SUFFIX_POSITIONS = """
+int g = 1;
+int f(int x) { return x + g; }
+static const int k = 7;
+int h(int y, int z) { int w = y * 2; return f(w) + z; }
+int v(void) { return @; }
+"""
+
+
+def _suffix_mutant() -> tuple[str, str, tuple, int]:
+    """The parent (``v`` returns its own literal's offset), its mutant (an
+    edit in ``f`` shifts every later declaration by 5), the edit script,
+    and the literal's value."""
+    value = _SUFFIX_POSITIONS.index("@")
+    parent = _SUFFIX_POSITIONS.replace("@", str(value))
+    mutant, edits = _edit(parent, "x + g", "x + g + 40")
+    return parent, mutant, edits, value
+
+
+def _suffix_entry(parent: str, mutant: str, edits: tuple):
+    cache = FrontendCache()
+    cache.front_end(parent)
+    entry = cache.front_end_from(mutant, (parent, edits))
+    assert entry.memo["decl_map"] == (0, None, 2, 3, 4)  # k, h, v cloned
+    return entry
+
+
+class TestSuffixCloneShift:
+    """The suffix clone shifts exactly each class's ``position_slots``: no
+    other int moves, and no position slot stays behind."""
+
+    def test_a_literal_equal_to_its_offset_keeps_its_value(self):
+        parent, mutant, edits, value = _suffix_mutant()
+        entry = _suffix_entry(parent, mutant, edits)
+        literal = entry.unit.decls[-1].body.stmts[0].expr
+        assert isinstance(literal, ast.IntegerLiteral)
+        assert literal.value == value
+        assert literal.begin_offset == value + 5
+        assert_entries_equal(entry, analyze_front_end(mutant))
+
+    def test_every_position_slot_left_unshifted_diverges(self, monkeypatch):
+        parent, mutant, edits, _ = _suffix_mutant()
+        entry = _suffix_entry(parent, mutant, edits)
+        full = analyze_front_end(mutant)
+        assert_entries_equal(entry, full)
+        held = {
+            (type(node), slot)
+            for decl in entry.unit.decls[2:]
+            for node in decl.walk()
+            for slot in node.position_slots
+            if getattr(node, slot) is not None
+        }
+        # Every slot of each class with more than a range is held.
+        for cls in (
+            ast.VarDecl, ast.ParmVarDecl, ast.FunctionDecl, ast.CompoundStmt,
+            ast.BinaryOperator, ast.CallExpr,
+        ):
+            assert {(cls, slot) for slot in cls.position_slots} <= held
+        for cls, slot in sorted(held, key=lambda p: (p[0].__name__, p[1])):
+            with monkeypatch.context() as patch:
+                patch.setattr(
+                    cls, "position_slots",
+                    tuple(s for s in cls.position_slots if s != slot),
+                )
+                broken = _suffix_entry(parent, mutant, edits)
+                with pytest.raises(IncrementalDivergence, match="AST"):
+                    assert_entries_equal(broken, full)
 
 
 class TestParanoidSeesEveryColumn:

@@ -6,7 +6,6 @@ import pickle
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.cast import source
 from repro.cast.cache import analyze_front_end
 from repro.cast.lexer import (
     KEYWORDS,
@@ -79,40 +78,6 @@ class TestBasicTokens:
 
     def test_ellipsis(self):
         assert texts("(...)") == ["(", "...", ")"]
-
-
-class TestRangeIntern:
-    def test_table_starts_over_at_its_bound(self, monkeypatch):
-        monkeypatch.setattr(source, "_RANGE_INTERN", {})
-        first = SourceRange.of(0, 1)
-        assert SourceRange.of(0, 1) is first  # interned below the bound
-        for i in range(source.RANGE_INTERN_BOUND + 10):
-            SourceRange.of(i, i + 7)
-            assert len(source._RANGE_INTERN) <= source.RANGE_INTERN_BOUND
-        # The table started over, so the range is a new object, yet ranges
-        # compare (and hash) by value, which is all any caller relies on.
-        again = SourceRange.of(0, 1)
-        assert again is not first
-        assert again == first and hash(again) == hash(first)
-
-    def test_locations_are_interned_and_bounded(self, monkeypatch):
-        monkeypatch.setattr(source, "_RANGE_INTERN", {})
-        monkeypatch.setattr(source, "_LOCATION_INTERN", {})
-        first = SourceLocation.at(5)
-        assert SourceLocation.at(5) is first
-        assert first == SourceLocation(5)  # the constructor is unchanged
-        assert first.advanced(2) is SourceLocation.at(7)
-        rng = SourceRange.of(5, 9)
-        assert rng.begin is first and rng.end is SourceLocation.at(9)
-        tok = tokenize("int x;")[1]
-        assert tok.begin is SourceLocation.at(4)
-        assert tok.range is SourceRange.of(4, 5)
-        for i in range(source.RANGE_INTERN_BOUND + 10):
-            SourceLocation.at(i)
-            assert len(source._LOCATION_INTERN) <= source.RANGE_INTERN_BOUND
-        again = SourceLocation.at(5)
-        assert again is not first
-        assert again == first and hash(again) == hash(first)
 
 
 class TestRoundTrips:

@@ -32,6 +32,27 @@ class TestTypePredicates:
     def test_qualifier_stripping(self):
         qt = ct.QualType(ct.BuiltinType(ct.BuiltinKind.INT), const=True)
         assert qt.const and not qt.unqualified().const
+        assert qt.unqualified() is ct.INT
+        assert ct.INT.with_const() is ct.builtin(ct.BuiltinKind.INT, const=True)
+        assert ct.INT.with_const().unqualified() is ct.INT
+
+    def test_front_end_shares_builtin_types(self):
+        unit = parse(
+            "const volatile unsigned long g; unsigned char c = 1;\n"
+            "float f(float x, short s) { return x * 2 + s + c; }"
+        )
+        Sema().analyze(unit)
+        found = set()
+        for node in unit.walk():
+            for qt in (getattr(node, "type", None),
+                       getattr(node, "return_type", None)):
+                if qt is not None and type(qt.type) is ct.BuiltinType:
+                    assert qt is ct.builtin(qt.type.kind, qt.const, qt.volatile)
+                    found.add((qt.type.kind, qt.const, qt.volatile))
+        assert {
+            (ct.BuiltinKind.ULONG, True, True), (ct.BuiltinKind.UCHAR, False, False),
+            (ct.BuiltinKind.FLOAT, False, False), (ct.BuiltinKind.SHORT, False, False),
+        } <= found
 
 
 class TestConversions:
