@@ -2,7 +2,6 @@
 
 Locations are plain character offsets into the original text, which makes the
 rewriter (see :mod:`repro.cast.rewriter`) a simple piecewise-text substitution.
-Line/column information is derived lazily for diagnostics.
 
 Both are immutable values made on demand: tokens and AST nodes hold their
 positions as int offsets (:mod:`repro.cast.ast_nodes`), and build a
@@ -12,8 +11,7 @@ than the mutator or diagnostic that asked for them.
 
 from __future__ import annotations
 
-import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -65,31 +63,10 @@ class SourceRange:
 
 @dataclass
 class SourceFile:
-    """A named piece of C source text with line-offset bookkeeping."""
+    """A named piece of C source text."""
 
     text: str
     name: str = "<input>"
-    #: Offsets at which lines start, built by the first ``line_column``
-    #: call: only diagnostics need them, and every front end makes a file.
-    _line_starts: list[int] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     def slice(self, rng: SourceRange) -> str:
         return self.text[rng.begin.offset : rng.end.offset]
-
-    def line_column(self, loc: SourceLocation) -> tuple[int, int]:
-        """Return 1-based (line, column) for a location."""
-        starts = self._line_starts
-        if starts is None:
-            starts = [0]
-            starts.extend(
-                i + 1 for i, ch in enumerate(self.text) if ch == "\n"
-            )
-            self._line_starts = starts
-        line = bisect.bisect_right(starts, loc.offset) - 1
-        return line + 1, loc.offset - starts[line] + 1
-
-    def describe(self, loc: SourceLocation) -> str:
-        line, col = self.line_column(loc)
-        return f"{self.name}:{line}:{col}"

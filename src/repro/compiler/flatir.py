@@ -76,10 +76,6 @@ TAG_TEMP = 1
 TAG_IMM = 2
 
 
-def temp_enc(index: int) -> int:
-    return (index << 2) | TAG_TEMP
-
-
 class IRBuffer:
     """One function's instructions as parallel arrays (see module docstring).
 

@@ -7,15 +7,17 @@ multi-process cell runner: ``Campaign.run(parallelism > 1)`` and
 ``Campaign.run_fabric`` both drain their cells through it.  The package:
 
 * :mod:`repro.fabric.lease` — the lease-based :class:`WorkQueue` (grant /
-  renew / reclaim / poison state machine, fake-clock testable);
-* :mod:`repro.fabric.journal` — durable transition state through
+  renew / reclaim / retry state machine, fake-clock testable);
+* :mod:`repro.fabric.journal` — each cell's distinct killers, the one
+  record poison verdicts derive from, kept through
   :class:`~repro.resilience.checkpoint.CheckpointStore` so a supervisor
   restart resumes mid-grid;
 * :mod:`repro.fabric.worker` — the long-lived worker process with its
   heartbeat thread and chaos hooks;
 * :mod:`repro.fabric.supervisor` — dead/stalled-worker detection, lease
-  reclamation and work-stealing re-dispatch, poison-cell quarantine,
-  schema-v1 ``fabric`` telemetry, and :func:`run_cells_fabric`;
+  reclamation and work-stealing re-dispatch, poison-cell quarantine, the
+  in-process fallback under the same lease and retry contract, schema-v1
+  ``fabric`` telemetry, and :func:`run_cells_fabric`;
 * :mod:`repro.fabric.smoke` — the chaos harness CI runs: under seeded
   worker deaths and a heartbeat stall, every cell must land, poison must
   quarantine exactly the injected killer cell, completed results must be

@@ -1,14 +1,19 @@
-"""Durable fabric state: lease/heartbeat/reclaim/poison transitions.
+"""Durable fabric state: which distinct workers each cell has killed.
 
-The supervisor journals every queue transition through the same
-:class:`~repro.resilience.checkpoint.CheckpointStore` that persists
-finished cells, under one reserved key.  The journal is a *state*
-snapshot, not an append-only log: each transition folds into a small dict
-(kill attributions per cell, poisoned cells, per-transition counters) that
-is atomically rewritten, so a supervisor killed at any instant restarts
-from a consistent view — finished cells come back from their own
-checkpoints, kill counts and poison verdicts come back from the journal,
-and only genuinely unfinished cells are re-dispatched.
+The journal is the one owner of kill attribution: for every cell, the
+distinct workers that died (or were reaped) while holding its lease.
+Poison is derived from it, never stored: a cell is poison once its
+distinct killers reach the supervisor's ``poison_threshold``
+(:meth:`FabricJournal.is_poison`), and the supervisor asks that one
+question both when a worker dies and at intake.
+
+With a :class:`~repro.resilience.checkpoint.CheckpointStore`, the journal
+is persisted under one reserved key beside the finished cells'
+checkpoints as ``{runs, kills}``, atomically rewritten once per run and
+whenever a new killer is recorded, so a supervisor killed at any instant
+restarts with every kill it attributed.  Without a store it lives in
+memory for one run.  Every other transition (grant, reclaim, poison,
+complete, fail) is an event in ``grid.jsonl``, not a journal record.
 
 Worker identities are prefixed with a per-supervisor *run* number
 (``run3:w1``), because worker ids restart at zero in every supervisor
@@ -24,78 +29,43 @@ from repro.resilience.checkpoint import CheckpointStore
 #: cell keys always carry a sha1 suffix).
 JOURNAL_KEY = "fabric-journal"
 
-#: Transition kinds the journal counts (heartbeats are folded into the
-#: ``renew`` counter rather than stored individually).
-TRANSITIONS = ("grant", "renew", "reclaim", "kill", "poison", "complete", "fail")
-
 
 class FabricJournal:
-    """Folds queue transitions into one durable checkpoint record."""
+    """Each cell's distinct killers, and the run number, made durable."""
 
     def __init__(self, store: CheckpointStore | None) -> None:
         self.store = store
-        payload = store.load(JOURNAL_KEY) if store is not None else None
-        if payload is None:
-            payload = {"runs": 0, "kills": {}, "poisoned": [], "counts": {}}
+        payload = (store.load(JOURNAL_KEY) if store is not None else None) or {}
         self.runs = int(payload.get("runs", 0)) + 1
-        #: cell key → sorted list of worker tokens that died holding it.
+        #: cell key → the distinct worker tokens that died holding it.
         self.kills: dict[str, list[str]] = {
             key: list(tokens) for key, tokens in payload.get("kills", {}).items()
         }
-        self.poisoned: set[str] = set(payload.get("poisoned", ()))
-        self.counts: dict[str, int] = {
-            kind: int(payload.get("counts", {}).get(kind, 0))
-            for kind in TRANSITIONS
-        }
         self._persist()  # record the new run number immediately
-
-    # -- identity ----------------------------------------------------------
 
     def worker_token(self, worker_id: int) -> str:
         """A worker identity unique across supervisor restarts."""
         return f"run{self.runs}:w{worker_id}"
-
-    # -- transitions -------------------------------------------------------
-
-    def record(self, kind: str, *, persist: bool = True) -> None:
-        if kind not in TRANSITIONS:
-            raise ValueError(f"unknown transition {kind!r}")
-        self.counts[kind] += 1
-        if persist:
-            self._persist()
-
-    def record_renew(self) -> None:
-        # Heartbeats are the high-frequency transition; they bump the
-        # counter but only hit disk piggybacked on the next state-changing
-        # transition (a lost renew count is harmless on restart).
-        self.record("renew", persist=False)
 
     def record_kill(self, cell_key: str, worker_token: str) -> list[str]:
         """Attribute a worker death to a cell; the distinct-killer list."""
         tokens = self.kills.setdefault(cell_key, [])
         if worker_token not in tokens:
             tokens.append(worker_token)
-        self.record("kill")
+            self._persist()
         return tokens
 
-    def record_poison(self, cell_key: str) -> None:
-        self.poisoned.add(cell_key)
-        self.record("poison")
-
-    def is_poisoned(self, cell_key: str) -> bool:
-        return cell_key in self.poisoned
+    def is_poison(self, cell_key: str, threshold: int) -> bool:
+        """Whether the cell has killed ``threshold`` distinct workers."""
+        return len(self.kills.get(cell_key, ())) >= threshold
 
     def kills_for(self, cell_key: str) -> list[str]:
         return list(self.kills.get(cell_key, ()))
-
-    # -- persistence -------------------------------------------------------
 
     def to_json(self) -> dict:
         return {
             "runs": self.runs,
             "kills": {key: sorted(tokens) for key, tokens in self.kills.items()},
-            "poisoned": sorted(self.poisoned),
-            "counts": dict(self.counts),
         }
 
     def _persist(self) -> None:

@@ -2,13 +2,14 @@
 
 A :class:`WorkQueue` hands out *leases* over campaign cells: a lease names
 one cell, the worker holding it, and a deadline that the worker must keep
-pushing forward by heartbeating.  The queue is the fabric's systemic
-memory — it tracks how many times each cell has been dispatched, which
-distinct workers died while holding it, and which cells have been
-quarantined as poison — but it is deliberately passive: every method takes
-an explicit ``now`` and the queue never reads the wall clock, spawns a
-process, or sleeps.  That keeps the whole lease lifecycle unit-testable
-with a fake clock and leaves scheduling policy to the supervisor.
+pushing forward by heartbeating.  The queue remembers how many times each
+cell has been dispatched and how often it raised, and nothing else: which
+workers a cell killed, and so whether it is poison, is the
+:class:`~repro.fabric.journal.FabricJournal`'s to know.  The queue is
+deliberately passive: every method takes an explicit ``now`` and the
+queue never reads the wall clock, spawns a process, or sleeps.  That keeps
+the whole lease lifecycle unit-testable with a fake clock and leaves
+scheduling policy to the supervisor.
 
 Lease lifecycle (one cell may cycle through it many times)::
 
@@ -16,11 +17,10 @@ Lease lifecycle (one cell may cycle through it many times)::
        ▲                   │
        │                   ├─fail (cell raised, retries left)──▶ pending
        │                   ├─fail (retries exhausted)──▶ done (failed)
-       │                   └─reclaim (worker died / heartbeat missed)
-       │                         │
-       └──────requeue────────────┤ (kill recorded against the cell)
-                                 └─poison (≥ threshold distinct workers
-                                   killed) ──▶ done (quarantined)
+       │                   └─reclaim (worker died / heartbeat missed /
+       │                         │     cell over budget)
+       └──────requeue────────────┘ (unless the journal now calls the
+                                    cell poison: done, quarantined)
 """
 
 from __future__ import annotations
@@ -38,11 +38,13 @@ class Lease:
     lease_id: int
     index: int
     spec: CellSpec
-    worker_id: int
+    #: None when the supervisor runs the cell in its own process.
+    worker_id: int | None
     granted_at: float
     deadline: float
     #: How many times this cell has been dispatched before this lease
-    #: (0-based; becomes the spec's ``attempt`` for fault keying).
+    #: (0-based; the attempt number ``run_cell`` is given, which keys
+    #: injected faults).
     dispatch: int = 0
 
 
@@ -55,42 +57,32 @@ class _PendingCell:
 
 @dataclass
 class WorkQueue:
-    """Leases cells to workers; remembers kills, errors, and poison.
+    """Leases cells to workers and bounds the retries of cells that raise.
 
     ``heartbeat_timeout`` is the lease TTL: a renewal (heartbeat) pushes
     the deadline to ``now + heartbeat_timeout``, and a lease whose
     deadline passes is considered held by a dead or stalled worker.
-    ``poison_threshold`` is the number of *distinct* workers that must die
-    while holding a cell before the cell is quarantined as poison;
     ``cell_retries`` bounds retries of cells that raise (the worker
-    survives those, so they are counted separately from kills).
+    survives those, so they are counted apart from worker deaths).
     """
 
     heartbeat_timeout: float = 2.0
-    poison_threshold: int = 3
     cell_retries: int = 1
 
     _pending: deque = field(default_factory=deque, repr=False)
     _leases: dict = field(default_factory=dict, repr=False)
     _next_lease_id: int = 0
-    #: cell index → set of worker tokens that died while holding it.
-    _kills: dict = field(default_factory=dict, repr=False)
-    #: cell index → count of in-worker exceptions (worker survived).
+    #: cell index → count of exceptions the cell raised (worker survived).
     _errors: dict = field(default_factory=dict, repr=False)
-    _poisoned: set = field(default_factory=set, repr=False)
 
     # -- intake ------------------------------------------------------------
 
     def add(self, index: int, spec: CellSpec, dispatch: int = 0) -> None:
         self._pending.append(_PendingCell(index, spec, dispatch))
 
-    def seed_kills(self, index: int, worker_tokens) -> None:
-        """Restore a cell's kill attribution (journal replay on resume)."""
-        self._kills.setdefault(index, set()).update(worker_tokens)
-
     # -- the lease state machine ------------------------------------------
 
-    def acquire(self, worker_id: int, now: float) -> Lease | None:
+    def acquire(self, worker_id: int | None, now: float) -> Lease | None:
         """Grant the next pending cell to ``worker_id``, or None if empty."""
         if not self._pending:
             return None
@@ -122,7 +114,7 @@ class WorkQueue:
         return self._leases.pop(lease_id, None)
 
     def fail(self, lease_id: int) -> tuple[Lease | None, bool]:
-        """The cell raised inside a surviving worker.
+        """The cell raised (inside a surviving worker, or in-process).
 
         Returns ``(lease, retried)``: when the cell's error budget is not
         exhausted it is requeued (``retried=True``); otherwise the caller
@@ -167,37 +159,11 @@ class WorkQueue:
             del self._leases[lease.lease_id]
         return over
 
-    # -- poison accounting -------------------------------------------------
-
-    def record_kill(self, lease: Lease, worker_token: str) -> int:
-        """Attribute a worker death to the cell it held; distinct count."""
-        kills = self._kills.setdefault(lease.index, set())
-        kills.add(worker_token)
-        return len(kills)
-
-    def kill_count(self, index: int) -> int:
-        return len(self._kills.get(index, ()))
-
-    def is_poison(self, index: int) -> bool:
-        return len(self._kills.get(index, ())) >= self.poison_threshold
-
-    def mark_poison(self, index: int) -> None:
-        self._poisoned.add(index)
-
-    @property
-    def poisoned(self) -> frozenset:
-        return frozenset(self._poisoned)
-
     # -- requeue / introspection ------------------------------------------
 
     def requeue(self, lease: Lease) -> None:
         """Put a reclaimed lease's cell back up for grabs (work-stealing)."""
         self.add(lease.index, lease.spec, lease.dispatch + 1)
-
-    def pop_pending(self) -> "_PendingCell | None":
-        """Take one pending cell out of the queue without leasing it
-        (the no-workers-left fallback executes it in-process)."""
-        return self._pending.popleft() if self._pending else None
 
     @property
     def pending_count(self) -> int:

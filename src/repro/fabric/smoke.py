@@ -16,8 +16,12 @@ it).  Asserts the invariants the fabric exists for:
    seed scheme makes results worker-independent);
 4. the grid telemetry (``cell`` lifecycle + ``fabric`` lease/reclaim/
    poison events) validates against schema v1, and a resumed supervisor
-   serves everything — including the poison verdict — from the journal;
-5. a transient worker crash (a cell whose first attempt hard-exits) is
+   serves everything from the checkpoints and the journal, deriving the
+   poison verdict from the kills the journal kept;
+5. the journal holds exactly ``runs`` and ``kills`` (a second record of
+   any fact fails the smoke), and the poison cell's distinct killers
+   reach ``poison_threshold``;
+6. a transient worker crash (a cell whose first attempt hard-exits) is
    absorbed by re-dispatch, and the re-run equals the serial run.
 
 Entry point: ``python -m repro.fabric.smoke``.
@@ -43,10 +47,12 @@ def _grid_events(telemetry_dir: Path) -> list[dict]:
 def main() -> int:
     import repro.mutators  # noqa: F401  (populate the registry)
     from repro.compiler.driver import GCC_SIM, Compiler
+    from repro.fabric import JOURNAL_KEY
     from repro.fuzzing.campaign import FUZZER_NAMES, Campaign
-    from repro.fuzzing.parallel import run_cells
+    from repro.fuzzing.parallel import cell_key, run_cells
     from repro.fuzzing.seedgen import generate_seeds
     from repro.muast.registry import global_registry
+    from repro.resilience.checkpoint import CheckpointStore
     from repro.resilience.faultinject import CellFault, ChaosPlan
     from repro.telemetry import validate_jsonl
 
@@ -58,6 +64,7 @@ def main() -> int:
     )
     doomed = chaos.doomed_workers(range(4))
     assert doomed, "the chosen seed must kill at least one initial worker"
+    poison_threshold = 3
 
     with tempfile.TemporaryDirectory() as tmp:
         telemetry_dir = Path(tmp) / "telemetry"
@@ -84,7 +91,7 @@ def main() -> int:
             fleet_size=4,
             heartbeat_interval=0.05,
             heartbeat_timeout=1.0,
-            poison_threshold=3,
+            poison_threshold=poison_threshold,
             checkpoint_dir=str(checkpoint_dir),
             faults={"GrayC": CellFault(kind="exit", attempts=None)},
             chaos=chaos,
@@ -142,14 +149,14 @@ def main() -> int:
               f"reclaim reasons {sorted(reasons)}")
 
         # 5. Resume: a restarted supervisor replays everything from the
-        #    journal + checkpoints — including the poison verdict — and
-        #    never spawns a worker.
+        #    checkpoints and the journal — deriving the poison verdict from
+        #    the kills — and never grants a lease.
         resumed = campaign.run_fabric(
             FUZZER_NAMES,
             fleet_size=4,
             heartbeat_interval=0.05,
             heartbeat_timeout=1.0,
-            poison_threshold=3,
+            poison_threshold=poison_threshold,
             checkpoint_dir=str(checkpoint_dir),
             faults={"GrayC": CellFault(kind="exit", attempts=None)},
             chaos=chaos,
@@ -163,6 +170,17 @@ def main() -> int:
             for e in events
         ), "a resumed grid must not re-dispatch anything"
         print("resume: full grid served from journal + checkpoints")
+
+        # The journal is the one record of kills, and only of kills.
+        journal = CheckpointStore(checkpoint_dir).load(JOURNAL_KEY)
+        assert journal is not None and set(journal) == {"runs", "kills"}, (
+            journal
+        )
+        poison_key = cell_key(poison[0].spec)
+        killers = set(journal["kills"].get(poison_key, ()))
+        assert len(killers) >= poison_threshold, killers
+        print(f"journal: runs and kills only, the poison cell killed "
+              f"{len(killers)} distinct workers")
 
     # 6. Retry: the first attempt of one cell kills its worker; the lease
     #    is reclaimed and the re-dispatched cell equals the serial run.

@@ -14,12 +14,17 @@ through it.  It runs a *fleet* of long-lived workers against a lease-based
   as poison — a recorded :class:`CellOutcome` failure — instead of eating
   the fleet forever (the mutator circuit breaker's idea, applied to
   cells);
-* every transition is journalled through the
-  :class:`~repro.resilience.checkpoint.CheckpointStore`, so a supervisor
-  killed mid-grid restarts with finished cells, kill attributions, and
-  poison verdicts intact;
-* the same transitions stream as schema-v1 ``fabric`` telemetry events
-  next to the ``cell`` lifecycle events in ``grid.jsonl``.
+* every kill is recorded in the :class:`~repro.fabric.journal.FabricJournal`,
+  the one owner of kill attribution, which persists through the
+  :class:`~repro.resilience.checkpoint.CheckpointStore` beside the finished
+  cells, so a supervisor killed mid-grid restarts with both intact and
+  derives its poison verdicts from the kills again;
+* a cell that cannot reach a worker (its spec does not pickle, or no
+  worker can be spawned) takes a lease and runs in the supervisor's own
+  process under the same retry contract, reported through the queue as a
+  worker would report it;
+* every other transition streams as a schema-v1 ``fabric`` telemetry
+  event next to the ``cell`` lifecycle events in ``grid.jsonl``.
 
 Between passes the supervisor blocks in
 :func:`multiprocessing.connection.wait` on its workers' pipes and process
@@ -37,7 +42,6 @@ specs.
 
 from __future__ import annotations
 
-import dataclasses
 import pickle
 import time
 from dataclasses import dataclass
@@ -46,12 +50,15 @@ from multiprocessing.connection import wait
 from repro.fabric.journal import FabricJournal
 from repro.fabric.lease import Lease, WorkQueue
 from repro.fabric.worker import worker_main
-from repro.fuzzing.parallel import CellOutcome, CellSpec, cell_keys, run_cell
+from repro.fuzzing.parallel import CellOutcome, cell_keys, run_cell
 from repro.resilience.checkpoint import CheckpointStore
 from repro.resilience.faultinject import ChaosPlan
 
 #: Grace period (real seconds) given to SIGTERM before escalating.
 _TERM_GRACE = 5.0
+
+#: The ``worker`` of the events of a lease run in the supervisor's process.
+_IN_PROCESS = "in-process"
 
 
 def ensure_dead(proc, grace: float = _TERM_GRACE) -> None:
@@ -73,36 +80,12 @@ def ensure_dead(proc, grace: float = _TERM_GRACE) -> None:
         proc.join(grace)
 
 
-def _run_cell_inprocess(spec: CellSpec, cell_retries: int) -> CellOutcome:
-    """No process isolation, but the same retry contract as a worker."""
-    attempt = 0
-    while True:
-        effective = (
-            dataclasses.replace(spec, attempt=attempt) if attempt else spec
-        )
-        try:
-            result = run_cell(effective)
-        except Exception as exc:  # a cell bug or an injected "raise" fault
-            if attempt < cell_retries:
-                attempt += 1
-                continue
-            return CellOutcome(
-                spec=spec,
-                ok=False,
-                error=str(exc),
-                error_type=type(exc).__name__,
-                attempts=attempt + 1,
-            )
-        return CellOutcome(spec=spec, ok=True, result=result, attempts=attempt + 1)
-
-
 @dataclass
 class _Worker:
     worker_id: int
     proc: object
     conn: object
     idle: bool = False  # becomes True on the worker's "ready"
-    lease_id: int | None = None
 
 
 class Supervisor:
@@ -118,7 +101,6 @@ class Supervisor:
         cell_timeout: float | None = None,
         cell_retries: int = 1,
         poison_threshold: int = 3,
-        max_respawns: int | None = None,
         checkpoint_dir=None,
         telemetry_dir=None,
         chaos: ChaosPlan | None = None,
@@ -130,24 +112,20 @@ class Supervisor:
         self.heartbeat_interval = heartbeat_interval
         self.heartbeat_timeout = heartbeat_timeout
         self.cell_timeout = cell_timeout
-        self.cell_retries = cell_retries
-        self.max_respawns = max_respawns
+        self.poison_threshold = poison_threshold
         self.chaos = chaos
         self.store = (
             CheckpointStore(checkpoint_dir) if checkpoint_dir is not None else None
         )
         self.journal = FabricJournal(self.store)
         self.queue = WorkQueue(
-            heartbeat_timeout=heartbeat_timeout,
-            poison_threshold=poison_threshold,
-            cell_retries=cell_retries,
+            heartbeat_timeout=heartbeat_timeout, cell_retries=cell_retries
         )
         self.telemetry_dir = telemetry_dir
         self.gridlog = None
         self.workers: dict[int, _Worker] = {}
         self.outcomes: dict[int, CellOutcome] = {}
         self._next_worker_id = 0
-        self._respawns = 0
         self._spawn_failed = False
 
     # -- telemetry ---------------------------------------------------------
@@ -165,6 +143,10 @@ class Supervisor:
                 compiler=f"{spec.personality}-{spec.version}", **fields,
             )
 
+    def _emit_grant(self, lease: Lease, worker: str) -> None:
+        self._emit("lease", status="grant", cell=self.keys[lease.index],
+                   worker=worker, dispatch=lease.dispatch)
+
     # -- outcome plumbing --------------------------------------------------
 
     def _finish(self, outcome: CellOutcome, index: int) -> None:
@@ -178,24 +160,20 @@ class Supervisor:
             error_type=outcome.error_type,
         )
 
-    def _poison(self, lease: Lease, killers: list[str]) -> None:
-        key = self.keys[lease.index]
-        self.queue.mark_poison(lease.index)
-        self.journal.record_poison(key)
-        self._emit("poison", cell=key, kills=len(killers),
-                   workers=sorted(killers))
-        self._finish(
-            CellOutcome(
-                spec=lease.spec,
-                ok=False,
-                error=(
-                    f"poison: cell killed {len(killers)} distinct workers "
-                    f"({', '.join(sorted(killers))}); quarantined"
-                ),
-                error_type="poison",
-                attempts=lease.dispatch + 1,
+    def _poison_outcome(
+        self, index: int, attempts: int, from_checkpoint: bool = False
+    ) -> CellOutcome:
+        killers = sorted(self.journal.kills_for(self.keys[index]))
+        return CellOutcome(
+            spec=self.specs[index],
+            ok=False,
+            error=(
+                f"poison: cell killed {len(killers)} distinct workers "
+                f"({', '.join(killers)}); quarantined"
             ),
-            lease.index,
+            error_type="poison",
+            attempts=attempts,
+            from_checkpoint=from_checkpoint,
         )
 
     def _worker_killed_holding(self, lease: Lease, token: str, how: str) -> None:
@@ -203,14 +181,75 @@ class Supervisor:
         or quarantine."""
         key = self.keys[lease.index]
         killers = self.journal.record_kill(key, token)
-        self.queue.record_kill(lease, token)
-        self.journal.record("reclaim")
         self._emit("lease", status="reclaim", cell=key, worker=token,
                    reason=how, dispatch=lease.dispatch, kills=len(killers))
-        if self.queue.is_poison(lease.index):
-            self._poison(lease, killers)
+        if self.journal.is_poison(key, self.poison_threshold):
+            self._emit("poison", cell=key, kills=len(killers),
+                       workers=sorted(killers))
+            self._finish(
+                self._poison_outcome(lease.index, lease.dispatch + 1),
+                lease.index,
+            )
         else:
             self.queue.requeue(lease)
+
+    def _cell_done(self, lease_id: int, result) -> None:
+        lease = self.queue.complete(lease_id)
+        if lease is not None:  # else: a reclaimed lease's late result
+            self._finish(
+                CellOutcome(
+                    spec=lease.spec, ok=True, result=result,
+                    attempts=lease.dispatch + 1,
+                ),
+                lease.index,
+            )
+
+    def _cell_failed(
+        self, lease_id: int, error: str, error_type: str, worker: str
+    ) -> None:
+        """The cell raised: retry it, or record the failure once the
+        queue's ``cell_retries`` budget is spent."""
+        lease, retried = self.queue.fail(lease_id)
+        if lease is None:
+            return
+        self._emit("lease", status="fail", cell=self.keys[lease.index],
+                   worker=worker, error_type=error_type, retried=retried)
+        if not retried:
+            self._finish(
+                CellOutcome(
+                    spec=lease.spec, ok=False, error=error,
+                    error_type=error_type, attempts=lease.dispatch + 1,
+                ),
+                lease.index,
+            )
+
+    def _run_in_process(self, lease: Lease) -> None:
+        """Run a leased cell here, reporting it as a worker would."""
+        self._emit_grant(lease, _IN_PROCESS)
+        fault = lease.spec.fault
+        if fault is not None and fault.kind in ("exit", "hang"):
+            # Firing these in-process would take the supervisor down —
+            # the very thing the fabric exists to survive.
+            self.queue.complete(lease.lease_id)
+            self._finish(
+                CellOutcome(
+                    spec=lease.spec, ok=False,
+                    error="no worker can run the cell and it is unsafe to "
+                          "run in-process",
+                    error_type="no-workers",
+                    attempts=lease.dispatch + 1,
+                ),
+                lease.index,
+            )
+            return
+        try:
+            result = run_cell(lease.spec, lease.dispatch)
+        except Exception as exc:  # a cell bug or an injected "raise" fault
+            self._cell_failed(
+                lease.lease_id, str(exc), type(exc).__name__, _IN_PROCESS
+            )
+        else:
+            self._cell_done(lease.lease_id, result)
 
     # -- fleet management --------------------------------------------------
 
@@ -253,55 +292,27 @@ class Supervisor:
         target = min(
             self.fleet_size, self.queue.pending_count + self.queue.lease_count
         )
-        while (
-            len(self.workers) < target
-            and not self._spawn_failed
-            and (self.max_respawns is None or self._respawns < self.max_respawns)
-        ):
+        while len(self.workers) < target and not self._spawn_failed:
             if not self._spawn_worker():
                 return
-            self._respawns += 1
 
     # -- message handling --------------------------------------------------
 
     def _handle_message(self, worker: _Worker, message: tuple) -> None:
-        now = time.monotonic()
         kind = message[0]
-        token = self.journal.worker_token(worker.worker_id)
         if kind == "ready":
             worker.idle = True
-            worker.lease_id = None
         elif kind == "heartbeat":
-            # Counted in the journal only: one event per heartbeat would
-            # make renewals most of the grid's event stream.
-            if self.queue.renew(message[2], now):
-                self.journal.record_renew()
+            # No event: one per heartbeat would make renewals most of the
+            # grid's event stream.
+            self.queue.renew(message[2], time.monotonic())
         elif kind == "done":
-            lease = self.queue.complete(message[2])
-            if lease is not None:  # else: a reclaimed lease's late result
-                self.journal.record("complete")
-                self._finish(
-                    CellOutcome(
-                        spec=lease.spec, ok=True, result=message[3],
-                        attempts=lease.dispatch + 1,
-                    ),
-                    lease.index,
-                )
+            self._cell_done(message[2], message[3])
         elif kind == "cell-error":
-            lease, retried = self.queue.fail(message[2])
-            if lease is not None:
-                self.journal.record("fail")
-                self._emit("lease", status="fail", cell=self.keys[lease.index],
-                           worker=token, error_type=message[4],
-                           retried=retried)
-                if not retried:
-                    self._finish(
-                        CellOutcome(
-                            spec=lease.spec, ok=False, error=message[3],
-                            error_type=message[4], attempts=lease.dispatch + 1,
-                        ),
-                        lease.index,
-                    )
+            self._cell_failed(
+                message[2], message[3], message[4],
+                self.journal.worker_token(worker.worker_id),
+            )
 
     def _drain_messages(self) -> None:
         for worker in list(self.workers.values()):
@@ -361,11 +372,7 @@ class Supervisor:
                 # Unpicklable spec (e.g. a registry of locally-defined
                 # mutators): this cell can never cross a process boundary —
                 # run it in-process, deterministically identical.
-                self.queue.complete(lease.lease_id)
-                self._finish(
-                    _run_cell_inprocess(lease.spec, self.cell_retries),
-                    lease.index,
-                )
+                self._run_in_process(lease)
                 continue
             except OSError:
                 # The pipe died under us; the liveness pass will reap the
@@ -375,38 +382,12 @@ class Supervisor:
                 self.queue.add(lease.index, lease.spec, lease.dispatch)
                 continue
             worker.idle = False
-            worker.lease_id = lease.lease_id
-            self.journal.record("grant")
-            self._emit(
-                "lease", status="grant", cell=self.keys[lease.index],
-                worker=self.journal.worker_token(worker.worker_id),
-                dispatch=lease.dispatch,
-            )
+            self._emit_grant(lease, self.journal.worker_token(worker.worker_id))
 
     def _drain_inprocess(self) -> None:
         """Last resort when no worker can exist: never lose a cell."""
-        while True:
-            cell = self.queue.pop_pending()
-            if cell is None:
-                return
-            fault = cell.spec.fault
-            if fault is not None and fault.kind in ("exit", "hang"):
-                # Firing these in-process would take the supervisor down —
-                # the very thing the fabric exists to survive.
-                self._finish(
-                    CellOutcome(
-                        spec=cell.spec, ok=False,
-                        error="no workers left and the cell is unsafe to "
-                              "run in-process",
-                        error_type="no-workers",
-                        attempts=cell.dispatch + 1,
-                    ),
-                    cell.index,
-                )
-                continue
-            self._finish(
-                _run_cell_inprocess(cell.spec, self.cell_retries), cell.index
-            )
+        while (lease := self.queue.acquire(None, time.monotonic())) is not None:
+            self._run_in_process(lease)
 
     # -- the run loop ------------------------------------------------------
 
@@ -453,7 +434,7 @@ class Supervisor:
         )
 
     def _intake(self) -> None:
-        """Load checkpoints/journal; queue only the genuinely unfinished."""
+        """Load checkpoints and kills; queue only the genuinely unfinished."""
         from repro.fuzzing.campaign import CampaignResult
 
         for index, (spec, key) in enumerate(zip(self.specs, self.keys)):
@@ -468,21 +449,18 @@ class Supervisor:
                 )
                 self._emit_cell(index, "checkpoint-skip")
                 continue
-            if self.journal.is_poisoned(key):
-                # A poison verdict survives restarts: never re-dispatch.
-                self.outcomes[index] = CellOutcome(
-                    spec=spec, ok=False,
-                    error=(payload or {}).get(
-                        "error", "poison (quarantined in a previous run)"
-                    ),
-                    error_type="poison",
-                    attempts=int((payload or {}).get("attempts", 1)),
-                    from_checkpoint=True,
+            if self.journal.is_poison(key, self.poison_threshold):
+                # Kills survive restarts, and so does the verdict derived
+                # from them: never re-dispatch a poison cell.
+                attempts = (payload or {}).get(
+                    "attempts", len(self.journal.kills_for(key))
+                )
+                self.outcomes[index] = self._poison_outcome(
+                    index, int(attempts), from_checkpoint=True
                 )
                 self._emit_cell(index, "poison-skip")
                 continue
             self.queue.add(index, spec)
-            self.queue.seed_kills(index, self.journal.kills_for(key))
 
     def _shutdown(self) -> None:
         for worker in list(self.workers.values()):
@@ -512,7 +490,6 @@ def run_cells_fabric(
     cell_timeout: float | None = None,
     cell_retries: int = 1,
     poison_threshold: int = 3,
-    max_respawns: int | None = None,
     checkpoint_dir=None,
     telemetry_dir=None,
     chaos: ChaosPlan | None = None,
@@ -523,10 +500,9 @@ def run_cells_fabric(
     See :class:`Supervisor` for the protocol.  ``heartbeat_timeout`` is how
     long a silent worker keeps its lease; ``cell_timeout`` (optional) is
     the wall-clock hang budget per cell; ``poison_threshold`` distinct
-    worker deaths quarantine a cell; ``max_respawns=None`` means the fleet
-    is repaired indefinitely (termination still holds: every chaos/poison
-    death either progresses a cell toward quarantine or fires at most once
-    per worker).
+    worker deaths quarantine a cell.  The fleet is repaired without limit;
+    termination still holds, because every chaos/poison death either
+    progresses a cell toward quarantine or fires at most once per worker.
     """
     return Supervisor(
         specs,
@@ -536,7 +512,6 @@ def run_cells_fabric(
         cell_timeout=cell_timeout,
         cell_retries=cell_retries,
         poison_threshold=poison_threshold,
-        max_respawns=max_respawns,
         checkpoint_dir=checkpoint_dir,
         telemetry_dir=telemetry_dir,
         chaos=chaos,

@@ -4,7 +4,8 @@ A worker is the unit the supervisor supervises.  It connects back over a
 duplex pipe, announces itself ready, and then loops: accept a lease, run
 the cell via the same :func:`repro.fuzzing.parallel.run_cell` the serial
 loop uses (so results depend only on the :class:`CellSpec`, never on
-which worker executed it), report the result, announce ready again.
+which worker executed it), with the lease's dispatch count as the attempt
+number, report the result, announce ready again.
 
 While a cell runs, a daemon *heartbeat thread* renews the lease every
 ``heartbeat_interval`` seconds.  Heartbeats prove the process is alive and
@@ -81,8 +82,6 @@ def _arm_chaos_death(fault: WorkerFault) -> None:
 def worker_main(conn, worker_id: int, heartbeat_interval: float,
                 chaos: ChaosPlan | None) -> None:  # pragma: no cover - subprocess
     """The worker process entry point (runs until told to stop)."""
-    import dataclasses
-
     import repro.mutators  # noqa: F401  (populate the worker's registry)
     from repro.fuzzing.parallel import run_cell
 
@@ -118,11 +117,8 @@ def worker_main(conn, worker_id: int, heartbeat_interval: float,
                 # progresses and nothing beats.  The supervisor must notice
                 # the missed heartbeats and reap us.
                 time.sleep(fault.after_seconds)
-            effective = (
-                dataclasses.replace(spec, attempt=dispatch) if dispatch else spec
-            )
             try:
-                result = run_cell(effective)
+                result = run_cell(spec, dispatch)
             except BaseException as exc:  # noqa: BLE001 - report, stay alive
                 beat.stop()
                 send(("cell-error", worker_id, lease_id, str(exc),

@@ -39,12 +39,11 @@ class Fuzzer:
         self.compiler = compiler
         self.rng = rng
         self.coverage = CoverageMap()
-        #: The run's telemetry (sink-less by default: deterministic metrics
-        #: and the wall profile only).  ``self.stats`` *is* the session
-        #: registry's counter mapping, so ``stats_snapshot()`` is a view
-        #: over the registry; subclasses add their own keys.
+        #: The run's telemetry (sink-less by default: deterministic
+        #: counters and the wall profile only).  ``self.stats`` *is* the
+        #: session's ``counters`` dict; subclasses add their own keys.
         self.telemetry = TelemetrySession()
-        self.stats: dict = self.telemetry.metrics.counters
+        self.stats: dict = self.telemetry.counters
         #: Optional per-mutator circuit breaker
         #: (:class:`repro.resilience.circuit.MutatorQuarantine`); fuzzers
         #: that apply mutators consult and feed it.
@@ -90,17 +89,18 @@ class Fuzzer:
             rec["coverage_gain"] += coverage_gain
 
     def adopt_telemetry(self, session: TelemetrySession) -> None:
-        """Re-home this fuzzer's metrics onto an external (sinked) session.
+        """Re-home this fuzzer's counters onto an external (sinked) session.
 
-        Counters recorded so far carry over, the compiler's stage spans are
-        routed into the session's sink/clock, and ``self.stats`` keeps being
-        a registry view.  Adopting a session changes only where telemetry
-        lands, never the fuzzing results.
+        Counters and wall totals recorded so far carry over, the compiler's
+        stage spans are routed into the session's sink/clock, and
+        ``self.stats`` becomes the session's ``counters``.  Adopting a
+        session changes only where telemetry lands, never the fuzzing
+        results.
         """
-        session.metrics.counters.update(self.stats)
-        session.metrics.wall.update(self.telemetry.metrics.wall)
+        session.counters.update(self.stats)
+        session.wall.update(self.telemetry.wall)
         self.telemetry = session
-        self.stats = session.metrics.counters
+        self.stats = session.counters
         session.attach_compiler(self.compiler)
 
     def stats_snapshot(self) -> dict:
@@ -124,9 +124,11 @@ class Fuzzer:
                 for stage, seconds in sorted(self.compiler.stage_timings.items())
             }
         }
-        spans = self.telemetry.metrics.wall_snapshot()
-        if spans:
-            profile["spans"] = spans
+        if self.telemetry.wall:
+            profile["spans"] = {
+                name: round(seconds, 4)
+                for name, seconds in sorted(self.telemetry.wall.items())
+            }
         return profile
 
 

@@ -59,9 +59,6 @@ class CampaignResult:
     def final_coverage(self) -> int:
         return self.coverage_trend[-1][1] if self.coverage_trend else 0
 
-    def crash_trend(self) -> list[tuple[float, int]]:
-        return self.crashes.timeline()
-
     # -- checkpoint serialization (campaign resume) -----------------------
 
     def to_json(self) -> dict:
@@ -336,7 +333,6 @@ class Campaign:
         cell_timeout: float | None = None,
         cell_retries: int = 1,
         poison_threshold: int = 3,
-        max_respawns: int | None = None,
         checkpoint_dir: str | None = None,
         faults: "dict[str | tuple[str, str], CellFault] | None" = None,
         chaos=None,
@@ -349,9 +345,10 @@ class Campaign:
         retried up to ``cell_retries`` times and otherwise recorded as a
         failure, a cell that kills ``poison_threshold`` distinct workers
         (a crash, or a hang past ``cell_timeout``) is quarantined as a
-        recorded poison failure, and every transition is journalled under
-        ``checkpoint_dir`` so a rerun resumes mid-grid, serving finished
-        cells from their checkpoints.
+        recorded poison failure, and finished cells and worker kills are
+        kept under ``checkpoint_dir`` so a rerun resumes mid-grid, serving
+        finished cells from their checkpoints and poison cells from the
+        kills the journal kept.
         Completed cells are bit-identical to the serial run regardless of
         fleet churn (``chaos``, a
         :class:`~repro.resilience.faultinject.ChaosPlan`, injects that
@@ -367,7 +364,6 @@ class Campaign:
             cell_timeout=cell_timeout,
             cell_retries=cell_retries,
             poison_threshold=poison_threshold,
-            max_respawns=max_respawns,
             checkpoint_dir=checkpoint_dir,
             telemetry_dir=self.telemetry_dir,
             chaos=chaos,

@@ -92,13 +92,12 @@ class MuCFuzz(CoverageGuidedFuzzer):
         # The reference pipeline never runs the compile session, so its
         # counters would only read as a session that never hit.
         has_session = not self.compiler.reference
-        if has_session:
-            self.stats.update(self.compiler.compile_session.stats())
         snap = super().stats_snapshot()
         snap.update(self.cache.stats())
         if self.scheduler is not None:
             snap.update(self.scheduler.stats())
         if has_session:
+            snap.update(self.compiler.compile_session.stats())
             snap["middle_incremental_hits"] = (
                 self.compiler.middle_incremental_hits
             )

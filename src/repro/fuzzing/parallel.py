@@ -9,7 +9,8 @@ Determinism contract: a cell is fully described by a picklable
 seed programs, step budget, and a stable per-cell RNG seed.  A worker
 reconstructs the compiler and fuzzer from the spec, so the result depends
 only on the spec, never on which process (or how many) executed it, nor on
-how many times it was attempted.
+how many times it was attempted (the attempt number is :func:`run_cell`'s
+argument, and only an injected fault reads it).
 
 :func:`run_cells` is the in-process loop, the reference every parallel
 run is compared against.  The one multi-process runner is the fabric
@@ -45,7 +46,11 @@ def stable_cell_seed(fuzzer_name: str, compiler_name: str, base_seed: int) -> in
 
 @dataclass(frozen=True)
 class CellSpec:
-    """One fuzzer × compiler campaign cell, picklable for fabric workers."""
+    """One fuzzer × compiler campaign cell, picklable for fabric workers.
+
+    Which attempt a run is is not part of the spec: it is
+    :func:`run_cell`'s ``attempt`` argument.
+    """
 
     fuzzer_name: str
     personality: str
@@ -82,18 +87,14 @@ class CellSpec:
     telemetry_dir: str | None = None
     #: Test/CI-only injected fault (fired by :func:`run_cell`).
     fault: CellFault | None = None
-    #: Which execution attempt this is (the fabric sets it to the lease's
-    #: dispatch count on re-dispatch; does not affect the cell's RNG or
-    #: results).
-    attempt: int = 0
 
 
 def cell_key(spec: CellSpec) -> str:
     """A stable checkpoint key over the cell's *identity* fields.
 
-    Excludes ``fault`` and ``attempt`` (execution circumstances, not
-    identity) and ``registry`` (checkpointing assumes the process-global
-    registry, which is identical in every worker).
+    Excludes ``fault`` (an execution circumstance, not identity) and
+    ``registry`` (checkpointing assumes the process-global registry, which
+    is identical in every worker).
     """
     return cell_keys([spec])[0]
 
@@ -190,8 +191,12 @@ def cell_telemetry_session(spec: CellSpec):
     return TelemetrySession.to_jsonl(Path(spec.telemetry_dir) / f"{stem}.jsonl")
 
 
-def run_cell(spec: CellSpec) -> "CampaignResult":
-    """Run one campaign cell from scratch; what every runner executes."""
+def run_cell(spec: CellSpec, attempt: int = 0) -> "CampaignResult":
+    """Run one campaign cell from scratch; what every runner executes.
+
+    ``attempt`` is the 0-based execution attempt (the fabric passes the
+    lease's dispatch count); only the spec's injected fault reads it.
+    """
     import random
 
     import repro.mutators  # noqa: F401  (populate the worker's registry)
@@ -200,7 +205,7 @@ def run_cell(spec: CellSpec) -> "CampaignResult":
     from repro.muast.registry import global_registry
 
     if spec.fault is not None:
-        spec.fault.fire(spec.attempt)
+        spec.fault.fire(attempt)
     registry = spec.registry if spec.registry is not None else global_registry
     compiler = Compiler(
         spec.personality,

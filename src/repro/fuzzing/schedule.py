@@ -123,8 +123,8 @@ class MutatorScheduler:
 
         The stat table is the scheduler's *only* input signal — the fuzzer
         records yields there and the scheduler reads them, so there is one
-        source of truth and the MetricsRegistry snapshot the campaign
-        compares is exactly what drove the schedule.
+        source of truth and the stats snapshot the campaign compares is
+        exactly what drove the schedule.
         """
         self._stats = stats
         self._quarantine = quarantine

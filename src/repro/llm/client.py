@@ -62,10 +62,10 @@ class LLMClient:
         self.model = model or SimulatedLLM()
         self.failure_rate = failure_rate
         self.retry_policy = retry_policy
-        #: Transport telemetry: ``llm_*`` counters, an ``llm_tokens``
-        #: histogram, and per-request ``llm``/``retry`` events when the
-        #: session carries a sink.  Emission consumes no RNG, so a telemetry
-        #: session never perturbs the simulated request stream.
+        #: Transport telemetry: per-request ``llm``/``retry`` events when
+        #: the session carries a sink (the counts are the client's own
+        #: ``requests``/``failures``/``retries``).  Emission consumes no
+        #: RNG, so a telemetry session never perturbs the request stream.
         self.telemetry = telemetry if telemetry is not None else TelemetrySession()
         self.requests = 0
         self.failures = 0
@@ -74,14 +74,11 @@ class LLMClient:
 
     def _attempt(self, rng: random.Random, tokens: int) -> ChatUsage:
         self.requests += 1
-        self.telemetry.metrics.inc("llm_requests")
         if rng.random() < self.failure_rate:
             self.failures += 1
-            self.telemetry.metrics.inc("llm_failures")
             self.telemetry.emit("llm", "throttled", tokens=tokens)
             raise APIError("rate limited (simulated throttle/timeout)")
         usage = ChatUsage(tokens, costs.sample_wait_seconds(rng))
-        self.telemetry.metrics.observe("llm_tokens", tokens)
         self.telemetry.emit(
             "llm", "ok", tokens=tokens, wait=round(usage.wait_seconds, 3)
         )
@@ -90,7 +87,6 @@ class LLMClient:
     def _on_backoff(self, retry: int, pause: float) -> None:
         self.retries += 1
         self.backoff_seconds += pause
-        self.telemetry.metrics.inc("llm_retries")
         self.telemetry.emit("retry", "llm", retry=retry, pause=round(pause, 3))
 
     def _request(self, rng: random.Random, tokens: int) -> ChatUsage:

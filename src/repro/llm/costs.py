@@ -183,23 +183,3 @@ class CostLedger:
         if not self.records:
             return 0.0
         return sum(r.usd for r in self.records) / len(self.records)
-
-    # -- telemetry ---------------------------------------------------------
-
-    def telemetry_snapshot(self) -> dict:
-        """Campaign totals in one flat dict (virtual time; deterministic)."""
-        return {
-            "mutators": len(self.records),
-            "total_tokens": sum(r.total_tokens for r in self.records),
-            "total_rounds": sum(r.total_rounds for r in self.records),
-            "total_seconds": round(
-                sum(r.total_seconds for r in self.records), 3
-            ),
-            "mean_usd": round(self.mean_usd(), 4),
-            **self.retry_stats(),
-        }
-
-    def export(self, metrics) -> None:
-        """Publish the totals as ``llm_cost_*`` gauges on a registry."""
-        for name, value in self.telemetry_snapshot().items():
-            metrics.gauge(f"llm_cost_{name}", value)

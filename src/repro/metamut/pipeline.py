@@ -206,7 +206,6 @@ class MetaMut:
                 generated.add(record.invention.name)
             if record.status == "valid" and record.cost is not None:
                 campaign.ledger.add(record.cost)
-        campaign.ledger.export(self.telemetry.metrics)
         return campaign
 
     def run_supervised(
@@ -243,5 +242,4 @@ class MetaMut:
                 and record.invention.registry_name is not None
             ):
                 produced += 1
-        campaign.ledger.export(self.telemetry.metrics)
         return campaign

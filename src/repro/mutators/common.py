@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from repro.cast import ast_nodes as ast
-from repro.cast import types as ct
 from repro.muast.mutator import Mutator
 
 #: Integer literals that exercise boundary behaviour in optimizers.
@@ -30,10 +29,6 @@ def arith_typed(expr: ast.Expr) -> bool:
     return expr.type is not None and expr.type.is_arithmetic()
 
 
-def scalar_typed(expr: ast.Expr) -> bool:
-    return expr.type is not None and expr.type.decayed().is_scalar()
-
-
 def condition_exprs(m: Mutator) -> list[ast.Expr]:
     """Conditions of if/while/do/for statements (never case labels)."""
     ctx = m.get_ast_context()
@@ -49,37 +44,6 @@ def condition_exprs(m: Mutator) -> list[ast.Expr]:
     return list(conds)
 
 
-def mutable_scalar_refs(m: Mutator) -> list[ast.DeclRefExpr]:
-    """References to non-const scalar variables (assignable lvalues)."""
-    refs = []
-    for ref in m.collect(ast.DeclRefExpr):
-        assert isinstance(ref, ast.DeclRefExpr)
-        if (
-            ref.type is not None
-            and ref.type.is_scalar()
-            and not ref.type.const
-            and isinstance(ref.decl, (ast.VarDecl, ast.ParmVarDecl))
-        ):
-            refs.append(ref)
-    return refs
-
-
-def local_var_decls(m: Mutator, fn: ast.FunctionDecl) -> list[ast.VarDecl]:
-    """VarDecls declared inside ``fn``'s body."""
-    assert fn.body is not None
-    return [n for n in fn.body.walk() if isinstance(n, ast.VarDecl)]
-
-
-def body_statements(fn: ast.FunctionDecl) -> list[ast.Stmt]:
-    """All statements inside a function body (excluding the body itself)."""
-    assert fn.body is not None
-    return [
-        n
-        for n in fn.body.walk()
-        if isinstance(n, ast.Stmt) and n is not fn.body
-    ]
-
-
 def is_removable_stmt(stmt: ast.Stmt) -> bool:
     """Statements that can be deleted without dangling references/labels."""
     if isinstance(stmt, (ast.DeclStmt, ast.CaseStmt, ast.DefaultStmt)):
@@ -88,17 +52,6 @@ def is_removable_stmt(stmt: ast.Stmt) -> bool:
         if isinstance(n, (ast.DeclStmt, ast.LabelStmt, ast.CaseStmt, ast.DefaultStmt)):
             return False
     return True
-
-
-def stmts_directly_in(block: ast.CompoundStmt) -> list[ast.Stmt]:
-    return list(block.stmts)
-
-
-def spelled_scalar_type(ty: ct.QualType) -> str | None:
-    """The plain spelling of a builtin scalar type, or None."""
-    if isinstance(ty.type, ct.BuiltinType) and ty.is_arithmetic():
-        return ty.type.spelling()
-    return None
 
 
 def references_only_globals(m: Mutator, node: ast.Node) -> bool:

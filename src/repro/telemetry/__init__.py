@@ -1,12 +1,14 @@
-"""Unified telemetry: deterministic metrics, span tracing, JSONL events.
+"""Unified telemetry: deterministic counters, span tracing, JSONL events.
 
 The paper's evaluation is observational — coverage curves, unique-crash
 timelines, per-module bug censuses (§5.1, Tables 5-7) — so the reproduction
 carries one telemetry layer through every subsystem:
 
-* :mod:`repro.telemetry.metrics` — counters/gauges/histograms (the fuzzer's
-  ``stats_snapshot()`` is a view over this registry) plus a wall-clock
-  namespace that is kept strictly out of determinism-compared state;
+* :class:`TelemetrySession` — one run's deterministic ``counters`` (a
+  fuzzer's ``stats`` *is* this dict) and its ``wall`` span totals, which
+  are kept strictly out of determinism-compared state;
+* :mod:`repro.telemetry.metrics` — :func:`merge_stats`, the deterministic
+  fold of per-cell stats snapshots into one grid summary;
 * :mod:`repro.telemetry.spans` — pipeline-stage tracing
   (lex/parse/sema/irgen/opt/backend, mutation, LLM stages);
 * :mod:`repro.telemetry.sink` / :mod:`repro.telemetry.events` — a rotated
@@ -17,8 +19,8 @@ carries one telemetry layer through every subsystem:
 
 Determinism contract: telemetry on vs. off produces bit-identical fuzzing
 results.  Emission consumes no RNG, wall-clock readings live only in event
-annotations and the ``wall`` namespace, and sink bookkeeping stays on the
-sink object.
+annotations and the session's ``wall`` totals, and sink bookkeeping stays on
+the sink object.
 """
 
 from __future__ import annotations
@@ -27,14 +29,12 @@ import os
 
 from repro.telemetry.clock import StepClock
 from repro.telemetry.events import SCHEMA_VERSION, validate_event, validate_jsonl
-from repro.telemetry.metrics import MetricsRegistry, merge_stats
-from repro.telemetry.sink import JSONLSink, NullSink
+from repro.telemetry.metrics import merge_stats
+from repro.telemetry.sink import JSONLSink
 from repro.telemetry.spans import Span, Tracer, span
 
 __all__ = [
     "JSONLSink",
-    "MetricsRegistry",
-    "NullSink",
     "SCHEMA_VERSION",
     "Span",
     "StepClock",
@@ -48,26 +48,24 @@ __all__ = [
 
 
 class TelemetrySession:
-    """One run's telemetry: a registry, a step clock, a tracer, and a sink.
+    """One run's telemetry: counters, wall totals, a clock, a tracer, a sink.
 
     Every fuzzer owns a session; by default it is sink-less, so only the
-    deterministic registry (which backs ``stats_snapshot()``) and the wall
-    profile are live.  Attach a :class:`JSONLSink` (or pass one here) to
-    additionally stream schema-validated events.
+    deterministic ``counters`` (which back ``stats_snapshot()``) and the
+    ``wall`` span totals are live.  Attach a :class:`JSONLSink` (or pass
+    one here) to additionally stream schema-validated events.
     """
 
-    def __init__(
-        self,
-        sink=None,
-        clock: StepClock | None = None,
-        metrics: MetricsRegistry | None = None,
-    ) -> None:
+    def __init__(self, sink=None, clock: StepClock | None = None) -> None:
         self.clock = clock if clock is not None else StepClock()
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        #: Deterministic cumulative counters: a fuzzer's ``self.stats`` is
+        #: this dict, so ``stats_snapshot()`` reads it directly.
+        self.counters: dict = {}
+        #: Wall-clock seconds by span name; spans accumulate here.  Never
+        #: part of compared state (``profile_snapshot()`` reports it).
+        self.wall: dict = {}
         self.sink = sink
-        self.tracer = Tracer(
-            timings=self.metrics.wall, sink=sink, clock=self.clock
-        )
+        self.tracer = Tracer(timings=self.wall, sink=sink, clock=self.clock)
 
     @classmethod
     def to_jsonl(cls, path: str | os.PathLike, **sink_kwargs) -> "TelemetrySession":

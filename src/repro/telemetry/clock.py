@@ -5,8 +5,8 @@ part of determinism-compared state (the serial==parallel==incremental
 contract on campaign results).  Telemetry therefore timestamps every event
 with a :class:`StepClock` *sequence number* — a plain counter that advances
 once per recorded event — and keeps wall-clock readings strictly as
-annotations (the ``wall`` field of an event, the ``wall`` namespace of a
-:class:`~repro.telemetry.metrics.MetricsRegistry`).
+annotations (the ``wall`` field of an event, the ``wall`` span totals of a
+:class:`~repro.telemetry.TelemetrySession`).
 """
 
 from __future__ import annotations

@@ -1,27 +1,17 @@
-"""Deterministic metrics: counters, gauges, histograms — plus a wall namespace.
+"""Deterministic merging of per-cell stats snapshots.
 
-The registry is the single stats store for a fuzzing run.  Its three
-deterministic families (counters, gauges, histograms) hold only values that
-are pure functions of the run's inputs — they may appear in
-determinism-compared campaign stats.  Wall-clock profile data (span
-durations, stage timings) goes in the separate ``wall`` namespace, which
-:meth:`MetricsRegistry.snapshot` never includes; callers that want the
-profile ask for :meth:`MetricsRegistry.wall_snapshot` explicitly.  That
-split is what lets ``stats_snapshot()`` stay comparison-safe without every
-caller remembering to strip timing keys.
-
-Per-cell registries merge deterministically: counters and histograms sum,
-gauges take the max, and derived ratios are recomputed after the fold (a
-sum of ratios is meaningless).
+A run's counters live on its :class:`~repro.telemetry.TelemetrySession`
+(a fuzzer's ``stats``); they hold only values that are pure functions of
+the run's inputs, so they may appear in determinism-compared campaign
+stats, while wall-clock span totals stay in the session's separate
+``wall`` dict.  :func:`merge_stats` folds the snapshots of a grid's cells
+into one summary: numbers sum and derived ratios are recomputed after the
+fold (a sum of ratios is meaningless).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable
-
-#: Default histogram bucket upper bounds (powers of a 1/5/10 ladder).
-DEFAULT_BOUNDS = (1, 5, 10, 50, 100, 500, 1000, 5000, 10000)
 
 #: Derived-ratio stats keys recomputed (never summed) by :func:`merge_stats`,
 #: mapped to their (numerator, denominator) source keys.
@@ -31,131 +21,6 @@ DERIVED_RATES = {
     "middle_session_hit_rate": ("middle_session_hits", "middle_session_misses"),
     "attempts_per_step": ("attempts", "steps"),
 }
-
-
-@dataclass
-class Histogram:
-    """Fixed-bucket histogram; deterministic and order-independent to merge."""
-
-    bounds: tuple = DEFAULT_BOUNDS
-    counts: list = field(default_factory=list)
-    count: int = 0
-    total: float = 0.0
-    min: float | None = None
-    max: float | None = None
-
-    def __post_init__(self) -> None:
-        if not self.counts:
-            self.counts = [0] * (len(self.bounds) + 1)
-
-    def observe(self, value: float) -> None:
-        index = len(self.bounds)
-        for i, bound in enumerate(self.bounds):
-            if value <= bound:
-                index = i
-                break
-        self.counts[index] += 1
-        self.count += 1
-        self.total += value
-        self.min = value if self.min is None else min(self.min, value)
-        self.max = value if self.max is None else max(self.max, value)
-
-    def merge(self, other: "Histogram") -> None:
-        if other.bounds != self.bounds:
-            raise ValueError("cannot merge histograms with different bounds")
-        for i, n in enumerate(other.counts):
-            self.counts[i] += n
-        self.count += other.count
-        self.total += other.total
-        for attr in ("min", "max"):
-            theirs = getattr(other, attr)
-            if theirs is None:
-                continue
-            ours = getattr(self, attr)
-            picked = theirs if ours is None else (
-                min(ours, theirs) if attr == "min" else max(ours, theirs)
-            )
-            setattr(self, attr, picked)
-
-    def snapshot(self) -> dict:
-        buckets = {f"le_{bound}": n for bound, n in zip(self.bounds, self.counts)}
-        buckets["inf"] = self.counts[-1]
-        return {
-            "count": self.count,
-            "sum": round(self.total, 6),
-            "min": self.min,
-            "max": self.max,
-            "buckets": buckets,
-        }
-
-
-class MetricsRegistry:
-    """Counters, gauges, histograms, and the wall-clock annotation namespace."""
-
-    def __init__(self) -> None:
-        #: Deterministic cumulative counters.  Exposed as a plain dict so a
-        #: fuzzer's ``self.stats`` can *be* this mapping — ``stats_snapshot``
-        #: is then literally a view over the registry.
-        self.counters: dict = {}
-        self.gauges: dict = {}
-        self.histograms: dict[str, Histogram] = {}
-        #: Wall-clock seconds by span/stage name.  Never part of
-        #: :meth:`snapshot`; spans accumulate here.
-        self.wall: dict = {}
-
-    # -- recording ---------------------------------------------------------
-
-    def inc(self, name: str, n: float = 1) -> None:
-        self.counters[name] = self.counters.get(name, 0) + n
-
-    def gauge(self, name: str, value: float) -> None:
-        self.gauges[name] = value
-
-    def observe(self, name: str, value: float, bounds: tuple | None = None) -> None:
-        hist = self.histograms.get(name)
-        if hist is None:
-            hist = Histogram(bounds=bounds if bounds is not None else DEFAULT_BOUNDS)
-            self.histograms[name] = hist
-        hist.observe(value)
-
-    def add_wall(self, name: str, seconds: float) -> None:
-        self.wall[name] = self.wall.get(name, 0.0) + seconds
-
-    # -- views -------------------------------------------------------------
-
-    def snapshot(self) -> dict:
-        """The deterministic state only — safe to compare across runs."""
-        snap: dict = dict(self.counters)
-        if self.gauges:
-            snap["gauges"] = dict(self.gauges)
-        if self.histograms:
-            snap["histograms"] = {
-                name: hist.snapshot()
-                for name, hist in sorted(self.histograms.items())
-            }
-        return snap
-
-    def wall_snapshot(self) -> dict:
-        """Wall-clock profile, rounded; strictly outside compared state."""
-        return {name: round(secs, 4) for name, secs in sorted(self.wall.items())}
-
-    # -- merging -----------------------------------------------------------
-
-    def merge(self, other: "MetricsRegistry") -> None:
-        """Fold another registry in (counters/histograms sum, gauges max)."""
-        for name, value in other.counters.items():
-            self.inc(name, value)
-        for name, value in other.gauges.items():
-            current = self.gauges.get(name)
-            self.gauges[name] = value if current is None else max(current, value)
-        for name, hist in other.histograms.items():
-            mine = self.histograms.get(name)
-            if mine is None:
-                self.histograms[name] = Histogram(bounds=hist.bounds)
-                mine = self.histograms[name]
-            mine.merge(hist)
-        for name, secs in other.wall.items():
-            self.add_wall(name, secs)
 
 
 def _merge_layer(snapshots: Iterable[dict]) -> dict:

@@ -7,7 +7,7 @@ so on, dropping anything beyond ``max_files`` rotated generations.  The
 live stream is therefore always at ``path`` and history ages outward.
 
 Sink bookkeeping (events written, rotations) lives on the sink object, not
-in any metrics registry, so enabling a sink can never change
+in the session's counters, so enabling a sink can never change
 determinism-compared campaign stats.
 """
 
@@ -19,21 +19,6 @@ from pathlib import Path
 
 DEFAULT_MAX_BYTES = 4_000_000
 DEFAULT_MAX_FILES = 8
-
-
-class NullSink:
-    """Discards every event (telemetry disabled)."""
-
-    events_written = 0
-
-    def write(self, event: dict) -> None:
-        pass
-
-    def flush(self) -> None:
-        pass
-
-    def close(self) -> None:
-        pass
 
 
 class JSONLSink:

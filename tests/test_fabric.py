@@ -6,9 +6,15 @@ import json
 
 import pytest
 
-from repro.fabric import JOURNAL_KEY, FabricJournal, WorkQueue, run_cells_fabric
+from repro.fabric import (
+    JOURNAL_KEY,
+    FabricJournal,
+    Supervisor,
+    WorkQueue,
+    run_cells_fabric,
+)
 from repro.fuzzing.campaign import Campaign
-from repro.fuzzing.parallel import CellSpec, cell_key
+from repro.fuzzing.parallel import CellSpec, cell_key, run_cells
 from repro.resilience import CellFault, ChaosPlan, CheckpointStore, WorkerFault
 from repro.telemetry import validate_jsonl
 
@@ -77,18 +83,6 @@ class TestWorkQueue:
         over = q.reclaim_overrunning(now=20.0, cell_budget=15.0)
         assert over == [lease]  # ...but the cell itself has hung
 
-    def test_poison_after_distinct_workers(self):
-        q = WorkQueue(poison_threshold=2)
-        q.add(0, _spec())
-        lease = q.acquire(1, now=0.0)
-        assert q.record_kill(lease, "run1:w1") == 1
-        assert q.record_kill(lease, "run1:w1") == 1  # same worker: no double
-        assert not q.is_poison(0)
-        assert q.record_kill(lease, "run1:w2") == 2
-        assert q.is_poison(0)
-        q.mark_poison(0)
-        assert 0 in q.poisoned
-
     def test_fail_respects_cell_retry_budget(self):
         q = WorkQueue(cell_retries=1)
         q.add(0, _spec())
@@ -101,54 +95,58 @@ class TestWorkQueue:
         assert not retried
         assert q.drained
 
-    def test_seeded_kills_count_toward_poison(self):
-        q = WorkQueue(poison_threshold=2)
-        q.add(0, _spec())
-        q.seed_kills(0, ["run1:w3"])  # journal replay from a previous run
-        lease = q.acquire(1, now=0.0)
-        assert q.record_kill(lease, "run2:w0") == 2
-        assert q.is_poison(0)
-
 
 # ---------------------------------------------------------------------------
-# The journal: durable transitions, restart-safe worker identity
+# The journal: kill attribution, poison derived from it, restart-safe
+# worker identity
 
 
 class TestJournal:
     def test_unjournalled_without_store(self):
         journal = FabricJournal(None)
-        journal.record("grant")
         journal.record_kill("cell-a", journal.worker_token(0))
-        assert journal.counts["grant"] == 1
         assert journal.kills_for("cell-a") == ["run1:w0"]
+        assert journal.to_json() == {"runs": 1, "kills": {"cell-a": ["run1:w0"]}}
 
     def test_state_survives_restart(self, tmp_path):
         store = CheckpointStore(tmp_path)
         first = FabricJournal(store)
         assert first.runs == 1
-        first.record("grant")
         first.record_kill("cell-a", first.worker_token(2))
-        first.record_poison("cell-b")
         second = FabricJournal(store)
         assert second.runs == 2
         assert second.kills_for("cell-a") == ["run1:w2"]
-        assert second.is_poisoned("cell-b")
-        assert second.counts["grant"] == 1
         # Same worker id, different run: a *distinct* killer.
         second.record_kill("cell-a", second.worker_token(2))
         assert second.kills_for("cell-a") == ["run1:w2", "run2:w2"]
+        assert set(store.load(JOURNAL_KEY)) == {"runs", "kills"}
 
-    def test_renews_persist_lazily(self, tmp_path):
+    def test_poison_after_distinct_workers(self):
+        journal = FabricJournal(None)
+        assert journal.record_kill("cell-a", "run1:w1") == ["run1:w1"]
+        # The same worker again is no new killer.
+        assert journal.record_kill("cell-a", "run1:w1") == ["run1:w1"]
+        assert not journal.is_poison("cell-a", 2)
+        journal.record_kill("cell-a", "run1:w2")
+        assert journal.is_poison("cell-a", 2)
+        assert not journal.is_poison("cell-a", 3)
+        assert not journal.is_poison("cell-b", 1)
+
+    def test_writes_once_per_run_and_per_new_killer(self, tmp_path, monkeypatch):
         store = CheckpointStore(tmp_path)
-        journal = FabricJournal(store)
-        journal.record_renew()
-        assert store.load(JOURNAL_KEY)["counts"]["renew"] == 0  # not yet
-        journal.record("grant")  # the next durable transition carries it
-        assert store.load(JOURNAL_KEY)["counts"]["renew"] == 1
+        writes = []
+        save = store.save
 
-    def test_rejects_unknown_transition(self):
-        with pytest.raises(ValueError):
-            FabricJournal(None).record("teleport")
+        def counting_save(key, payload):
+            writes.append(key)
+            return save(key, payload)
+
+        monkeypatch.setattr(store, "save", counting_save)
+        journal = FabricJournal(store)
+        journal.record_kill("cell-a", "run1:w0")
+        journal.record_kill("cell-a", "run1:w0")  # a known killer: no write
+        journal.record_kill("cell-a", "run1:w1")
+        assert writes == [JOURNAL_KEY] * 3
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +182,22 @@ class TestChaosPlan:
 # End-to-end: the supervised fleet (kept small; the CI smoke goes further)
 
 _FAST = dict(heartbeat_interval=0.05, heartbeat_timeout=1.5)
+_EXIT_ALWAYS = {"uCFuzz.s": CellFault(kind="exit", attempts=None)}
+
+
+def _grid_events(telemetry_dir) -> list[dict]:
+    return [
+        json.loads(line)
+        for line in (telemetry_dir / "grid.jsonl").read_text().splitlines()
+    ]
+
+
+def _grants(events) -> list[dict]:
+    return [
+        e for e in events
+        if e["kind"] == "fabric" and e["name"] == "lease"
+        and e["fields"]["status"] == "grant"
+    ]
 
 
 def _campaign(gcc, small_seeds, registry, steps=8, **kwargs) -> Campaign:
@@ -295,11 +309,85 @@ class TestFabricEndToEnd:
         assert all(o.from_checkpoint for o in resumed)
         assert resumed[0].error_type == "poison"
         assert _same_result(first[1].result, resumed[1].result)
-        # The journal carries both the poison verdict and the kill ledger.
+        # The journal's kills are what the verdict is derived from.
         journal = FabricJournal(CheckpointStore(tmp_path / "ckpt"))
         key = cell_key(campaign.cell_specs(("uCFuzz.s",))[0])
-        assert journal.is_poisoned(key)
         assert len(journal.kills_for(key)) == 2
+        assert journal.is_poison(key, 2)
+
+    def test_journalled_kill_counts_toward_poison(
+        self, gcc, small_seeds, registry, tmp_path
+    ):
+        # A kill a previous run journalled counts toward this run's
+        # threshold: one new death quarantines the cell.
+        campaign = _campaign(
+            gcc, small_seeds, registry, steps=5,
+            telemetry_dir=str(tmp_path / "ev"),
+        )
+        key = cell_key(campaign.cell_specs(("uCFuzz.s",))[0])
+        store = CheckpointStore(tmp_path / "ckpt")
+        store.save(JOURNAL_KEY, {"runs": 1, "kills": {key: ["run1:w3"]}})
+        outcomes = campaign.run_fabric(
+            ("uCFuzz.s",), fleet_size=1, poison_threshold=2,
+            checkpoint_dir=str(tmp_path / "ckpt"), faults=_EXIT_ALWAYS,
+            **_FAST,
+        )
+        assert outcomes[0].error_type == "poison"
+        assert not outcomes[0].from_checkpoint
+        assert len(_grants(_grid_events(tmp_path / "ev"))) == 1
+        assert FabricJournal(store).kills_for(key) == ["run1:w3", "run2:w0"]
+
+    def test_resume_derives_poison_from_journalled_kills(
+        self, gcc, small_seeds, registry, tmp_path
+    ):
+        # A supervisor killed after journalling the threshold-reaching
+        # kill, before it checkpointed the poison outcome, leaves kills and
+        # no checkpoint: the next run poison-skips the cell, granting it to
+        # no worker.
+        campaign = _campaign(
+            gcc, small_seeds, registry, steps=5,
+            telemetry_dir=str(tmp_path / "ev"),
+        )
+        key = cell_key(campaign.cell_specs(("uCFuzz.s",))[0])
+        CheckpointStore(tmp_path / "ckpt").save(
+            JOURNAL_KEY, {"runs": 1, "kills": {key: ["run1:w0", "run1:w1"]}}
+        )
+        outcomes = campaign.run_fabric(
+            ("uCFuzz.s",), fleet_size=1, poison_threshold=2,
+            checkpoint_dir=str(tmp_path / "ckpt"), faults=_EXIT_ALWAYS,
+            **_FAST,
+        )
+        assert outcomes[0].error_type == "poison"
+        assert outcomes[0].from_checkpoint
+        events = _grid_events(tmp_path / "ev")
+        assert _grants(events) == []
+        assert [e["fields"]["status"] for e in events if e["kind"] == "cell"] == [
+            "poison-skip"
+        ]
+
+    def test_no_worker_drain_keeps_the_retry_contract(
+        self, gcc, small_seeds, registry, monkeypatch
+    ):
+        # No worker can be spawned: every cell takes a lease in the
+        # supervisor's process and reports through the queue.
+        monkeypatch.setattr(Supervisor, "_spawn_worker", lambda self: False)
+        campaign = _campaign(gcc, small_seeds, registry, steps=5)
+        serial = run_cells(campaign.cell_specs(self.NAMES))
+        outcomes = campaign.run_fabric(
+            self.NAMES, fleet_size=2, cell_retries=1,
+            faults={
+                "uCFuzz.s": CellFault(kind="raise", attempts=(0,)),
+                "Csmith": CellFault(kind="exit", attempts=None),
+            },
+            **_FAST,
+        )
+        retried, unsafe, clean = outcomes
+        assert retried.ok and retried.attempts == 2
+        # Firing the exit in-process would end this process: refused.
+        assert unsafe.error_type == "no-workers" and unsafe.result is None
+        assert clean.ok and clean.attempts == 1
+        assert _same_result(serial[0], retried.result)
+        assert _same_result(serial[2], clean.result)
 
     def test_unpicklable_registry_falls_back_in_process(
         self, gcc, small_seeds
@@ -342,15 +430,14 @@ class TestFabricEndToEnd:
             **_FAST,
         )
         assert [o.ok for o in outcomes] == [False, True]
-        grid = tmp_path / "ev" / "grid.jsonl"
-        assert validate_jsonl(grid) > 0
-        events = [json.loads(l) for l in grid.read_text().splitlines()]
+        assert validate_jsonl(tmp_path / "ev" / "grid.jsonl") > 0
+        events = _grid_events(tmp_path / "ev")
         fabric = [e for e in events if e["kind"] == "fabric"]
         statuses = {
             e["fields"].get("status") for e in fabric if e["name"] == "lease"
         }
         assert {"grant", "reclaim"} <= statuses, statuses
-        # Heartbeat renewals are counted in the journal, not streamed.
+        # Heartbeat renewals are not streamed.
         assert "renew" not in statuses
         assert sum(1 for e in fabric if e["name"] == "poison") == 1
         cell_rows = [e for e in events if e["kind"] == "cell"]

@@ -457,9 +457,8 @@ def test_cell_key_ignores_fault_and_attempt(gcc, small_seeds, registry):
     spec = campaign.cell_specs(("uCFuzz.s",))[0]
     import dataclasses
 
-    faulted = dataclasses.replace(
-        spec, fault=CellFault(kind="raise"), attempt=2
-    )
+    # The attempt number is run_cell's argument, never part of the spec.
+    faulted = dataclasses.replace(spec, fault=CellFault(kind="raise"))
     assert cell_key(spec) == cell_key(faulted)
     other = campaign.cell_specs(("Csmith",))[0]
     assert cell_key(spec) != cell_key(other)

@@ -1,4 +1,4 @@
-"""The telemetry layer: metrics, spans, sinks, events, reports, and the
+"""The telemetry layer: counters, spans, sinks, events, reports, and the
 determinism contract (telemetry on == telemetry off, serial == parallel),
 plus the crash-bookkeeping and throughput-reporting fixes that rode along.
 """
@@ -20,7 +20,6 @@ from repro.fuzzing.throughput import _time_run
 from repro.llm.client import APIError, LLMClient
 from repro.telemetry import (
     JSONLSink,
-    MetricsRegistry,
     StepClock,
     TelemetrySession,
     Tracer,
@@ -30,56 +29,40 @@ from repro.telemetry import (
     validate_jsonl,
 )
 from repro.telemetry.events import EventSchemaError
-from repro.telemetry.metrics import Histogram
 from repro.telemetry.report import load_results, main as report_main, render_report
 
 
 # ---------------------------------------------------------------------------
-# Metrics registry
+# Session counters and the stats merge
+
+
+def _fuzzer(registry, small_seeds, seed=7) -> MuCFuzz:
+    return MuCFuzz(
+        Compiler(*GCC_SIM), random.Random(seed), small_seeds[:6],
+        registry.supervised(), name="uCFuzz.s",
+    )
 
 
 class TestMetrics:
-    def test_counters_are_a_plain_dict_view(self):
-        reg = MetricsRegistry()
-        reg.inc("steps")
-        reg.inc("steps", 2)
-        assert reg.counters == {"steps": 3}
-        assert reg.snapshot() == {"steps": 3}
+    def test_counters_are_a_plain_dict_view(self, registry, small_seeds):
+        fuzzer = _fuzzer(registry, small_seeds)
+        assert fuzzer.stats is fuzzer.telemetry.counters
+        fuzzer.step()
+        session = TelemetrySession()
+        fuzzer.adopt_telemetry(session)
+        # Adopting a session carries the counters over and keeps the view.
+        assert fuzzer.stats is session.counters
+        assert session.counters["steps"] == 1
+        fuzzer.step()
+        assert session.counters["steps"] == 2
 
-    def test_wall_never_in_snapshot(self):
-        reg = MetricsRegistry()
-        reg.inc("steps")
-        reg.add_wall("parse", 0.25)
-        assert reg.snapshot() == {"steps": 1}
-        assert reg.wall_snapshot() == {"parse": 0.25}
-
-    def test_histogram_buckets(self):
-        h = Histogram(bounds=(1, 10))
-        for v in (0.5, 5, 50):
-            h.observe(v)
-        snap = h.snapshot()
-        assert snap["count"] == 3
-        assert snap["buckets"] == {"le_1": 1, "le_10": 1, "inf": 1}
-        assert (snap["min"], snap["max"]) == (0.5, 50)
-
-    def test_registry_merge_is_order_independent(self):
-        def build(values):
-            reg = MetricsRegistry()
-            for v in values:
-                reg.inc("n")
-                reg.observe("tokens", v)
-                reg.gauge("peak", v)
-            return reg
-
-        a, b = build([1, 100]), build([7])
-        ab = MetricsRegistry()
-        ab.merge(a)
-        ab.merge(b)
-        ba = MetricsRegistry()
-        ba.merge(b)
-        ba.merge(a)
-        assert ab.snapshot() == ba.snapshot()
-        assert ab.snapshot()["gauges"] == {"peak": 100}
+    def test_wall_never_in_snapshot(self, registry, small_seeds):
+        fuzzer = _fuzzer(registry, small_seeds)
+        with fuzzer.telemetry.span("probe"):
+            pass
+        assert set(fuzzer.telemetry.wall) == {"probe"}
+        assert "probe" not in fuzzer.stats_snapshot()
+        assert set(fuzzer.profile_snapshot()["spans"]) == {"probe"}
 
     def test_merge_stats_recomputes_derived_rates(self):
         cells = [
@@ -172,8 +155,7 @@ class TestSpans:
         compiler.compile("int main(void) { return 42; }")
         snap = fuzzer.stats_snapshot()
         assert "stage_timings" not in snap
-        assert all(not isinstance(v, dict) or k in ("gauges", "histograms")
-                   for k, v in snap.items())
+        assert not any(isinstance(v, dict) for v in snap.values())
         profile = fuzzer.profile_snapshot()
         assert profile["stage_timings"]
         assert set(profile["stage_timings"]) >= {"lex", "parse", "sema"}
@@ -546,21 +528,29 @@ class TestThroughputFixes:
 
 
 class TestLLMTelemetry:
-    def test_counters_and_histogram(self):
-        session = TelemetrySession()
+    def test_counters_and_histogram(self, tmp_path):
+        # The client counts its own requests; the per-request token counts
+        # a histogram would bucket are in the event stream.
+        session = TelemetrySession.to_jsonl(tmp_path / "llm.jsonl")
         client = LLMClient(failure_rate=0.5, telemetry=session)
         rng = random.Random(0)
-        ok = failures = 0
+        tokens = []
+        failures = 0
         for _ in range(40):
             try:
-                client.invent(rng, set(), "unsupervised")
-                ok += 1
+                _, usage = client.invent(rng, set(), "unsupervised")
+                tokens.append(usage.tokens)
             except APIError:
                 failures += 1
-        counters = session.metrics.counters
-        assert counters["llm_requests"] == client.requests
-        assert counters.get("llm_failures", 0) == client.failures == failures
-        assert session.metrics.histograms["llm_tokens"].count == ok
+        session.close()
+        events = [
+            json.loads(line)
+            for line in (tmp_path / "llm.jsonl").read_text().splitlines()
+        ]
+        llm = [e for e in events if e["kind"] == "llm"]
+        assert client.requests == len(llm) == len(tokens) + failures
+        assert client.failures == failures > 0
+        assert [e["fields"]["tokens"] for e in llm if e["name"] == "ok"] == tokens
 
     def test_telemetry_does_not_perturb_request_stream(self, tmp_path):
         def usage_trace(telemetry):
